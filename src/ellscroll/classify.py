@@ -13,12 +13,11 @@ and ``minimality_check`` verifies minimality by exhaustive search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import linsys
 from .elmtrans import Generic, OnX0, OnX1, Pair, elm, walk
-from .errors import NotBasePointFree, UnreachableTarget
+from .errors import DegenerateModel, NotBasePointFree, UnreachableTarget
 from .groups import CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
 from .surface import (
@@ -114,9 +113,6 @@ class ScrollModel:
             "generation": self.generation.to_dict() if self.generation else None,
             "families": [f.to_dict() for f in self.families],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _x0_af(min_deg_a: int, offset: int, ln_max: int) -> UnisecantFamily:
@@ -267,9 +263,19 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
 # Tables
 
 
+def _elements(group: CurveGroup, at_least: int) -> list:
+    """The group's elements, refusing a model with fewer than ``at_least``."""
+    elements = group.elements()
+    if len(elements) < at_least:
+        raise DegenerateModel(
+            f"group {group} has {len(elements)} elements; need {at_least}"
+        )
+    return elements
+
+
 def _dec_with_e(group: CurveGroup, e: int, nontrivial: bool = False) -> Decomposable:
     if e == 0 and nontrivial:
-        cls = DivisorClass(0, group.elements()[1] - group.zero())
+        cls = DivisorClass(0, _elements(group, 2)[1] - group.zero())
     elif e == 0:
         cls = trivial_class(group)
     else:
@@ -409,7 +415,7 @@ def nagata_plan(
     """
     if group is None:
         group = default_group()
-    elements = group.elements()
+    elements = _elements(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = elements[1], elements[2], elements[4]
     if target == "ind0":
@@ -433,10 +439,11 @@ def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:
     if group is None:
         group = default_group()
     result = walk(product_surface(group), plan.steps)
-    return _matches_target(result.trajectory[-1], plan.target, plan.target_e)
+    return matches_target(result.trajectory[-1], plan.target, plan.target_e)
 
 
-def _matches_target(model: SurfaceModel, target: str, e: int) -> bool:
+def matches_target(model: SurfaceModel, target: str, e: int) -> bool:
+    """Whether ``model`` lies in the target family of a plan."""
     if target == "ind0":
         return isinstance(model, Indec0)
     if target == "indm1":
@@ -484,7 +491,7 @@ def minimality_check(
         group = TorusGroup(4, 4)
     start = product_surface(group)
     target_e = {"ind0": 0, "indm1": -1}.get(target, e if e is not None else -99)
-    if _matches_target(start, target, target_e):
+    if matches_target(start, target, target_e):
         return 0
     frontier: set[SurfaceModel] = {start}
     seen: set[SurfaceModel] = {start}
@@ -493,7 +500,7 @@ def minimality_check(
         for model in frontier:
             for spec in _all_specs(model):
                 out = elm(model, spec).model
-                if _matches_target(out, target, target_e):
+                if matches_target(out, target, target_e):
                     return depth
                 if out not in seen:
                     seen.add(out)

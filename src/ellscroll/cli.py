@@ -2,8 +2,15 @@
 
 A small DSL names group elements, divisors, surfaces, linear systems and
 transformation points; a recursive-descent parser turns a command line into a
-:class:`Command`, and ``run`` dispatches it to the engine.  Canonical
-commands round-trip through :meth:`Command.format`.
+:class:`Command`, and ``run`` hands it to the engine.  Canonical commands
+round-trip through :meth:`Command.format`.
+
+Each command is one class in the registry ``COMMANDS``, keyed by its command
+word.  The class's fields are what the command parses; its ``grammar`` lists
+the ``_Parser`` production that reads each field, in order; its
+``__post_init__`` makes the semantic checks that involve several fields; and
+its ``run(options)`` builds the payload.  ``parse``, ``run`` and the shared
+``format`` work from these alone, so adding a command touches one class.
 
 Grammar (after flag words are stripped)::
 
@@ -18,7 +25,8 @@ Grammar (after flag words are stripped)::
 Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``elm s pointspec``, ``walk s step...``, ``table N``, ``nagata target [e]``,
 ``mincurves s pair{..}``, ``ram s point``.  Flags: ``--group m,n``,
-``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``.
+``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``.  Each shell
+argument is one word: a flag inside an argument is not split out of it.
 
 Exit codes: 0 success, 1 engine error, 2 parse/semantic error.  In JSON mode
 errors are also emitted on standard output as ``{"error": code, ...}``.
@@ -29,7 +37,8 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Sequence
 
 from . import classify as classify_mod
 from . import linsys
@@ -48,7 +57,10 @@ from .surface import (
     tau,
 )
 
+FAMILIES = ("dec", "ind0", "indm1")
 WALK_TEMPLATES = ("generic", "onX0", "onX1", "random")
+#: Point-spec keywords written ``word@point``; ``pair{q,r}`` has its own form.
+SPEC_KINDS = {"onX0": OnX0, "onX1": OnX1, "gen": Generic}
 
 
 # ---------------------------------------------------------------------------
@@ -133,141 +145,28 @@ class SystemExpr:
 
 
 def format_divisor(d: Divisor) -> str:
-    if not d.terms:
-        return "0*O"
-    parts = []
+    out = ""
     for point, mult in d.terms:
         base = "O" if point.is_zero() else f"P{point}"
-        mag = abs(mult)
-        body = base if mag == 1 else f"{mag}*{base}"
-        parts.append(("-" if mult < 0 else "+", body))
-    first_sign, first = parts[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+        body = base if abs(mult) == 1 else f"{abs(mult)}*{base}"
+        out += ("-" if mult < 0 else "+" if out else "") + body
+    return out or "0*O"
 
 
-def format_pointspec(spec: PointSpec) -> str:
-    if isinstance(spec, OnX0):
-        return f"onX0@{spec.P}"
-    if isinstance(spec, OnX1):
-        return f"onX1@{spec.P}"
-    if isinstance(spec, Generic):
-        return f"gen@{spec.P}"
-    return f"pair{{{spec.q},{spec.r}}}"
-
-
-# ---------------------------------------------------------------------------
-# Commands
-
-
-@dataclass(frozen=True)
-class Options:
-    group: CurveGroup = field(default_factory=default_group)
-    json: bool = False
-    seed: int = 0
-    verify: bool = False
-
-
-@dataclass(frozen=True)
-class Analyze:
-    surface: SurfaceExpr
-    system: SystemExpr
-
-    def format(self) -> str:
-        return f"analyze {self.surface.format()} {self.system.format()}"
-
-
-@dataclass(frozen=True)
-class Classify:
-    surface: SurfaceExpr
-    system: SystemExpr
-
-    def format(self) -> str:
-        return f"classify {self.surface.format()} {self.system.format()}"
-
-
-@dataclass(frozen=True)
-class Elm:
-    surface: SurfaceExpr
-    spec: PointSpec
-
-    def format(self) -> str:
-        return f"elm {self.surface.format()} {format_pointspec(self.spec)}"
-
-
-@dataclass(frozen=True)
-class Walk:
-    surface: SurfaceExpr
-    steps: tuple  # templates (str) and/or concrete PointSpecs
-
-    def format(self) -> str:
-        rendered = " ".join(
-            s if isinstance(s, str) else format_pointspec(s) for s in self.steps
-        )
-        return f"walk {self.surface.format()} {rendered}".rstrip()
-
-
-@dataclass(frozen=True)
-class Table:
-    n: int
-
-    def format(self) -> str:
-        return f"table {self.n}"
-
-
-@dataclass(frozen=True)
-class Nagata:
-    target: str
-    e: int | None = None
-
-    def format(self) -> str:
-        return f"nagata {self.target}" + ("" if self.e is None else f" {self.e}")
-
-
-@dataclass(frozen=True)
-class MinCurves:
-    surface: SurfaceExpr
-    pair: Pair
-
-    def format(self) -> str:
-        return f"mincurves {self.surface.format()} {format_pointspec(self.pair)}"
-
-
-@dataclass(frozen=True)
-class Ram:
-    surface: SurfaceExpr
-    t: GroupElement
-
-    def format(self) -> str:
-        return f"ram {self.surface.format()} {self.t}"
-
-
-Variant = Analyze | Classify | Elm | Walk | Table | Nagata | MinCurves | Ram
-
-
-@dataclass(frozen=True)
-class Command:
-    variant: Variant
-    options: Options
-
-    def format(self) -> str:
-        out = self.variant.format()
-        opt = self.options
-        g = opt.group
-        if isinstance(g, TorusGroup):
-            if g != default_group():
-                out += f" --group {g.m},{g.n}"
-        else:
-            out += f" --curve {g.p},{g.a},{g.b}"
-        if opt.json:
-            out += " --json"
-        if opt.seed:
-            out += f" --seed {opt.seed}"
-        if opt.verify:
-            out += " --verify"
-        return out
+def format_field(value) -> str:
+    """The DSL text of one parsed field; an absent optional field is empty."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):  # walk steps
+        return " ".join(map(format_field, value))
+    if isinstance(value, (SurfaceExpr, SystemExpr)):
+        return value.format()
+    if isinstance(value, Pair):
+        return f"pair{{{value.q},{value.r}}}"
+    if isinstance(value, PointSpec):
+        word = next(w for w, kind in SPEC_KINDS.items() if isinstance(value, kind))
+        return f"{word}@{value.P}"
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +196,12 @@ class _Parser:
             expected=expected,
         )
 
+    def at(self, text: str) -> bool:
+        """Whether the next token is this symbol or identifier."""
+        return self.peek().text == text
+
     def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == sym:
+        if self.at(sym):
             return self.next()
         raise self.fail((f"'{sym}'",))
 
@@ -311,36 +213,32 @@ class _Parser:
         raise self.fail(("integer",))
 
     def expect_ident(self, *names: str) -> str:
-        tok = self.peek()
-        if tok.kind == "IDENT" and (not names or tok.text in names):
-            self.next()
-            return tok.text
-        raise self.fail(names or ("identifier",))
-
-    def at_ident(self, name: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == name
-
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == sym
+        if self.peek().text in names:
+            return self.next().text
+        raise self.fail(names)
 
     # -- grammar productions ------------------------------------------------
 
+    def optional_int(self) -> int | None:
+        return self.expect_int() if self.peek().kind == "INT" else None
+
+    def family(self) -> str:
+        return self.expect_ident(*FAMILIES)
+
+    def signed_int(self) -> int:
+        sign = -1 if self.at("-") and self.next() else 1
+        return sign * self.expect_int()
+
     def point(self) -> GroupElement:
-        if self.at_ident("O"):
+        if self.at("O"):
             self.next()
             return self.group.zero()
-        if self.at_sym("("):
+        if self.at("("):
             self.next()
-            neg_x = self.at_sym("-") and bool(self.next())
-            x = self.expect_int()
+            x = self.signed_int()
             self.expect_sym(",")
-            neg_y = self.at_sym("-") and bool(self.next())
-            y = self.expect_int()
+            y = self.signed_int()
             self.expect_sym(")")
-            x = -x if neg_x else x
-            y = -y if neg_y else y
             try:
                 if isinstance(self.group, WeierstrassGroup):
                     return self.group.point(x, y)
@@ -354,33 +252,24 @@ class _Parser:
         if self.peek().kind == "INT":
             mult = self.expect_int()
             self.expect_sym("*")
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "O":
-            self.next()
-            return self.group.zero(), mult
-        if tok.kind == "IDENT" and tok.text in ("P", "PO"):
-            self.next()
-            if tok.text == "PO":
-                return self.group.zero(), mult
-            return self.point(), mult
-        raise self.fail(("'P'", "'O'"))
+        name = self.peek().text
+        if name not in ("P", "O", "PO"):
+            raise self.fail(("'P'", "'O'"))
+        self.next()
+        return (self.point() if name == "P" else self.group.zero()), mult
 
     def divisor(self) -> Divisor:
         terms: list[tuple[GroupElement, int]] = []
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
-        point, mult = self.term()
-        terms.append((point, sign * mult))
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = 1 if self.next().text == "+" else -1
+        sign = -1 if self.at("-") and self.next() else 1
+        while True:
             point, mult = self.term()
             terms.append((point, sign * mult))
-        return Divisor.of(self.group, *terms)
+            if not (self.at("+") or self.at("-")):
+                return Divisor.of(self.group, *terms)
+            sign = 1 if self.next().text == "+" else -1
 
     def surface(self) -> SurfaceExpr:
-        name = self.expect_ident("dec", "ind0", "indm1")
+        name = self.family()
         if name == "ind0":
             return SurfaceExpr("ind0", point=self.group.zero())
         self.expect_sym("(")
@@ -408,7 +297,7 @@ class _Parser:
         return SystemExpr(m, div)
 
     def pointspec(self) -> PointSpec:
-        name = self.expect_ident("onX0", "onX1", "gen", "pair")
+        name = self.expect_ident(*SPEC_KINDS, "pair")
         if name == "pair":
             self.expect_sym("{")
             q = self.point()
@@ -417,231 +306,321 @@ class _Parser:
             self.expect_sym("}")
             return Pair(q, r)
         self.expect_sym("@")
-        p = self.point()
-        return {"onX0": OnX0, "onX1": OnX1, "gen": Generic}[name](p)
+        return SPEC_KINDS[name](self.point())
+
+    def steps(self) -> tuple:
+        steps: list = []
+        while self.peek().kind != "EOF":
+            if self.peek().text in WALK_TEMPLATES:
+                steps.append(self.next().text)
+            else:
+                steps.append(self.pointspec())
+        return tuple(steps)
 
     def end(self) -> None:
         if self.peek().kind != "EOF":
             raise self.fail(("end of input",))
 
 
-def _check_spec_family(surface: SurfaceExpr, spec: PointSpec) -> None:
-    if surface.kind == "indm1" and not isinstance(spec, Pair):
-        raise SemanticError("points of indm1 are pair{...} descriptors")
-    if surface.kind != "indm1" and isinstance(spec, Pair):
-        raise SemanticError(f"pair{{...}} does not apply to {surface.kind}")
-    if surface.kind == "ind0" and isinstance(spec, OnX1):
-        raise SemanticError("ind0 has no second section onX1")
-
-
-def _parse_flags(words: list[str]) -> tuple[list[str], Options]:
-    group: CurveGroup | None = None
-    json_mode = False
-    seed = 0
-    verify = False
-    body: list[str] = []
-    i = 0
-
-    def split_flag(word: str) -> tuple[str, str | None]:
-        if "=" in word:
-            name, _, value = word.partition("=")
-            return name, value
-        return word, None
-
-    while i < len(words):
-        word = words[i]
-        if not word.startswith("--"):
-            body.append(word)
-            i += 1
-            continue
-        name, value = split_flag(word)
-        if name in ("--group", "--curve", "--seed") and value is None:
-            if i + 1 >= len(words):
-                raise ParseError(f"flag {name} needs a value", column=0)
-            value = words[i + 1]
-            i += 1
-        try:
-            if name == "--group":
-                m, n = (int(v) for v in value.split(","))
-                group = TorusGroup(m, n)
-            elif name == "--curve":
-                p, a, b = (int(v) for v in value.split(","))
-                group = WeierstrassGroup(p, a, b)
-            elif name == "--seed":
-                seed = int(value)
-            elif name == "--json":
-                json_mode = True
-            elif name == "--verify":
-                verify = True
-            else:
-                raise ParseError(f"unknown flag {name}", column=0)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad value for {name}: {exc}", column=0) from exc
-        i += 1
-    if group is None:
-        group = default_group()
-    return body, Options(group=group, json=json_mode, seed=seed, verify=verify)
-
-
-def parse(text: str) -> Command:
-    """Parse one full command line (flags may appear anywhere)."""
-    try:
-        words = shlex.split(text)
-    except ValueError as exc:
-        raise ParseError(f"unbalanced quoting: {exc}", column=0) from exc
-    body, options = _parse_flags(words)
-    if not body:
-        raise ParseError(
-            "missing command word", column=0,
-            expected=("analyze", "classify", "elm", "walk", "table",
-                      "nagata", "mincurves", "ram"),
-        )
-    parser = _Parser(" ".join(body[1:]), options.group)
-    word = body[0]
-    if word == "analyze":
-        variant: Variant = Analyze(parser.surface(), parser.system())
-    elif word == "classify":
-        surface = parser.surface()
-        system = parser.system()
-        if system.m != 1:
-            raise SemanticError("classify needs a fiber-degree-1 system (1X0+...)")
-        variant = Classify(surface, system)
-    elif word == "elm":
-        surface = parser.surface()
-        spec = parser.pointspec()
-        _check_spec_family(surface, spec)
-        variant = Elm(surface, spec)
-    elif word == "walk":
-        surface = parser.surface()
-        steps: list = []
-        while parser.peek().kind != "EOF":
-            tok = parser.peek()
-            if tok.kind == "IDENT" and tok.text in WALK_TEMPLATES:
-                parser.next()
-                steps.append(tok.text)
-            else:
-                steps.append(parser.pointspec())
-        variant = Walk(surface, tuple(steps))
-    elif word == "table":
-        n = parser.expect_int()
-        if n < 3:
-            raise SemanticError("table requires an ambient dimension N >= 3")
-        variant = Table(n)
-    elif word == "nagata":
-        target = parser.expect_ident("dec", "ind0", "indm1")
-        e = None
-        if parser.peek().kind == "INT":
-            e = parser.expect_int()
-        if target == "dec" and e is None:
-            raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
-        variant = Nagata(target, e)
-    elif word == "mincurves":
-        surface = parser.surface()
-        spec = parser.pointspec()
-        if surface.kind != "indm1" or not isinstance(spec, Pair):
-            raise SemanticError("mincurves needs an indm1 surface and a pair{...}")
-        variant = MinCurves(surface, spec)
-    elif word == "ram":
-        surface = parser.surface()
-        if surface.kind != "indm1":
-            raise SemanticError("ram applies to indm1 surfaces only")
-        variant = Ram(surface, parser.point())
-    else:
-        raise ParseError(
-            f"unknown command {word!r}", column=0,
-            expected=("analyze", "classify", "elm", "walk", "table",
-                      "nagata", "mincurves", "ram"),
-        )
-    parser.end()
-    return Command(variant, options)
-
-
 # ---------------------------------------------------------------------------
-# Dispatch
+# Commands
+
+
+@dataclass(frozen=True)
+class Options:
+    group: CurveGroup = field(default_factory=default_group)
+    json: bool = False
+    seed: int = 0
+    verify: bool = False
 
 
 def _family_dict(model: SurfaceModel) -> dict:
     return {"family": model.family(), "e_class": str(model.e_class)}
 
 
-def _run_variant(cmd: Command) -> dict | list | str:
-    """Produce the command's payload (a JSON-able object or final text)."""
-    v = cmd.variant
-    opt = cmd.options
-    if isinstance(v, Analyze):
-        analysis = linsys.analyze(v.surface.model(), v.system.cls())
-        return {
-            "surface": _family_dict(v.surface.model()),
-            "system": str(v.system.cls()),
-            **analysis.to_dict(),
-        }
-    if isinstance(v, Classify):
-        scroll = classify_mod.classify_scroll(
-            v.surface.model(), v.system.cls().b
-        )
-        return scroll.to_dict()
-    if isinstance(v, Elm):
-        result = elm(v.surface.model(), v.spec)
+class _Command:
+    """A command: a frozen dataclass with ``word``, ``grammar`` and ``run``."""
+
+    word: ClassVar[str]
+    grammar: ClassVar[tuple[Callable[[_Parser], object], ...]]
+
+    def format(self) -> str:
+        words = (format_field(getattr(self, f.name)) for f in fields(self))
+        return " ".join(w for w in (self.word, *words) if w)
+
+
+@dataclass(frozen=True)
+class Analyze(_Command):
+    surface: SurfaceExpr
+    system: SystemExpr
+
+    word = "analyze"
+    grammar = (_Parser.surface, _Parser.system)
+
+    def run(self, options: Options) -> dict:
+        model, H = self.surface.model(), self.system.cls()
+        analysis = linsys.analyze(model, H)
+        return {"surface": _family_dict(model), "system": str(H), **analysis.to_dict()}
+
+
+@dataclass(frozen=True)
+class Classify(_Command):
+    surface: SurfaceExpr
+    system: SystemExpr
+
+    word = "classify"
+    grammar = (_Parser.surface, _Parser.system)
+
+    def __post_init__(self) -> None:
+        if self.system.m != 1:
+            raise SemanticError("classify needs a fiber-degree-1 system (1X0+...)")
+
+    def run(self, options: Options) -> dict:
+        model = self.surface.model()
+        return classify_mod.classify_scroll(model, self.system.cls().b).to_dict()
+
+
+@dataclass(frozen=True)
+class Elm(_Command):
+    surface: SurfaceExpr
+    spec: PointSpec
+
+    word = "elm"
+    grammar = (_Parser.surface, _Parser.pointspec)
+
+    def __post_init__(self) -> None:
+        kind, is_pair = self.surface.kind, isinstance(self.spec, Pair)
+        if kind == "indm1" and not is_pair:
+            raise SemanticError("points of indm1 are pair{...} descriptors")
+        if kind != "indm1" and is_pair:
+            raise SemanticError(f"pair{{...}} does not apply to {kind}")
+        if kind == "ind0" and isinstance(self.spec, OnX1):
+            raise SemanticError("ind0 has no second section onX1")
+
+    def run(self, options: Options) -> dict:
+        result = elm(self.surface.model(), self.spec)
         return {
             "rule": result.rule,
             "result": _family_dict(result.model),
             "new_minimum_section": result.y0_note,
         }
-    if isinstance(v, Walk):
-        result = walk(v.surface.model(), v.steps, rng_seed=opt.seed)
+
+
+@dataclass(frozen=True)
+class Walk(_Command):
+    surface: SurfaceExpr
+    steps: tuple  # templates (str) and/or concrete PointSpecs
+
+    word = "walk"
+    grammar = (_Parser.surface, _Parser.steps)
+
+    def run(self, options: Options) -> dict:
+        result = walk(self.surface.model(), self.steps, rng_seed=options.seed)
         return {
             "steps": [
-                {"rule": step.rule, "family": step.model.family(),
-                 "e_class": str(step.model.e_class)}
-                for step in result.steps
+                {"rule": step.rule, **_family_dict(step.model)} for step in result.steps
             ],
             "final": _family_dict(result.trajectory[-1]),
         }
-    if isinstance(v, Table):
-        rows = classify_mod.emit_table(v.n, opt.group)
-        if opt.json:
+
+
+@dataclass(frozen=True)
+class Table(_Command):
+    n: int
+
+    word = "table"
+    grammar = (_Parser.expect_int,)
+
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise SemanticError("table requires an ambient dimension N >= 3")
+
+    def run(self, options: Options) -> list | str:
+        rows = classify_mod.emit_table(self.n, options.group)
+        if options.json:
             return [row.to_dict() for row in rows]
-        return classify_mod.render_table(v.n, rows)
-    if isinstance(v, Nagata):
-        plan = classify_mod.nagata_plan(v.target, v.e, opt.group)
+        return classify_mod.render_table(self.n, rows)
+
+
+@dataclass(frozen=True)
+class Nagata(_Command):
+    target: str
+    e: int | None = None
+
+    word = "nagata"
+    grammar = (_Parser.family, _Parser.optional_int)
+
+    def __post_init__(self) -> None:
+        if self.target == "dec" and self.e is None:
+            raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
+
+    def run(self, options: Options) -> dict:
+        plan = classify_mod.nagata_plan(self.target, self.e, options.group)
         payload: dict = {
             "target": plan.target,
             "target_e": plan.target_e,
             "length": plan.length,
-            "steps": [format_pointspec(s) for s in plan.steps],
+            "steps": [format_field(s) for s in plan.steps],
         }
-        if opt.verify:
-            result = walk(classify_mod.product_surface(opt.group), plan.steps)
-            payload["trajectory"] = [
-                _family_dict(model) for model in result.trajectory
-            ]
-            payload["verified"] = classify_mod.verify_plan(plan, opt.group)
+        if options.verify:
+            start = classify_mod.product_surface(options.group)
+            trajectory = walk(start, plan.steps).trajectory
+            payload["trajectory"] = [_family_dict(model) for model in trajectory]
+            payload["verified"] = classify_mod.matches_target(
+                trajectory[-1], plan.target, plan.target_e
+            )
         return payload
-    if isinstance(v, MinCurves):
-        s = v.surface.model()
-        descriptor = tau(s, v.pair.q, v.pair.r)
+
+
+@dataclass(frozen=True)
+class MinCurves(_Command):
+    surface: SurfaceExpr
+    pair: Pair
+
+    word = "mincurves"
+    grammar = (_Parser.surface, _Parser.pointspec)
+
+    def __post_init__(self) -> None:
+        if self.surface.kind != "indm1" or not isinstance(self.pair, Pair):
+            raise SemanticError("mincurves needs an indm1 surface and a pair{...}")
+
+    def run(self, options: Options) -> dict:
+        s = self.surface.model()
+        descriptor = tau(s, self.pair.q, self.pair.r)
         curves = min_curves_through(s, descriptor)
         return {
-            "point": format_pointspec(v.pair),
+            "point": format_field(self.pair),
             "fiber": str(descriptor.t),
             "focal": descriptor.is_focal(),
             "min_curves": sorted(str(c.q) for c in curves),
         }
-    s = v.surface.model()
-    points = ramification_points(s, v.t)
-    return {
-        "fiber": str(v.t),
-        "ramification_points": sorted(
-            (str(p) for p in points),
-        ),
-    }
 
 
-def _render_text(payload: dict | list | str) -> str:
+def _ram_surface(parser: _Parser) -> SurfaceExpr:
+    # Checked before the fiber point is read: a family mismatch is reported
+    # as such even when the rest of the line is malformed.
+    surface = parser.surface()
+    if surface.kind != "indm1":
+        raise SemanticError("ram applies to indm1 surfaces only")
+    return surface
+
+
+@dataclass(frozen=True)
+class Ram(_Command):
+    surface: SurfaceExpr
+    t: GroupElement
+
+    word = "ram"
+    grammar = (_ram_surface, _Parser.point)
+
+    def run(self, options: Options) -> dict:
+        points = ramification_points(self.surface.model(), self.t)
+        return {"fiber": str(self.t), "ramification_points": sorted(map(str, points))}
+
+
+#: The command classes by command word: the only list of command words.
+COMMANDS: dict[str, type[_Command]] = {
+    cls.word: cls
+    for cls in (Analyze, Classify, Elm, Walk, Table, Nagata, MinCurves, Ram)
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    variant: _Command
+    options: Options
+
+    def format(self) -> str:
+        out = self.variant.format()
+        opt = self.options
+        g = opt.group
+        if isinstance(g, TorusGroup):
+            if g != default_group():
+                out += f" --group {g.m},{g.n}"
+        else:
+            out += f" --curve {g.p},{g.a},{g.b}"
+        if opt.json:
+            out += " --json"
+        if opt.seed:
+            out += f" --seed {opt.seed}"
+        if opt.verify:
+            out += " --verify"
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+
+
+def _torus(value: str) -> TorusGroup:
+    m, n = (int(v) for v in value.split(","))
+    return TorusGroup(m, n)
+
+
+def _curve(value: str) -> WeierstrassGroup:
+    p, a, b = (int(v) for v in value.split(","))
+    return WeierstrassGroup(p, a, b)
+
+
+#: Flags that take a value: the ``Options`` field each sets, and its reader.
+VALUE_FLAGS = {
+    "--group": ("group", _torus), "--curve": ("group", _curve), "--seed": ("seed", int)
+}
+#: Flags that turn an ``Options`` field on.
+SWITCHES = {"--json": "json", "--verify": "verify"}
+
+
+def _parse_flags(words: list[str]) -> tuple[list[str], Options]:
+    body: list[str] = []
+    settings: dict = {}
+    rest = iter(words)
+    for word in rest:
+        if not word.startswith("--"):
+            body.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        if name in SWITCHES:
+            settings[SWITCHES[name]] = True
+            continue
+        if name not in VALUE_FLAGS:
+            raise ParseError(f"unknown flag {name}", column=0)
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ParseError(f"flag {name} needs a value", column=0)
+        key, read = VALUE_FLAGS[name]
+        try:
+            settings[key] = read(value)
+        except ValueError as exc:
+            raise ParseError(f"bad value for {name}: {exc}", column=0) from exc
+    return body, Options(**settings)
+
+
+def parse(line: str | Sequence[str]) -> Command:
+    """Parse one full command line (flags may appear anywhere).
+
+    ``line`` is either text, split into words as a shell would, or the list
+    of words itself; each word that starts with ``--`` is a flag.
+    """
+    if isinstance(line, str):
+        try:
+            line = shlex.split(line)
+        except ValueError as exc:
+            raise ParseError(f"unbalanced quoting: {exc}", column=0) from exc
+    body, options = _parse_flags(list(line))
+    parser = _Parser(" ".join(body[1:]), options.group)
+    cls = COMMANDS.get(body[0]) if body else None
+    if cls is None:
+        problem = f"unknown command {body[0]!r}" if body else "missing command word"
+        raise ParseError(problem, column=0, expected=COMMANDS)
+    variant = cls(*[production(parser) for production in cls.grammar])
+    parser.end()
+    return Command(variant, options)
+
+
+def _render_text(payload: dict | str) -> str:
     if isinstance(payload, str):
         return payload
-    if isinstance(payload, list):
-        return "\n".join(_render_text(item) for item in payload)
     lines = []
     for key, value in payload.items():
         if isinstance(value, (dict, list)):
@@ -652,10 +631,8 @@ def _render_text(payload: dict | list | str) -> str:
 
 def run(cmd: Command) -> tuple[int, str]:
     """Execute a parsed command; returns (exit status, stdout text)."""
-    payload = _run_variant(cmd)
+    payload = cmd.variant.run(cmd.options)
     if cmd.options.json:
-        if isinstance(payload, str):
-            payload = {"text": payload}
         return 0, json.dumps(payload, indent=2)
     return 0, _render_text(payload)
 
@@ -663,10 +640,8 @@ def run(cmd: Command) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     json_mode = any(a == "--json" or a.startswith("--json=") for a in args)
-    text = " ".join(args)
     try:
-        cmd = parse(text)
-        status, out = run(cmd)
+        status, out = run(parse(args))
     except EngineError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         if json_mode:

@@ -21,17 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidPointSpec, InvalidSecancy
+from .errors import InvalidPointSpec
 from .groups import GroupElement
 from .picard import DivisorClass, point_class, trivial_class
-from .surface import (
-    Decomposable,
-    Indec0,
-    IndecMinus1,
-    SurfaceDivisorClass,
-    SurfaceModel,
-    intersect,
-)
+from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +65,6 @@ class Pair:
             q, r = self.q, self.r
             object.__setattr__(self, "q", r)
             object.__setattr__(self, "r", q)
-
-
-def make_pair(q: GroupElement, r: GroupElement) -> Pair:
-    if q.sort_key() > r.sort_key():
-        q, r = r, q
-    return Pair(q, r)
 
 
 PointSpec = OnX0 | OnX1 | Generic | Pair
@@ -186,52 +173,6 @@ ALL_RULES = (
 
 
 # ---------------------------------------------------------------------------
-# Class transport and system correspondence
-
-
-def transport_unisecant(
-    s: SurfaceModel, x: PointSpec, D: SurfaceDivisorClass, passes_through: bool
-) -> int:
-    """Self-intersection of the strict transform of a section-class curve."""
-    if D.m != 1:
-        raise InvalidSecancy("transport is defined for section classes only")
-    d2 = intersect(s, D, D)
-    return d2 - 1 if passes_through else d2 + 1
-
-
-@dataclass(frozen=True)
-class SystemCorrespondence:
-    """Bookkeeping record relating systems across a transformation.
-
-    The complete system ``m*Y + a*f`` on the transformed surface matches the
-    subsystem of ``m*C + (a + m*P)*f`` on the source consisting of members
-    with an m-fold point at the transformed location.
-    """
-
-    secancy: int
-    source_fiber_class: DivisorClass
-    point_multiplicity: int
-
-    def describe(self) -> str:
-        return (
-            f"{self.secancy}-secant system pulls back to fiber part "
-            f"{self.source_fiber_class} minus a {self.point_multiplicity}-fold point"
-        )
-
-
-def system_correspondence(
-    C_secancy: int, a: DivisorClass, P: GroupElement
-) -> SystemCorrespondence:
-    if C_secancy < 1:
-        raise InvalidSecancy("correspondence requires secancy >= 1")
-    return SystemCorrespondence(
-        secancy=C_secancy,
-        source_fiber_class=a + C_secancy * point_class(P),
-        point_multiplicity=C_secancy,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Walks
 
 
@@ -258,9 +199,9 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
             r = pick()
             while r == q:
                 r = pick()
-            return make_pair(q, r)
+            return Pair(q, r)
         if template == "random":
-            return make_pair(pick(), pick())
+            return Pair(pick(), pick())
         raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
     kinds = {
         "generic": (Generic,),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import GroupTooLarge, MixedGroups
 
@@ -233,6 +232,3 @@ def default_group() -> TorusGroup:
 def two_torsion(group: CurveGroup) -> frozenset[GroupElement]:
     return group.halvings(group.zero())
 
-
-def sorted_elements(items: Iterable[GroupElement]) -> list[GroupElement]:
-    return sorted(items, key=GroupElement.sort_key)

@@ -10,12 +10,10 @@ operations refuse with ``UnsupportedSecancy``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import picard
-from .errors import HypothesisNotMet, InvalidSecancy, PreconditionViolated, UnsupportedSecancy
-from .groups import GroupElement
+from .errors import HypothesisNotMet, InvalidSecancy, UnsupportedSecancy
 from .picard import DivisorClass, point_class
 from .surface import (
     Decomposable,
@@ -201,82 +199,6 @@ def generic_irreducible(
     return True, genus_adjunction(s, H)
 
 
-def bpf_on_generator_criterion(
-    s: SurfaceModel, H: SurfaceDivisorClass, P: GroupElement
-) -> bool:
-    """Sufficient test for freeness along the fiber over P.
-
-    True when removing the fiber costs exactly m+1 sections; the fiber is
-    then mapped to a linearly normal rational normal curve of degree m.
-    The test is sufficient only: it can be false on a fiber where the
-    system nevertheless has no base points.
-    """
-    _check_m(H)
-    dropped = H.shift(-point_class(P))
-    return h0_surface(s, dropped) == h0_surface(s, H) - (H.m + 1)
-
-
-@dataclass(frozen=True)
-class MSecantNecessaryConditions:
-    """Necessary conditions read off the trace of the system on X0."""
-
-    #: Fiber positions forced to contain a base point (empty if none known).
-    bp_at_X0_fiber: frozenset[GroupElement]
-    #: Whether the necessary condition for very-ampleness holds
-    #: (the base-curve class b + m*e_class must be very ample).
-    b_me_very_ample: bool
-
-
-def necessary_conditions_msecant(
-    s: SurfaceModel, H: SurfaceDivisorClass
-) -> MSecantNecessaryConditions:
-    _check_m(H)
-    c = H.b + H.m * s.e_class
-    if picard.is_bpf_curve(c):
-        forced: frozenset[GroupElement] = frozenset()
-    elif c.degree == 1:
-        # The unique member of |c| is the point with the class's group sum.
-        forced = frozenset({c.abel})
-    else:
-        # No sections at all: every fiber meets X0 in a base point.
-        forced = frozenset(s.group.elements())
-    return MSecantNecessaryConditions(
-        bp_at_X0_fiber=forced,
-        b_me_very_ample=picard.is_very_ample_curve(c),
-    )
-
-
-def linearly_normal_image(
-    s: SurfaceModel, b: DivisorClass, a: DivisorClass
-) -> bool:
-    """Whether the image of the section-class ``X0 + a*f`` is linearly normal
-    under the map of the base-point-free system ``X0 + b*f``.
-    """
-    H = SurfaceDivisorClass(1, b)
-    if not is_bpf(s, H):
-        raise PreconditionViolated("the mapping system must be base-point-free")
-    e = invariant_e(s)
-    if isinstance(s, Decomposable):
-        if b.is_trivial():
-            raise PreconditionViolated("trivial mapping class is excluded")
-        # a must cut an irreducible section other than the two split ones.
-        if a.degree < 1 + e or a.is_trivial() or a == -s.e_class:
-            raise PreconditionViolated(
-                "a must give an irreducible section distinct from the split pair"
-            )
-        irreducible, _ = generic_irreducible(s, SurfaceDivisorClass(1, a))
-        if not irreducible:
-            raise PreconditionViolated("a does not give an irreducible section")
-        if b == -s.e_class:
-            return a.degree == 1 + e
-        return a.degree <= b.degree and a != b
-    # Non-split families: a must cut some section at all.
-    irreducible, _ = generic_irreducible(s, SurfaceDivisorClass(1, a))
-    if not irreducible:
-        raise PreconditionViolated("a does not give an irreducible section")
-    return a.degree <= b.degree and a != b
-
-
 @dataclass(frozen=True)
 class SystemAnalysis:
     """Flat summary record for one linear system on one surface."""
@@ -307,9 +229,6 @@ class SystemAnalysis:
         if self.ambient is not None:
             out["ambient"] = self.ambient
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:

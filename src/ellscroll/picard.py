@@ -122,12 +122,3 @@ def h1(c: DivisorClass) -> int:
 def is_nonspecial(c: DivisorClass) -> bool:
     return h1(c) == 0
 
-
-def is_bpf_curve(c: DivisorClass) -> bool:
-    """True when the complete system of the class has no fixed points."""
-    return c.is_trivial() or c.degree >= 2
-
-
-def is_very_ample_curve(c: DivisorClass) -> bool:
-    """True when the class embeds the curve (degree at least 3)."""
-    return c.degree >= 3

@@ -189,14 +189,3 @@ def ramification_points(s: IndecMinus1, t: GroupElement) -> frozenset[GroupEleme
         )
     return halves
 
-
-def descriptors_on_generator(
-    s: IndecMinus1, t: GroupElement
-) -> list[SurfacePointDescriptor]:
-    """All surface points on the fiber over ``t``, in deterministic order."""
-    out = []
-    for q in s.group.elements():
-        r = t + s.p0 - q
-        if q.sort_key() <= r.sort_key():
-            out.append(tau(s, q, r))
-    return out

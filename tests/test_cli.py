@@ -268,3 +268,48 @@ def test_golden_json_schema_stable(name):
     expected = (GOLDEN / name).read_text()
     assert json.loads(out) == json.loads(expected)
     assert out + "\n" == expected
+
+
+# -- command registry, argv words, small groups --------------------------------
+
+
+def test_unknown_command_expects_every_command_word():
+    with pytest.raises(ParseError) as info:
+        parse("frobnicate ind0")
+    assert info.value.expected == (
+        "analyze", "classify", "elm", "mincurves", "nagata", "ram", "table", "walk"
+    )
+
+
+def test_parse_accepts_words_or_text():
+    assert parse(["walk", "ind0", "random", "--seed", "3"]) == parse(
+        "walk ind0 random --seed 3"
+    )
+
+
+def test_flag_inside_an_argument_is_not_a_flag(capsys):
+    assert main(["table", "3 --json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ParseError: ")
+    assert captured.out == ""
+
+
+def test_nagata_verify_reports_trajectory(capsys):
+    assert main(["nagata", "indm1", "--verify", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True
+    assert len(payload["trajectory"]) == payload["length"] + 1
+    assert payload["trajectory"][-1]["family"] == "indm1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "5", "--group", "1,1"],
+        ["nagata", "indm1", "--group", "1,1"],
+        ["nagata", "indm1", "--group", "2,2"],
+    ],
+)
+def test_groups_too_small_are_refused(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("DegenerateModel: ")

@@ -1,4 +1,4 @@
-"""Rule-engine tests: the 13 branches, closure, and class transport."""
+"""Rule-engine tests: the 13 branches, closure, and seeded walks."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,20 +10,16 @@ from ellscroll.elmtrans import (
     OnX1,
     Pair,
     elm,
-    make_pair,
     resolve_template,
-    system_correspondence,
-    transport_unisecant,
     walk,
 )
-from ellscroll.errors import InvalidPointSpec, InvalidSecancy
+from ellscroll.errors import InvalidPointSpec
 from ellscroll.groups import default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
     Decomposable,
     Indec0,
     IndecMinus1,
-    SurfaceDivisorClass,
     invariant_e,
 )
 
@@ -112,10 +108,10 @@ def test_ind0_branches():
 
 def test_indm1_branches():
     s = IndecMinus1(O)
-    diag = elm(s, make_pair(P, P))
+    diag = elm(s, Pair(P, P))
     assert diag.rule == "indm1_diag"
     assert isinstance(diag.model, Indec0)
-    split = elm(s, make_pair(P, Q))
+    split = elm(s, Pair(P, Q))
     assert split.rule == "indm1_split"
     assert split.model == Decomposable(DivisorClass(0, Q - P))
     assert split.y0_note == "DRprime"
@@ -123,7 +119,7 @@ def test_indm1_branches():
 
 def test_family_mismatch_specs_rejected():
     with pytest.raises(InvalidPointSpec):
-        elm(dec(1), make_pair(P, Q))
+        elm(dec(1), Pair(P, Q))
     with pytest.raises(InvalidPointSpec):
         elm(Indec0(G), OnX1(P))
     with pytest.raises(InvalidPointSpec):
@@ -131,7 +127,8 @@ def test_family_mismatch_specs_rejected():
 
 
 def test_pair_is_unordered():
-    assert Pair(Q, P) == Pair(P, Q) == make_pair(Q, P)
+    assert Pair(Q, P) == Pair(P, Q)
+    assert (Pair(P, Q).q, Pair(P, Q).r) == (Q, P)  # stored in element order
 
 
 # -- closure and coverage ---------------------------------------------------
@@ -189,26 +186,3 @@ def test_walk_deterministic_for_seed():
     a = walk(Indec0(G), ["random"] * 6, rng_seed=7)
     b = walk(Indec0(G), ["random"] * 6, rng_seed=7)
     assert a == b
-
-
-# -- transport and correspondence -------------------------------------------
-
-
-def test_transport_unisecant_shifts_self_intersection():
-    s = dec(2, P)
-    D = SurfaceDivisorClass(1, DivisorClass(3, O))
-    d2 = 2 * 3 - 2
-    assert transport_unisecant(s, Generic(Q), D, passes_through=True) == d2 - 1
-    assert transport_unisecant(s, Generic(Q), D, passes_through=False) == d2 + 1
-    with pytest.raises(InvalidSecancy):
-        transport_unisecant(s, Generic(Q), SurfaceDivisorClass(2, D.b), True)
-
-
-def test_system_correspondence_record():
-    a = DivisorClass(2, P)
-    rec = system_correspondence(2, a, Q)
-    assert rec.source_fiber_class == a + 2 * point_class(Q)
-    assert rec.point_multiplicity == 2
-    assert "2-secant" in rec.describe()
-    with pytest.raises(InvalidSecancy):
-        system_correspondence(0, a, Q)

@@ -8,7 +8,6 @@ from ellscroll.groups import (
     TorusGroup,
     WeierstrassGroup,
     default_group,
-    sorted_elements,
     two_torsion,
 )
 
@@ -67,12 +66,6 @@ def test_mixed_groups_rejected():
 def test_element_rendering():
     assert str(G.element(3, 4)) == "(3,4)"
     assert str(W.zero()) == "O"
-
-
-def test_sorted_elements_identity_first():
-    out = sorted_elements(W.elements())
-    assert out[0] == W.zero()
-    assert out == sorted(out, key=lambda g: g.sort_key())
 
 
 def test_weierstrass_group_laws_exhaustive():

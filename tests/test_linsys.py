@@ -12,7 +12,6 @@ from ellscroll import linsys
 from ellscroll.errors import (
     HypothesisNotMet,
     InvalidSecancy,
-    PreconditionViolated,
     UnsupportedSecancy,
 )
 from ellscroll.groups import default_group
@@ -233,45 +232,6 @@ def test_analyze_h1_agrees_with_guarded_formula_when_applicable():
 def test_invalid_secancy_rejected():
     with pytest.raises(InvalidSecancy):
         linsys.is_bpf(Indec0(G), SurfaceDivisorClass(0, trivial_class(G)))
-
-
-def test_bpf_on_generator_criterion_on_free_system():
-    s = Indec0(G)
-    H = SurfaceDivisorClass(2, DivisorClass(3, O))
-    assert all(
-        linsys.bpf_on_generator_criterion(s, H, p) for p in G.elements()
-    )
-
-
-def test_msecant_necessary_conditions():
-    s = Decomposable(DivisorClass(-2, O))
-    # b + 2e has degree 1: its single section pins a base point on X0.
-    H = SurfaceDivisorClass(2, DivisorClass(5, G.element(1, 2)))
-    cond = linsys.necessary_conditions_msecant(s, H)
-    assert cond.bp_at_X0_fiber == frozenset({G.element(1, 2)})
-    assert not cond.b_me_very_ample
-    free = linsys.necessary_conditions_msecant(
-        s, SurfaceDivisorClass(2, DivisorClass(8, O))
-    )
-    assert free.bp_at_X0_fiber == frozenset()
-    assert free.b_me_very_ample
-
-
-def test_linearly_normal_image_rules():
-    s = Decomposable(DivisorClass(-2, O))
-    b = DivisorClass(5, O)
-    good = DivisorClass(3, G.element(1, 1))
-    assert linsys.linearly_normal_image(s, b, good)
-    assert not linsys.linearly_normal_image(s, b, b)  # a ~ b excluded
-    assert not linsys.linearly_normal_image(s, b, DivisorClass(6, O))
-    with pytest.raises(PreconditionViolated):
-        linsys.linearly_normal_image(s, b, DivisorClass(1, O))  # reducible
-    with pytest.raises(PreconditionViolated):
-        linsys.linearly_normal_image(s, DivisorClass(1, O), good)  # base pts
-    # Cone mapping class: equality case.
-    cone_b = DivisorClass(2, O)
-    assert linsys.linearly_normal_image(s, cone_b, good)
-    assert not linsys.linearly_normal_image(s, cone_b, DivisorClass(4, O))
 
 
 def test_analysis_serialization_shape():

@@ -9,9 +9,7 @@ from ellscroll.picard import (
     class_of,
     h0,
     h1,
-    is_bpf_curve,
     is_nonspecial,
-    is_very_ample_curve,
     point_class,
     trivial_class,
 )
@@ -65,14 +63,6 @@ def test_degree_zero_nontrivial_class_has_no_sections():
     c = DivisorClass(0, G.element(5, 0))
     assert h0(c) == 0 and h1(c) == 0
     assert not is_nonspecial(trivial_class(G))
-
-
-@given(classes)
-def test_bpf_and_very_ample_thresholds(c):
-    assert is_bpf_curve(c) == (c.is_trivial() or c.degree >= 2)
-    assert is_very_ample_curve(c) == (c.degree >= 3)
-    if is_very_ample_curve(c):
-        assert is_bpf_curve(c)
 
 
 def test_point_class_and_scalar_mul():

@@ -11,7 +11,6 @@ from ellscroll.surface import (
     Indec0,
     IndecMinus1,
     SurfaceDivisorClass,
-    descriptors_on_generator,
     genus_adjunction,
     intersect,
     invariant_e,
@@ -106,14 +105,6 @@ def test_min_curves_two_generically_one_on_diagonal():
     q, r = G.element(1, 0), G.element(0, 2)
     assert len(min_curves_through(S, tau(S, q, r))) == 2
     assert len(min_curves_through(S, tau(S, q, q))) == 1
-
-
-def test_descriptors_on_generator_counts():
-    # Over a fixed fiber there are 144/2 split pairs plus the diagonals hit.
-    t = G.element(2, 2)
-    descs = descriptors_on_generator(S, t)
-    assert len(descs) == (144 + len(G.halvings(t + S.p0))) // 2
-    assert all(x.t == t for x in descs)
 
 
 def test_ramification_points_size_zero_or_four():
