@@ -263,19 +263,18 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
 # Tables
 
 
-def _elements(group: CurveGroup, at_least: int) -> list:
-    """The group's elements, refusing a model with fewer than ``at_least``."""
-    elements = group.elements()
-    if len(elements) < at_least:
-        raise DegenerateModel(
-            f"group {group} has {len(elements)} elements; need {at_least}"
-        )
-    return elements
+def _order_at_least(group: CurveGroup, at_least: int) -> int:
+    """The group's order, refusing a model with fewer than ``at_least`` elements."""
+    order = group.order()
+    if order < at_least:
+        raise DegenerateModel(f"group {group} has {order} elements; need {at_least}")
+    return order
 
 
 def _dec_with_e(group: CurveGroup, e: int, nontrivial: bool = False) -> Decomposable:
     if e == 0 and nontrivial:
-        cls = DivisorClass(0, _elements(group, 2)[1] - group.zero())
+        _order_at_least(group, 2)
+        cls = DivisorClass(0, group.nth(1) - group.zero())
     elif e == 0:
         cls = trivial_class(group)
     else:
@@ -415,9 +414,9 @@ def nagata_plan(
     """
     if group is None:
         group = default_group()
-    elements = _elements(group, 5)
+    order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
-    p1, p2, p3 = elements[1], elements[2], elements[4]
+    p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
     if target == "ind0":
         return NagataPlan("ind0", 0, (Generic(p1), Generic(p1)), 2)
     if target == "indm1":
@@ -430,7 +429,7 @@ def nagata_plan(
         return NagataPlan("dec", 0, (Generic(p1), Generic(p2)), 2)
     if e == 1:
         return NagataPlan("dec", 1, (Generic(p1),), 1)
-    points = (elements[k % len(elements)] for k in range(1, e + 1))
+    points = (group.nth(k % order) for k in range(1, e + 1))
     return NagataPlan("dec", e, tuple(OnX0(p) for p in points), e)
 
 

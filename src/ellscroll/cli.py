@@ -74,6 +74,11 @@ class Token:
     column: int
 
 
+#: Only ASCII digits: ``str.isdigit`` also accepts characters such as "²"
+#: that ``int`` rejects.
+DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(text)
@@ -82,9 +87,9 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("INT", text[i:j], i))
             i = j

@@ -191,8 +191,11 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
     """
     if not isinstance(template, str):
         return template
-    elements = model.group.elements()
-    pick = lambda: rng.choice(elements)
+    group = model.group
+    order = group.order()
+    # Each point costs one draw below the order, the draw ``rng.choice``
+    # over ``elements()`` makes, so a seed gives the same walk either way.
+    pick = lambda: group.nth(rng.randrange(order))
     if isinstance(model, IndecMinus1):
         if template == "generic":
             q = pick()

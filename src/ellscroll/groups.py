@@ -12,10 +12,17 @@ Two model families are provided:
 All values are immutable and all operations are pure functions, so they can
 be shared freely between threads.  Every enumeration is returned in a fixed
 lexicographic order to keep set-valued results deterministic.
+
+This module is the only one that knows that order.  ``elements()`` returns
+the whole enumeration as a tuple that is built once per group and cached.
+``nth(k)`` returns its k-th element: the torus computes it from ``k`` alone,
+so callers that need a few elements, or one drawn at random, never
+enumerate the group; a Weierstrass model indexes its cached tuple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +30,10 @@ from .errors import GroupTooLarge, MixedGroups
 
 #: Largest group order that ``elements()`` will enumerate.
 ENUMERATION_CAP = 10_000
+
+#: Largest field size of a Weierstrass model, so that the primality check
+#: (trial division up to the square root) takes at most 10^6 steps.
+PRIME_CAP = 10**12
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class GroupElement:
 
 
 def _check_same_group(g: GroupElement, h: GroupElement) -> None:
-    if g.group != h.group:
+    if g.group is not h.group and g.group != h.group:
         raise MixedGroups(
             f"elements of {g.group} and {h.group} cannot be combined"
         )
@@ -103,14 +114,18 @@ class TorusGroup:
     def mul(self, k: int, g: GroupElement) -> GroupElement:
         return self.element(k * g.coords[0], k * g.coords[1])
 
-    def elements(self) -> list[GroupElement]:
+    def elements(self) -> tuple[GroupElement, ...]:
         if self.order() > ENUMERATION_CAP:
             raise GroupTooLarge(
                 f"group order {self.order()} exceeds cap {ENUMERATION_CAP}"
             )
-        return [
-            self.element(i, j) for i in range(self.m) for j in range(self.n)
-        ]
+        return _torus_elements(self)
+
+    def nth(self, k: int) -> GroupElement:
+        """The k-th element of ``elements()``, without enumerating."""
+        if not 0 <= k < self.order():
+            raise IndexError(f"{self} has no element number {k}")
+        return self.element(*divmod(k, self.n))
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         """All elements r with r + r = s (possibly empty)."""
@@ -123,6 +138,13 @@ class TorusGroup:
 
     def __str__(self) -> str:
         return f"Torus({self.m},{self.n})"
+
+
+@lru_cache(maxsize=None)
+def _torus_elements(group: TorusGroup) -> tuple[GroupElement, ...]:
+    return tuple(
+        GroupElement(group, (i, j)) for i in range(group.m) for j in range(group.n)
+    )
 
 
 def _half_residues(a: int, m: int) -> list[int]:
@@ -140,7 +162,9 @@ class WeierstrassGroup:
 
     def __post_init__(self) -> None:
         p, a, b = self.p, self.a, self.b
-        if p < 3 or any(p % d == 0 for d in range(2, min(p, 100))):
+        if p > PRIME_CAP:
+            raise ValueError(f"field size {p} exceeds cap {PRIME_CAP}")
+        if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"{p} is not a small odd prime")
         if (4 * a**3 + 27 * b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
@@ -191,10 +215,16 @@ class WeierstrassGroup:
         return acc
 
     def order(self) -> int:
-        return len(self.elements())
+        return len(_weierstrass_points(self))
 
-    def elements(self) -> list[GroupElement]:
-        return list(_weierstrass_points(self))
+    def elements(self) -> tuple[GroupElement, ...]:
+        return _weierstrass_points(self)
+
+    def nth(self, k: int) -> GroupElement:
+        """The k-th element of ``elements()``."""
+        if not 0 <= k < self.order():
+            raise IndexError(f"{self} has no element number {k}")
+        return _weierstrass_points(self)[k]
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         _check_same_group(s, self.zero())

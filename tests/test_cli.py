@@ -25,7 +25,8 @@ from ellscroll.cli import (
     run,
 )
 from ellscroll.elmtrans import Generic, OnX0, OnX1, Pair
-from ellscroll.errors import ParseError, SemanticError
+from ellscroll.classify import minimality_check
+from ellscroll.errors import GroupTooLarge, ParseError, SemanticError
 from ellscroll.groups import TorusGroup, default_group
 from ellscroll.picard import Divisor, class_of
 
@@ -313,3 +314,33 @@ def test_nagata_verify_reports_trajectory(capsys):
 def test_groups_too_small_are_refused(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("DegenerateModel: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "5", "--group", "200,200"],
+        ["nagata", "indm1", "--group", "200,200"],
+        ["walk", "dec(0*O)", "random", "random", "--group", "200,200"],
+    ],
+)
+def test_large_groups_answer_by_index(argv, capsys):
+    # Each line needs only a few elements, so it must not enumerate 40000.
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_exhaustive_search_still_refuses_a_large_group():
+    with pytest.raises(GroupTooLarge):
+        minimality_check("ind0", group=TorusGroup(200, 200))
+
+
+@pytest.mark.parametrize("word", ["\u00b2", "1\u00b2", "\u0663"])
+def test_non_ascii_digits_are_a_parse_error(word, capsys):
+    assert main(["table", word]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: unexpected character")
+
+
+def test_composite_curve_modulus_is_a_parse_error(capsys):
+    assert main(["elm", "ind0", "gen@(0,1)", "--curve", "10201,1,1"]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: bad value for --curve")

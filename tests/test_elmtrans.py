@@ -1,5 +1,7 @@
 """Rule-engine tests: the 13 branches, closure, and seeded walks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from ellscroll.elmtrans import (
     walk,
 )
 from ellscroll.errors import InvalidPointSpec
-from ellscroll.groups import default_group
+from ellscroll.groups import WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
     Decomposable,
@@ -186,3 +188,35 @@ def test_walk_deterministic_for_seed():
     a = walk(Indec0(G), ["random"] * 6, rng_seed=7)
     b = walk(Indec0(G), ["random"] * 6, rng_seed=7)
     assert a == b
+
+
+def _reference_random_walk(s0, steps, seed):
+    """A ``"random"`` walk that draws each point with ``rng.choice`` over
+    the listed enumeration: the stream that index draws must reproduce."""
+    rng = random.Random(seed)
+    model, out = s0, []
+    for _ in range(steps):
+        pick = lambda: rng.choice(list(model.group.elements()))
+        if isinstance(model, IndecMinus1):
+            spec = Pair(pick(), pick())
+        elif isinstance(model, Decomposable):
+            spec = rng.choice((Generic, OnX0, OnX1))(pick())
+        else:
+            spec = rng.choice((Generic, OnX0))(pick())
+        result = elm(model, spec)
+        out.append(result)
+        model = result.model
+    return tuple(out)
+
+
+def test_random_walk_streams_are_pinned():
+    # The six starts of acceptance criterion 5, plus one on a curve model.
+    W = WeierstrassGroup(23, -1, 0)
+    starts = [
+        dec(0), dec(0, P), dec(1), dec(2, G.element(3, 4)), Indec0(G),
+        IndecMinus1(G.element(1, 1)), IndecMinus1(W.nth(5)),
+    ]
+    for s0 in starts:
+        for seed in (0, 1, 20260823):
+            steps = walk(s0, ["random"] * 50, rng_seed=seed).steps
+            assert steps == _reference_random_walk(s0, 50, seed)

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from ellscroll.errors import GroupTooLarge, MixedGroups
 from ellscroll.groups import (
+    PRIME_CAP,
     TorusGroup,
     WeierstrassGroup,
+    _torus_elements,
     default_group,
     two_torsion,
 )
@@ -58,6 +60,39 @@ def test_enumeration_cap():
         TorusGroup(200, 200).elements()
 
 
+@pytest.mark.parametrize(
+    "group", [G, TorusGroup(3, 5), WeierstrassGroup(23, -1, 0)], ids=str
+)
+def test_nth_follows_the_enumeration(group):
+    elements = group.elements()
+    assert [group.nth(k) for k in range(group.order())] == list(elements)
+    for k in (group.order(), -1):
+        with pytest.raises(IndexError):
+            group.nth(k)
+
+
+@pytest.mark.parametrize("group", [G, W], ids=str)
+def test_elements_is_one_cached_tuple(group):
+    assert isinstance(group.elements(), tuple)
+    assert group.elements() is group.elements()
+
+
+def test_torus_element_does_not_enumerate():
+    # One element, or a sum, costs O(1) even on a torus within the cap.
+    before = _torus_elements.cache_info().currsize
+    g = TorusGroup(100, 99)
+    assert g.element(5 + 100, 7 - 99) == g.nth(5 * 99 + 7)
+    assert g.element(1, 2) + g.element(3, 4) == g.element(4, 6)
+    assert _torus_elements.cache_info().currsize == before
+
+
+def test_large_torus_answers_by_index():
+    big = TorusGroup(200, 200)
+    assert big.nth(201) == big.element(1, 1)
+    assert big.nth(big.order() - 1) == big.element(-1, -1)
+    assert big.element(3, 4) + big.element(-3, -4) == big.zero()
+
+
 def test_mixed_groups_rejected():
     with pytest.raises(MixedGroups):
         G.element(1, 1) + TorusGroup(5, 5).element(1, 1)
@@ -92,6 +127,18 @@ def test_weierstrass_rejects_singular_curve():
 def test_weierstrass_rejects_composite_modulus():
     with pytest.raises(ValueError):
         WeierstrassGroup(15, 2, 3)
+
+
+@pytest.mark.parametrize("p", [101 * 101, 9973 * 9967])
+def test_weierstrass_rejects_composite_without_small_factor(p):
+    with pytest.raises(ValueError, match="not a small odd prime"):
+        WeierstrassGroup(p, 2, 3)
+
+
+def test_weierstrass_accepts_primes_up_to_the_cap():
+    assert WeierstrassGroup(10007, 1, 1).p == 10007
+    with pytest.raises(ValueError, match="exceeds cap"):
+        WeierstrassGroup(PRIME_CAP + 39, 1, 1)
 
 
 def test_weierstrass_halvings_consistent():
