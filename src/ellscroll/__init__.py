@@ -18,7 +18,6 @@ from .errors import (
     NonNormalizedInput,
     NotBasePointFree,
     ParseError,
-    PreconditionViolated,
     SemanticError,
     UnreachableTarget,
     UnsupportedSecancy,

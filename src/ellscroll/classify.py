@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import linsys
 from .elmtrans import Generic, OnX0, OnX1, Pair, elm, walk
-from .errors import DegenerateModel, NotBasePointFree, UnreachableTarget
+from .errors import DegenerateModel, EngineError, NotBasePointFree, UnreachableTarget
 from .groups import CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
 from .surface import (
@@ -330,8 +330,8 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
         add(cone, N, b=-cone.e_class)
 
     for r in rows:
-        if r.model_tag != "DoubleQuadric":
-            assert r.ambient == N, f"row {r.model_tag} lands in P^{r.ambient}"
+        if r.model_tag != "DoubleQuadric" and r.ambient != N:
+            raise EngineError(f"row {r.model_tag} lands in P^{r.ambient}, not P^{N}")
     return rows
 
 
@@ -492,18 +492,24 @@ def minimality_check(
     target_e = {"ind0": 0, "indm1": -1}.get(target, e if e is not None else -99)
     if matches_target(start, target, target_e):
         return 0
-    frontier: set[SurfaceModel] = {start}
+    # Every model of the search lies on ``group``, so the point choices of
+    # each family are listed once per search.
+    specs: dict[type, list] = {}
+    frontier: list[SurfaceModel] = [start]
     seen: set[SurfaceModel] = {start}
     for depth in range(1, max_len + 1):
-        next_frontier: set[SurfaceModel] = set()
+        next_frontier: list[SurfaceModel] = []
         for model in frontier:
-            for spec in _all_specs(model):
+            family = model.__class__
+            if family not in specs:
+                specs[family] = _all_specs(model)
+            for spec in specs[family]:
                 out = elm(model, spec).model
                 if matches_target(out, target, target_e):
                     return depth
                 if out not in seen:
                     seen.add(out)
-                    next_frontier.add(out)
+                    next_frontier.append(out)
         frontier = next_frontier
     raise UnreachableTarget(
         f"target {target!r} not reached within {max_len} transformations"

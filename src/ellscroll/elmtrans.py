@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidPointSpec
+from .errors import DegenerateModel, InvalidPointSpec
 from .groups import GroupElement
 from .picard import DivisorClass, point_class, trivial_class
 from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
@@ -31,28 +31,28 @@ from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
 # Point descriptors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnX0:
     """A point of the minimum section, on the fiber over P."""
 
     P: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnX1:
     """A point of the second split section (decomposable surfaces only)."""
 
     P: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generic:
     """A point on the fiber over P, off the distinguished sections."""
 
     P: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     """Unordered pair descriptor for a point of the e = -1 surface."""
 
@@ -74,7 +74,7 @@ PointSpec = OnX0 | OnX1 | Generic | Pair
 # Transformation result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElmResult:
     """Outcome of one elementary transformation."""
 
@@ -176,7 +176,7 @@ ALL_RULES = (
 # Walks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkResult:
     trajectory: tuple[SurfaceModel, ...]
     steps: tuple[ElmResult, ...]
@@ -198,6 +198,8 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
     pick = lambda: group.nth(rng.randrange(order))
     if isinstance(model, IndecMinus1):
         if template == "generic":
+            if order < 2:
+                raise DegenerateModel(f"group {group} has no two distinct points")
             q = pick()
             r = pick()
             while r == q:

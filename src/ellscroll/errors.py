@@ -66,12 +66,6 @@ class DegenerateModel(EngineError):
     code = "DegenerateModel"
 
 
-class PreconditionViolated(EngineError):
-    """An operation with restricted hypotheses was called outside of them."""
-
-    code = "PreconditionViolated"
-
-
 class UnreachableTarget(EngineError):
     """A construction plan was requested for an unreachable target."""
 

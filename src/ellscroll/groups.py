@@ -36,7 +36,7 @@ ENUMERATION_CAP = 10_000
 PRIME_CAP = 10**12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """An element of a :class:`TorusGroup` or :class:`WeierstrassGroup`.
 
@@ -47,6 +47,20 @@ class GroupElement:
 
     group: "TorusGroup | WeierstrassGroup"
     coords: tuple[int, int] | None
+
+    # Equal elements have equal coords, so hashing the coords alone keeps
+    # the hash contract and skips hashing the group on every set lookup.
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.group is other.group or self.group == other.group
+        )
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return self.group.add(self, other)
@@ -84,7 +98,7 @@ def _check_same_group(g: GroupElement, h: GroupElement) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusGroup:
     """The group Z/m x Z/n with componentwise addition."""
 
@@ -152,7 +166,7 @@ def _half_residues(a: int, m: int) -> list[int]:
     return [x for x in range(m) if (2 * x - a) % m == 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeierstrassGroup:
     """Rational points of y^2 = x^3 + ax + b over F_p, p an odd prime."""
 

@@ -19,7 +19,7 @@ from .errors import MixedGroups
 from .groups import CurveGroup, GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """A formal sum of points with nonzero integer multiplicities.
 
@@ -57,7 +57,7 @@ class Divisor:
         return Divisor(self.group, tuple((p, -m) for p, m in self.terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """A linear-equivalence class, canonicalized as (degree, group sum)."""
 

@@ -27,7 +27,7 @@ from .groups import CurveGroup, GroupElement
 from .picard import DivisorClass, point_class, trivial_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposable:
     """Split bundle; ``e_class`` must be normalized (degree <= 0)."""
 
@@ -47,7 +47,7 @@ class Decomposable:
         return "dec"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Indec0:
     """Non-split bundle with trivial invariant class."""
 
@@ -65,7 +65,7 @@ class Indec0:
         return "ind0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndecMinus1:
     """Non-split bundle whose invariant class is the point ``p0``."""
 
@@ -91,7 +91,7 @@ def invariant_e(s: SurfaceModel) -> int:
     return -s.e_class.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceDivisorClass:
     """The class m*X0 + b*f on a surface."""
 
@@ -126,7 +126,7 @@ def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
     return 1 + twice // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinCurve:
     """A minimum self-intersection curve D_q on the e = -1 surface.
 
@@ -137,7 +137,7 @@ class MinCurve:
     q: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePointDescriptor:
     """A point of the e = -1 surface, as an unordered base-point pair.
 

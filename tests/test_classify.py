@@ -1,7 +1,10 @@
 """Scroll classification, table fixtures, and construction plans."""
 
+import dataclasses
+
 import pytest
 
+from ellscroll import classify
 from ellscroll.classify import (
     classify_scroll,
     emit_table,
@@ -11,8 +14,8 @@ from ellscroll.classify import (
     render_table,
     verify_plan,
 )
-from ellscroll.errors import NotBasePointFree, UnreachableTarget
-from ellscroll.groups import default_group
+from ellscroll.errors import EngineError, NotBasePointFree, UnreachableTarget
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, trivial_class
 from ellscroll.surface import Decomposable, Indec0, IndecMinus1
 
@@ -291,3 +294,55 @@ def test_product_surface_is_the_search_start():
     # One step can only reach e = 1, so the nontrivial e = 0 target needs two.
     with pytest.raises(UnreachableTarget):
         minimality_check("dec", 0, max_len=1)
+
+
+def test_table_refuses_a_row_in_another_space(monkeypatch):
+    real = classify.classify_scroll
+
+    def misplaced(s, b):
+        row = real(s, b)
+        return dataclasses.replace(row, ambient=row.ambient + 1)
+
+    monkeypatch.setattr(classify, "classify_scroll", misplaced)
+    with pytest.raises(EngineError, match="lands in P\\^6, not P\\^5"):
+        emit_table(5)
+
+
+#: The seven criterion-6 targets and their minimal lengths.
+PLAN_TARGETS = [
+    ("dec", 0, 2), ("dec", 1, 1), ("dec", 2, 2), ("dec", 3, 3),
+    ("dec", 4, 4), ("ind0", None, 2), ("indm1", None, 3),
+]
+
+
+def search_all(group):
+    return [
+        minimality_check(target, e, max_len=max(3, e or 0), group=group)
+        for target, e, _ in PLAN_TARGETS
+    ]
+
+
+@pytest.mark.parametrize("group", [TorusGroup(2, 12), WeierstrassGroup(23, -1, 0)], ids=str)
+def test_minimal_lengths_do_not_depend_on_the_group_model(group):
+    # The lengths criterion 6 finds on Torus(4,4).  y^2 = x^3 - x over F_23
+    # has 24 points and full 2-torsion, like Z/2 x Z/12.
+    assert search_all(group) == [length for _, _, length in PLAN_TARGETS]
+
+
+def test_search_transforms_through_the_bound_elm_on_every_call(monkeypatch):
+    # Tracing patches ``classify.elm``; a search that kept its graph, or
+    # called the engine some other way, would hide its work from the trace.
+    calls = []
+    real = classify.elm
+
+    def counted(s, x):
+        calls.append(s)
+        return real(s, x)
+
+    monkeypatch.setattr(classify, "elm", counted)
+    group = TorusGroup(2, 12)
+    assert minimality_check("indm1", group=group) == 3
+    first = len(calls)
+    assert first and all(s.group == group for s in calls)
+    assert minimality_check("indm1", group=group) == 3
+    assert len(calls) == 2 * first

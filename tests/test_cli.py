@@ -1,12 +1,18 @@
 """CLI tests: parsing, formatting round-trips, exit codes, golden JSON."""
 
+import io
 import json
+import os
 import pathlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellscroll import errors
 from ellscroll.cli import (
+    COMMANDS,
+    WALK_TEMPLATES,
     Analyze,
     Classify,
     Command,
@@ -344,3 +350,92 @@ def test_non_ascii_digits_are_a_parse_error(word, capsys):
 def test_composite_curve_modulus_is_a_parse_error(capsys):
     assert main(["elm", "ind0", "gen@(0,1)", "--curve", "10201,1,1"]) == 2
     assert capsys.readouterr().err.startswith("ParseError: bad value for --curve")
+
+
+def test_generic_pair_on_a_one_point_group_is_refused(capsys):
+    # A generic pair needs two distinct points; drawing them used to loop forever.
+    assert main(["walk", "indm1(O)", "generic", "--group", "1,1"]) == 1
+    assert capsys.readouterr().err.startswith("DegenerateModel: ")
+
+
+# -- fuzzing main -------------------------------------------------------------
+
+ERROR_CODES = {
+    cls.code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.EngineError)
+}
+
+#: Argument words by kind, and the kinds each command reads, in order.
+ARGUMENTS = {
+    "surface": ("dec(0*O)", "dec(-P(1,0))", "dec(-3*O)", "ind0", "indm1(O)", "indm1((1,1))"),
+    "system": ("1X0+(O)f", "1X0+(3*O)f", "2X0+(P(0,1)+P(1,0))f", "3X0+(4*O)f"),
+    "spec": ("onX0@(1,0)", "onX1@O", "gen@(0,1)", "pair{(0,0),(1,1)}", "pair{O,O}"),
+    "point": ("O", "(1,1)", "(0,2)"),
+    "template": WALK_TEMPLATES,
+    "int": ("0", "1", "3", "7"),
+    "family": ("dec", "ind0", "indm1"),
+}
+SHAPES = {
+    "analyze": ("surface", "system"), "classify": ("surface", "system"),
+    "elm": ("surface", "spec"), "walk": ("surface", "template", "template", "template"),
+    "table": ("int",), "nagata": ("family", "int"), "mincurves": ("surface", "spec"),
+    "ram": ("surface", "point"),
+}
+#: Pieces glued into broken words.
+PIECES = ("dec(", "(", ")", "{", "}", ",", "+", "*", "@", "P", "X0", "-1", "\u00b2", "#", "'", "")
+
+
+@st.composite
+def argvs(draw):
+    """A command line that is well formed more often than not: a command
+    word and its argument words, some of them cut, broken or replaced, then
+    up to two flags with small values."""
+    any_word = st.sampled_from([w for ws in ARGUMENTS.values() for w in ws] + list(PIECES))
+    broken = st.lists(any_word, min_size=1, max_size=3).map("".join)
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    shape = SHAPES[command]
+    rarely = st.sampled_from(range(10)).map(lambda k: k == 9)
+    if draw(rarely):
+        shape = shape[: draw(st.integers(0, len(shape)))]
+    words = [draw(st.sampled_from(ARGUMENTS[kind])) for kind in shape]
+    for _ in range(draw(st.integers(0, 2)) if words else 0):
+        words[draw(st.integers(0, len(words) - 1))] = draw(broken)
+    if draw(rarely):
+        command = draw(broken)
+    words.insert(0, command)
+    small = st.integers(1, 6).map(str)
+    prime = st.sampled_from(["3", "5", "7", "23"])
+    flags = draw(st.lists(st.one_of(
+        st.sampled_from([
+            ["--json"], ["--verify"], ["--json=1"],
+            ["--bogus"], ["--group"], ["--group", "0,3"], ["--curve=9,1,1"],
+        ]),
+        st.tuples(small, small).map(lambda t: ["--group", ",".join(t)]),
+        small.map(lambda v: ["--seed", v]),
+        st.tuples(prime, small, small).map(lambda t: ["--curve=" + ",".join(t)]),
+    ), max_size=2))
+    return words + [word for flag in flags for word in flag]
+
+
+#: The tier-1 run replays one fixed set of examples, so that its verdict
+#: does not change from run to run; ``ELLSCROLL_FUZZ=1`` draws fresh ones.
+FUZZ_FRESH = os.environ.get("ELLSCROLL_FUZZ") == "1"
+
+
+@settings(max_examples=300, deadline=None, derandomize=not FUZZ_FRESH, print_blob=True)
+@given(argvs())
+def test_main_fuzz_ends_in_an_exit_code_and_a_coded_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    first, sep, rest = err.getvalue().partition(": ")
+    assert sep and first in ERROR_CODES and rest.endswith("\n")
+    assert "\n" not in rest[:-1]
+    assert (code == 2) == (first in ("ParseError", "SemanticError"))
+    if any(a == "--json" or a.startswith("--json=") for a in argv):
+        assert json.loads(out.getvalue())["error"] == first

@@ -98,6 +98,16 @@ def test_mixed_groups_rejected():
         G.element(1, 1) + TorusGroup(5, 5).element(1, 1)
 
 
+def test_element_equality_and_hash_follow_coords_and_group():
+    a, b = TorusGroup(4, 4).element(1, 2), TorusGroup(4, 4).element(1, 2)
+    assert a.group is not b.group and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    other = TorusGroup(4, 5).element(1, 2)
+    assert other.coords == a.coords and other != a
+    assert W.zero() == WeierstrassGroup(13, 2, 3).zero()
+    assert a != G.element(1, 3) and a != (1, 2)
+
+
 def test_element_rendering():
     assert str(G.element(3, 4)) == "(3,4)"
     assert str(W.zero()) == "O"
