@@ -28,7 +28,6 @@ from .groups import (
     TorusGroup,
     WeierstrassGroup,
     default_group,
-    two_torsion,
 )
 from .picard import Divisor, DivisorClass, class_of, h0, h1, point_class, trivial_class
 from .surface import (

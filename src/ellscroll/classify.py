@@ -26,6 +26,7 @@ from .surface import (
     IndecMinus1,
     SurfaceDivisorClass,
     SurfaceModel,
+    intersect,
     invariant_e,
 )
 
@@ -124,13 +125,11 @@ def _x0_af(min_deg_a: int, offset: int, ln_max: int) -> UnisecantFamily:
 def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     """Classify the image of the map defined by ``|X0 + b*f|``."""
     H = SurfaceDivisorClass(1, b)
-    if not linsys.is_bpf(s, H):
+    system = linsys._row(s, H)
+    if not system.bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
     e = invariant_e(s)
     deg_b = b.degree
-    h0 = linsys.h0_surface(s, H)
-    speciality = h0 - linsys.euler_characteristic(s, H)
-    ambient = h0 - 1
     note = None
     if isinstance(s, Decomposable) and e == 0:
         note = "trivial" if s.e_class.is_trivial() else "nontrivial"
@@ -143,9 +142,9 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
             deg_b=deg_b,
             birational=True,
             map_degree=1,
-            scroll_degree=2 * deg_b - e,
-            ambient=ambient,
-            speciality=speciality,
+            scroll_degree=intersect(s, H, H),
+            ambient=system.h0 - 1,
+            speciality=system.h1,
             singular_locus="Empty",
             generation=None,
             families=(),
@@ -304,30 +303,19 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
         cls = b if b is not None else _deg_class(group, deg_b)
         rows.append(classify_scroll(s, cls))
 
-    if N == 3:
-        add(Indec0(group), 2)
-        add(_dec_with_e(group, 0), 2)  # degenerate double quadric
-        add(_dec_with_e(group, 0, nontrivial=True), 2)
-        cone = _dec_with_e(group, 3)
-        add(cone, 3, b=-cone.e_class)
-    elif N % 2 == 1:
+    if N % 2:
         b = (N + 1) // 2
         add(Indec0(group), b)
-        add(_dec_with_e(group, 0), b)
+        add(_dec_with_e(group, 0), b)  # degenerate double quadric in P^3
         add(_dec_with_e(group, 0, nontrivial=True), b)
-        for e in range(2, N - 3, 2):
-            add(_dec_with_e(group, e), (N + 1 + e) // 2)
-        add(_dec_with_e(group, N - 3), N - 1)
-        cone = _dec_with_e(group, N)
-        add(cone, N, b=-cone.e_class)
     else:
         add(IndecMinus1(group.zero()), N // 2)
-        for e in range(1, N - 3, 2):
-            add(_dec_with_e(group, e), (N + 1 + e) // 2)
-        if N >= 4:
-            add(_dec_with_e(group, N - 3), N - 1)
-        cone = _dec_with_e(group, N)
-        add(cone, N, b=-cone.e_class)
+    for e in range(1 + N % 2, N - 3, 2):
+        add(_dec_with_e(group, e), (N + 1 + e) // 2)
+    if N > 3:
+        add(_dec_with_e(group, N - 3), N - 1)
+    cone = _dec_with_e(group, N)
+    add(cone, N, b=-cone.e_class)
 
     for r in rows:
         if r.model_tag != "DoubleQuadric" and r.ambient != N:

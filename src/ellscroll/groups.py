@@ -162,8 +162,13 @@ def _torus_elements(group: TorusGroup) -> tuple[GroupElement, ...]:
 
 
 def _half_residues(a: int, m: int) -> list[int]:
-    """Solutions x of 2x = a (mod m)."""
-    return [x for x in range(m) if (2 * x - a) % m == 0]
+    """Solutions x of 2x = a (mod m), for 0 <= a < m."""
+    if m % 2:
+        # (m + 1) / 2 is the inverse of 2 modulo an odd m.
+        return [a * (m + 1) // 2 % m]
+    if a % 2:
+        return []
+    return [a // 2, a // 2 + m // 2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,8 +276,3 @@ CurveGroup = TorusGroup | WeierstrassGroup
 def default_group() -> TorusGroup:
     """The desk-scale default model."""
     return TorusGroup(12, 12)
-
-
-def two_torsion(group: CurveGroup) -> frozenset[GroupElement]:
-    return group.halvings(group.zero())
-

@@ -3,22 +3,24 @@
 For fiber degree m in {1, 2} the engine knows exact section counts and exact
 base-point-free / very-ample / generic-irreducibility truth tables, with all
 torsion side conditions decided by divisor-class equality in the finite group
-model.  For m >= 3 the split formula stays exact on decomposable surfaces;
-on the non-split families only the upper bound is available and the exact
+model.  They form one table, ``_row``, with one branch per (family, m); the
+predicates, ``analyze`` and ``classify.classify_scroll`` read it.  For
+m >= 3 the split formula stays exact on decomposable surfaces; on the
+non-split families only the upper bound is available, and the exact
 operations refuse with ``UnsupportedSecancy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import picard
 from .errors import HypothesisNotMet, InvalidSecancy, UnsupportedSecancy
-from .picard import DivisorClass, point_class
+from .picard import point_class
 from .surface import (
     Decomposable,
     Indec0,
-    IndecMinus1,
     SurfaceDivisorClass,
     SurfaceModel,
     genus_adjunction,
@@ -40,55 +42,23 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """
     if H.m < 0:
         raise InvalidSecancy("negative fiber degree")
-    return sum(picard.h0(H.b + k * s.e_class) for k in range(H.m + 1))
+    total = 0
+    for k in range(H.m + 1):
+        degree = H.b.degree + k * s.e_class.degree
+        # Only a class of degree 0 is built, to test whether it is trivial;
+        # any other class has max(degree, 0) sections.
+        total += picard.h0(H.b + k * s.e_class) if degree == 0 else max(degree, 0)
+    return total
 
 
 def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """Exact section count of the complete system ``|m*X0 + b*f|``."""
     if H.m == 0:
         return picard.h0(H.b)
-    _check_m(H)
-    deg_b = H.b.degree
     if isinstance(s, Decomposable):
         # The bundle splits, so the bound is attained for every m.
         return h0_bound(s, H)
-    if H.m > 2:
-        raise UnsupportedSecancy(
-            f"no closed form for m={H.m} on a non-split surface"
-        )
-    if isinstance(s, Indec0):
-        if H.m == 1:
-            if H.b.is_trivial():
-                return 1
-            return 2 * deg_b if deg_b >= 1 else 0
-        # m == 2
-        if deg_b >= 1:
-            return 3 * deg_b
-        return 1 if H.b.is_trivial() else 0
-    # IndecMinus1
-    if H.m == 1:
-        if deg_b >= 1:
-            return 2 * deg_b + 1
-        return 1 if deg_b == 0 else 0
-    # m == 2
-    if deg_b >= 0:
-        return 3 * deg_b + 3
-    if deg_b == -1:
-        return 1 if _is_odd_halving_class(s, H.b) else 0
-    return 0
-
-
-def _is_odd_halving_class(s: IndecMinus1, b: DivisorClass) -> bool:
-    """True when -b is a non-p0 solution of 2x ~ 2*p0 (degree(b) = -1).
-
-    These are the three classes of degree -1 on which ``|2*X0 + b*f|`` still
-    has a (single) curve.
-    """
-    minus_b = -b
-    return (
-        (2 * minus_b) == 2 * point_class(s.p0)
-        and minus_b != point_class(s.p0)
-    )
+    return _row(s, H).h0
 
 
 def h1_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
@@ -113,45 +83,80 @@ def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     return m * (m + 1) * deg_e // 2 + (m + 1) * deg_b
 
 
+class _Row(NamedTuple):
+    """One row of the closed-form tables."""
+
+    h0: int
+    h1: int
+    bpf: bool
+    very_ample: bool
+    irreducible: bool
+
+
+def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
+    """The closed-form row of ``|m*X0 + b*f|``, one branch per (family, m).
+
+    Conditions on degrees are tested before the divisor-class comparisons
+    they guard, which cost group arithmetic.
+    """
+    _check_m(H)
+    m, b, deg_b, e = H.m, H.b, H.b.degree, invariant_e(s)
+    if m > 2:
+        raise UnsupportedSecancy(
+            f"no closed form for the predicates at m={m}"
+            if isinstance(s, Decomposable)
+            else f"no closed form for m={m} on a non-split surface"
+        )
+    # Very ample exactly when b + m*e_class has degree at least 3, and
+    # base-point-free when it has degree at least 2; only split surfaces
+    # have base-point-free systems below that degree.
+    very_ample = deg_b >= m * e + 3
+    bpf = deg_b >= m * e + 2
+    if isinstance(s, Decomposable):
+        E = s.e_class
+        h0 = h0_bound(s, H)
+        if m == 1 and E.is_trivial():
+            bpf = irreducible = bpf or b.is_trivial()
+        elif m == 1:
+            minus_e = deg_b == e and b == -E
+            bpf = bpf or (minus_e and e >= 2)
+            irreducible = deg_b >= e + 1 or b.is_trivial() or minus_e
+        else:
+            minus_2e = deg_b == 2 * e and b == -2 * E
+            bpf = bpf or (minus_2e and (e > 0 or (2 * E).is_trivial()))
+            # With b ~ -2*e_class the generic member is irreducible when the
+            # system is base-point-free and e_class is not trivial.
+            irreducible = (
+                deg_b >= 2 * e + 2
+                or (deg_b == 2 * e + 1 and not E.is_trivial())
+                or (minus_2e and bpf and not E.is_trivial())
+            )
+    elif isinstance(s, Indec0):
+        h0 = (m + 1) * deg_b if deg_b >= 1 else int(b.is_trivial())
+        irreducible = deg_b >= 1 or (m == 1 and b.is_trivial())
+    else:  # IndecMinus1
+        if deg_b >= 0:
+            h0 = 2 * deg_b + 1 if m == 1 else 3 * deg_b + 3
+        else:
+            # Three classes of degree -1 keep one curve in |2*X0 + b*f|: the
+            # -b with 2*(-b) ~ 2*p0 and -b not ~ p0.
+            p0 = point_class(s.p0)
+            h0 = int(m == 2 and deg_b == -1 and 2 * -b == 2 * p0 and -b != p0)
+        # On the e = -1 surface every nonempty system here is irreducible.
+        irreducible = h0 > 0
+    # With the exact h0 in hand, the index theorem pins down h1 (the second
+    # cohomology vanishes for m >= 1).
+    return _Row(h0, h0 - euler_characteristic(s, H), bpf, very_ample, irreducible)
+
+
 def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact base-point-freeness table for m in {1, 2}."""
-    _check_m(H)
-    if H.m > 2:
-        raise UnsupportedSecancy("base locus is classified only for m in {1,2}")
-    e = invariant_e(s)
-    deg_b = H.b.degree
-    if H.m == 1:
-        if isinstance(s, Decomposable):
-            if s.e_class.is_trivial():
-                return deg_b >= 2 or H.b.is_trivial()
-            return deg_b >= e + 2 or (H.b == -s.e_class and e >= 2)
-        return deg_b >= 2 + e
-    # m == 2
-    if isinstance(s, Decomposable):
-        if e > 0:
-            return H.b == -2 * s.e_class or deg_b >= 2 * e + 2
-        if s.e_class.is_trivial():
-            return H.b.is_trivial() or deg_b >= 2
-        return (H.b.is_trivial() and (2 * s.e_class).is_trivial()) or deg_b >= 2
-    if isinstance(s, Indec0):
-        return deg_b >= 2
-    return deg_b >= 0
+    return _row(s, H).bpf
 
 
 def is_very_ample(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact very-ampleness table for m in {1, 2}."""
-    _check_m(H)
-    if H.m > 2:
-        raise UnsupportedSecancy("very-ampleness is classified only for m in {1,2}")
-    e = invariant_e(s)
-    deg_b = H.b.degree
-    if H.m == 1:
-        return deg_b >= 3 + e
-    if isinstance(s, Decomposable):
-        return deg_b >= 2 * e + 3
-    if isinstance(s, Indec0):
-        return deg_b >= 3
-    return deg_b >= 1
+    return _row(s, H).very_ample
 
 
 def generic_irreducible(
@@ -162,39 +167,7 @@ def generic_irreducible(
     An irreducible generic member is automatically smooth on these surfaces,
     so the genus returned is the geometric genus (1 for fiber degree 1).
     """
-    _check_m(H)
-    if H.m > 2:
-        raise UnsupportedSecancy("irreducibility is classified only for m in {1,2}")
-    e = invariant_e(s)
-    deg_b = H.b.degree
-    if H.m == 1:
-        if isinstance(s, Decomposable):
-            if s.e_class.is_trivial():
-                ok = H.b.is_trivial() or deg_b >= 2
-            else:
-                ok = H.b.is_trivial() or H.b == -s.e_class or deg_b >= 1 + e
-        elif isinstance(s, Indec0):
-            ok = H.b.is_trivial() or deg_b >= 1
-        else:
-            ok = deg_b >= 0
-    else:
-        if isinstance(s, Decomposable):
-            ok = (
-                deg_b >= 2 * e + 2
-                or (deg_b == 2 * e + 1 and not s.e_class.is_trivial())
-                or (H.b == -2 * s.e_class and e > 0)
-                or (
-                    H.b == -2 * s.e_class
-                    and e == 0
-                    and not s.e_class.is_trivial()
-                    and (2 * s.e_class).is_trivial()
-                )
-            )
-        elif isinstance(s, Indec0):
-            ok = deg_b >= 1
-        else:
-            ok = deg_b >= 0 or (deg_b == -1 and _is_odd_halving_class(s, H.b))
-    if not ok:
+    if not _row(s, H).irreducible:
         return False, None
     return True, genus_adjunction(s, H)
 
@@ -214,38 +187,21 @@ class SystemAnalysis:
     ambient: int | None
 
     def to_dict(self) -> dict:
-        out = {
-            "h0": self.h0,
-            "h1": self.h1,
-            "bpf": self.bpf,
-            "very_ample": self.very_ample,
-            "generic_irreducible": self.generic_irreducible,
-        }
-        if self.generic_smooth is not None:
-            out["generic_smooth"] = self.generic_smooth
-        if self.genus_generic is not None:
-            out["genus_generic"] = self.genus_generic
-        out["degree"] = self.degree
-        if self.ambient is not None:
-            out["ambient"] = self.ambient
-        return out
+        """The fields in declaration order, leaving out those that are None."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:
     """Full analysis of one system (m in {1, 2})."""
-    h0 = h0_surface(s, H)
-    # With the exact h0 in hand, the index theorem pins down h1 (the second
-    # cohomology vanishes for m >= 1).
-    h1 = h0 - euler_characteristic(s, H)
-    irreducible, genus = generic_irreducible(s, H)
+    h0, h1, bpf, very_ample, irreducible = _row(s, H)
     return SystemAnalysis(
         h0=h0,
         h1=h1,
-        bpf=is_bpf(s, H),
-        very_ample=is_very_ample(s, H),
+        bpf=bpf,
+        very_ample=very_ample,
         generic_irreducible=irreducible,
         generic_smooth=True if irreducible else None,
-        genus_generic=genus,
+        genus_generic=genus_adjunction(s, H) if irreducible else None,
         degree=intersect(s, H, H),
         ambient=h0 - 1 if h0 >= 1 else None,
     )

@@ -48,14 +48,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(m for _, m in self.terms)
 
-    def __add__(self, other: "Divisor") -> "Divisor":
-        if self.group != other.group:
-            raise MixedGroups("divisors on different groups")
-        return Divisor.of(self.group, *self.terms, *other.terms)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(self.group, tuple((p, -m) for p, m in self.terms))
-
 
 @dataclass(frozen=True, slots=True)
 class DivisorClass:

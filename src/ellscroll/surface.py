@@ -98,9 +98,6 @@ class SurfaceDivisorClass:
     m: int
     b: DivisorClass
 
-    def shift(self, delta: DivisorClass) -> "SurfaceDivisorClass":
-        return SurfaceDivisorClass(self.m, self.b + delta)
-
     def __str__(self) -> str:
         return f"{self.m}X0+({self.b})f"
 

@@ -3,8 +3,9 @@
 import dataclasses
 
 import pytest
+from test_linsys import all_cases
 
-from ellscroll import classify
+from ellscroll import classify, linsys
 from ellscroll.classify import (
     classify_scroll,
     emit_table,
@@ -108,6 +109,25 @@ def test_smooth_split_cases_both_torsion_layouts():
     ]
     assert nontrivial.generation.left_degree == 3
     assert nontrivial.scroll_degree == 7
+
+
+def test_classification_agrees_with_the_system_analysis():
+    # classify_scroll and analyze read one table; their shared numbers agree
+    # on every fiber-degree-1 case of the linsys sweep.
+    refused = 0
+    for s, H in all_cases(ms=(1,)):
+        system = linsys.analyze(s, H)
+        if not system.bpf:
+            with pytest.raises(NotBasePointFree):
+                classify_scroll(s, H.b)
+            refused += 1
+            continue
+        row = classify_scroll(s, H.b)
+        assert row.ambient == system.ambient, (s, str(H))
+        assert row.speciality == system.h1, (s, str(H))
+        if row.map_degree is not None:
+            assert row.map_degree * row.scroll_degree == system.degree, (s, str(H))
+    assert refused
 
 
 def test_nonsplit_cases():

@@ -234,6 +234,15 @@ def test_main_engine_error_exit_one(capsys):
     assert "NotBasePointFree" in capsys.readouterr().err
 
 
+def test_nonsplit_refusal_text(capsys):
+    assert main(["analyze", "indm1(O)", "3X0+(2*O)f"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "UnsupportedSecancy: no closed form for m=3 on a non-split surface\n"
+    )
+
+
 def test_main_engine_error_json_payload(capsys):
     assert main(["analyze", "ind0", "3X0+(4*O)f", "--json"]) == 1
     captured = capsys.readouterr()

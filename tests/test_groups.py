@@ -8,9 +8,9 @@ from ellscroll.groups import (
     PRIME_CAP,
     TorusGroup,
     WeierstrassGroup,
+    _half_residues,
     _torus_elements,
     default_group,
-    two_torsion,
 )
 
 G = default_group()
@@ -52,7 +52,22 @@ def test_torus_halvings_size_and_correctness():
 
 
 def test_two_torsion_of_default_group_has_order_four():
-    assert len(two_torsion(G)) == 4
+    assert len(G.halvings(G.zero())) == 4
+
+
+def test_half_residues_match_a_scan_of_every_residue():
+    for m in range(1, 60):
+        for a in range(m):
+            assert _half_residues(a, m) == [x for x in range(m) if (2 * x - a) % m == 0]
+
+
+def test_halvings_on_a_modulus_near_a_billion():
+    big = TorusGroup(10**9 + 6, 2)
+    s = big.element(10**9 + 4, 0)
+    halves = big.halvings(s)
+    assert len(halves) == 4
+    assert all(h + h == s for h in halves)
+    assert big.halvings(big.element(1, 0)) == frozenset()
 
 
 def test_enumeration_cap():

@@ -253,5 +253,5 @@ def test_euler_characteristic_additive_in_b(m, deg_b, a1, a2):
     s = Decomposable(DivisorClass(-2, a1))
     H = SurfaceDivisorClass(m, DivisorClass(deg_b, a2))
     chi = linsys.euler_characteristic(s, H)
-    shifted = H.shift(point_class(G.element(1, 1)))
+    shifted = SurfaceDivisorClass(m, H.b + point_class(G.element(1, 1)))
     assert linsys.euler_characteristic(s, shifted) == chi + (m + 1)
