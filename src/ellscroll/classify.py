@@ -8,7 +8,9 @@ curves with their linear-normality ranges.
 ``emit_table`` enumerates every scroll model living in a fixed projective
 space P^N.  ``nagata_plan`` produces the minimal sequence of elementary
 transformations constructing each surface family from the product surface,
-and ``minimality_check`` verifies minimality by exhaustive search.
+and ``minimality_check`` verifies minimality by a search that is exhaustive
+up to the e-distance bound; it checks the bound's premise, that e moves by
+exactly 1, on every transformation it makes.
 """
 
 from __future__ import annotations
@@ -467,10 +469,19 @@ def minimality_check(
 ) -> int:
     """Shortest transformation sequence reaching the target family.
 
-    Exhaustive breadth-first search over all point choices on a small group
-    model (the reachable families do not depend on the group size, only on
-    which torsion side conditions are realizable, and Z/4 x Z/4 realizes
-    them all at this depth).
+    Search over all point choices on a small group model (the reachable
+    families do not depend on the group size, only on which torsion side
+    conditions are realizable, and Z/4 x Z/4 realizes them all at this
+    depth), exhaustive up to the e-distance bound.
+
+    Every elementary transformation moves the invariant e by exactly 1, so
+    a model with invariant e needs at least ``|e - target_e|`` more
+    transformations, and every path to the target has the parity of that
+    distance.  The search is a depth-first search deepened two lengths at a
+    time (IDA*, with the e-distance as its heuristic): it prunes each model
+    farther from the target than the transformations it has left.  It
+    checks the premise on every transformation it makes and raises
+    ``EngineError`` when a rule breaks it.  Nothing is kept between calls.
     """
     if max_len > 4:
         raise ValueError("exhaustive search is desk-scale: max_len <= 4")
@@ -483,22 +494,41 @@ def minimality_check(
     # Every model of the search lies on ``group``, so the point choices of
     # each family are listed once per search.
     specs: dict[type, list] = {}
-    frontier: list[SurfaceModel] = [start]
-    seen: set[SurfaceModel] = {start}
-    for depth in range(1, max_len + 1):
-        next_frontier: list[SurfaceModel] = []
-        for model in frontier:
-            family = model.__class__
-            if family not in specs:
-                specs[family] = _all_specs(model)
-            for spec in specs[family]:
-                out = elm(model, spec).model
-                if matches_target(out, target, target_e):
-                    return depth
-                if out not in seen:
-                    seen.add(out)
-                    next_frontier.append(out)
-        frontier = next_frontier
+    # The most budget each model has been expanded with in this iteration;
+    # a model is expanded again only when reached with more.
+    seen: dict[SurfaceModel, int] = {}
+
+    def reaches(model: SurfaceModel, e_model: int, budget: int) -> bool:
+        """Whether the target is at most ``budget`` transformations away."""
+        family = model.__class__
+        if family not in specs:
+            specs[family] = _all_specs(model)
+        left = budget - 1
+        for spec in specs[family]:
+            out = elm(model, spec).model
+            e_out = invariant_e(out)
+            if abs(e_out - e_model) != 1:
+                raise EngineError(
+                    f"{spec} moves e from {e_model} to {e_out} on {model}"
+                )
+            if abs(e_out - target_e) > left:
+                continue
+            if e_out == target_e and matches_target(out, target, target_e):
+                return True
+            if left and seen.get(out, 0) < left:
+                seen[out] = left
+                if reaches(out, e_out, left):
+                    return True
+        return False
+
+    # Lengths of the other parity cannot end at target_e; a zero distance
+    # starts at 2, since the start itself is not the target.
+    e_start = invariant_e(start)
+    for length in range(abs(e_start - target_e) or 2, max_len + 1, 2):
+        seen.clear()
+        seen[start] = length
+        if reaches(start, e_start, length):
+            return length
     raise UnreachableTarget(
         f"target {target!r} not reached within {max_len} transformations"
     )

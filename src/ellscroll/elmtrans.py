@@ -79,7 +79,6 @@ class ElmResult:
     """Outcome of one elementary transformation."""
 
     model: SurfaceModel
-    e_class_new: DivisorClass
     #: Which curve of the source became the new minimum section.
     y0_note: str  # "X0prime" | "X1prime" | "DRprime"
     #: Identifier of the rule branch that fired (13 branches in total).
@@ -87,7 +86,7 @@ class ElmResult:
 
 
 def _dec(e_class: DivisorClass, y0: str, rule: str) -> ElmResult:
-    return ElmResult(Decomposable(e_class), e_class, y0, rule)
+    return ElmResult(Decomposable(e_class), y0, rule)
 
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
@@ -120,14 +119,12 @@ def _elm_dec(s: Decomposable, x: PointSpec) -> ElmResult:
             return _dec(trivial_class(s.group), "X0prime", "dec_e1_onX1_torsion")
         # Generic point over the single base point of -e_class: the
         # transform no longer splits but keeps a trivial invariant class.
-        model = Indec0(s.group)
-        return ElmResult(model, model.e_class, "X0prime", "dec_e1_gen_torsion")
+        return ElmResult(Indec0(s.group), "X0prime", "dec_e1_gen_torsion")
     # e == 0 with a nontrivial invariant class.
     if isinstance(x, OnX1):
         return _dec(-e_cls - P, "X1prime", "dec_e0_onX1")
     new_e = e_cls + P  # degree 1
-    model = IndecMinus1(new_e.abel)
-    return ElmResult(model, model.e_class, "X0prime", "dec_e0_gen")
+    return ElmResult(IndecMinus1(new_e.abel), "X0prime", "dec_e0_gen")
 
 
 def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
@@ -136,8 +133,7 @@ def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
     P = point_class(x.P)
     if isinstance(x, OnX0):
         return _dec(-P, "X0prime", "ind0_onX0")
-    model = IndecMinus1(x.P)
-    return ElmResult(model, model.e_class, "X0prime", "ind0_gen")
+    return ElmResult(IndecMinus1(x.P), "X0prime", "ind0_gen")
 
 
 def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
@@ -146,8 +142,7 @@ def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
     if x.q == x.r:
         # Focal point: a single minimum curve passes through it, and
         # 2q ~ p0 + t forces the new invariant class to be trivial.
-        model = Indec0(s.group)
-        return ElmResult(model, model.e_class, "DRprime", "indm1_diag")
+        return ElmResult(Indec0(s.group), "DRprime", "indm1_diag")
     # Split point: two minimum curves through it; transforming along the
     # first gives the split model with invariant class q - r (nontrivial).
     new_e = DivisorClass(0, x.q - x.r)

@@ -229,8 +229,9 @@ class WeierstrassGroup:
         while k:
             if k & 1:
                 acc = self.add(acc, addend)
-            addend = self.add(addend, addend)
             k >>= 1
+            if k:
+                addend = self.add(addend, addend)
         return acc
 
     def order(self) -> int:

@@ -5,20 +5,22 @@ import dataclasses
 import pytest
 from test_linsys import all_cases
 
-from ellscroll import classify, linsys
+from ellscroll import classify, elmtrans, linsys
 from ellscroll.classify import (
     classify_scroll,
     emit_table,
+    matches_target,
     minimality_check,
     nagata_plan,
     product_surface,
     render_table,
     verify_plan,
 )
+from ellscroll.elmtrans import OnX0, OnX1
 from ellscroll.errors import EngineError, NotBasePointFree, UnreachableTarget
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, trivial_class
-from ellscroll.surface import Decomposable, Indec0, IndecMinus1
+from ellscroll.surface import Decomposable, Indec0, IndecMinus1, invariant_e
 
 G = default_group()
 O = G.zero()
@@ -366,3 +368,123 @@ def test_search_transforms_through_the_bound_elm_on_every_call(monkeypatch):
     assert first and all(s.group == group for s in calls)
     assert minimality_check("indm1", group=group) == 3
     assert len(calls) == 2 * first
+
+
+# -- the bounded search against a plain breadth-first search ----------------
+
+
+def bfs_layers(group, max_len):
+    """The models first reached after 0, 1, ..., max_len transformations.
+
+    A transcription of the layer-by-layer breadth-first search that
+    ``minimality_check`` replaced, kept here as its reference: it builds
+    every layer in full and prunes nothing.
+    """
+    start = product_surface(group)
+    layers = [[start]]
+    seen = {start}
+    for _ in range(max_len):
+        layer = []
+        for model in layers[-1]:
+            for spec in classify._all_specs(model):
+                out = elmtrans.elm(model, spec).model
+                if out not in seen:
+                    seen.add(out)
+                    layer.append(out)
+        layers.append(layer)
+    return layers
+
+
+def bfs_length(layers, target, e, max_len):
+    target_e = {"ind0": 0, "indm1": -1}.get(target, e)
+    for depth, layer in enumerate(layers[: max_len + 1]):
+        if any(matches_target(m, target, target_e) for m in layer):
+            return depth
+    return None
+
+
+SWEEP_TARGETS = [("dec", e) for e in range(6)] + [("ind0", None), ("indm1", None)]
+
+
+@pytest.mark.parametrize(
+    "group, longest",
+    [(TorusGroup(4, 4), 4), (TorusGroup(2, 12), 3), (WeierstrassGroup(23, -1, 0), 3)],
+    ids=str,
+)
+def test_bounded_search_agrees_with_breadth_first_search(group, longest):
+    layers = bfs_layers(group, longest)
+    for target, e in SWEEP_TARGETS:
+        for max_len in range(1, longest + 1):
+            expected = bfs_length(layers, target, e, max_len)
+            if expected is None:
+                with pytest.raises(UnreachableTarget):
+                    minimality_check(target, e, max_len=max_len, group=group)
+            else:
+                assert minimality_check(target, e, max_len=max_len, group=group) == expected
+
+
+def test_plan_searches_stay_within_a_transformation_budget(monkeypatch):
+    # The breadth-first search made 4,174 transformations for these seven.
+    calls = []
+    real = classify.elm
+
+    def counted(s, x):
+        calls.append(x)
+        return real(s, x)
+
+    monkeypatch.setattr(classify, "elm", counted)
+    assert search_all(TorusGroup(4, 4)) == [length for _, _, length in PLAN_TARGETS]
+    assert len(calls) < 300
+
+
+def test_search_refuses_a_rule_that_moves_e_by_more_than_one(monkeypatch):
+    group = TorusGroup(4, 4)
+    real = classify.elm
+    calls = []
+
+    def broken(s, x):
+        result = real(s, x)
+        calls.append(x)
+        if len(calls) == 1:
+            # e = 0 -> 3 in one step.
+            return dataclasses.replace(
+                result, model=Decomposable(DivisorClass(-3, group.zero()))
+            )
+        return result
+
+    monkeypatch.setattr(classify, "elm", broken)
+    with pytest.raises(EngineError, match="moves e from 0 to 3") as raised:
+        minimality_check("dec", 3, group=group)
+    assert raised.value.code == "EngineError"
+
+
+def test_search_bound_refuses_before_enumerating_a_large_group():
+    # e = 5 is five transformations from the product surface.
+    with pytest.raises(UnreachableTarget):
+        minimality_check("dec", 5, max_len=3, group=TorusGroup(200, 200))
+
+
+def test_search_expands_a_model_again_when_reached_with_more_budget(monkeypatch):
+    # A rule graph built so that the depth-first search first meets X three
+    # steps deep, where one step is left, and only then one step deep, where
+    # three are left: S -> A -> B -> X and S -> X -> Y -> Z -> T, with T the
+    # only nontrivial e = 0 split model.  Every other transformation falls
+    # into two sinks at e = 1 and e = 2, so e still moves by exactly 1.
+    group = TorusGroup(4, 4)
+    g = group.nth
+    S = product_surface(group)
+    A, X, Z = dec(1, g(1)), dec(1, g(2)), dec(1, g(3))
+    Y, T, B = dec(2, g(4)), dec(0, g(5)), Indec0(group)
+    sink = {0: dec(1, g(6)), 1: dec(2, g(7)), 2: dec(1, g(6))}
+    first, second = OnX0(g(0)), OnX1(g(0))
+    edges = {
+        (S, first): A, (S, second): X, (A, first): B, (B, first): X,
+        (X, first): Y, (Y, first): Z, (Z, first): T,
+    }
+
+    def graph(s, x):
+        out = edges.get((s, x)) or sink[invariant_e(s)]
+        return elmtrans.ElmResult(out, "X0prime", "graph")
+
+    monkeypatch.setattr(classify, "elm", graph)
+    assert minimality_check("dec", 0, max_len=4, group=group) == 4

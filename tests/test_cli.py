@@ -195,7 +195,9 @@ def commands(draw):
     return Command(variant, options)
 
 
-@settings(max_examples=1000, deadline=None)
+# Criterion 9 (test_acceptance) runs this round trip on 1000 examples; here
+# Hypothesis's default count is enough.
+@settings(deadline=None)
 @given(commands())
 def test_parse_format_roundtrip(cmd):
     assert parse(cmd.format()) == cmd

@@ -43,13 +43,13 @@ def test_dec_trivial_any_always_splits():
         out = elm(dec(0), spec)
         assert out.rule == "dec_trivial_any"
         assert out.model == Decomposable(-point_class(P))
-        assert out.e_class_new == -point_class(P)
+        assert out.model.e_class == -point_class(P)
 
 
 def test_dec_on_minimum_section_raises_e():
     out = elm(dec(2, P), OnX0(Q))
     assert out.rule == "dec_onX0_epos"
-    assert out.e_class_new == DivisorClass(-2, P) - point_class(Q)
+    assert out.model.e_class == DivisorClass(-2, P) - point_class(Q)
     assert invariant_e(out.model) == 3
 
 
@@ -63,7 +63,7 @@ def test_dec_e0_on_minimum_section():
 def test_dec_high_e_off_section_lowers_e():
     out = elm(dec(3, P), Generic(Q))
     assert out.rule == "dec_e2_offX0"
-    assert out.e_class_new == DivisorClass(-3, P) + point_class(Q)
+    assert out.model.e_class == DivisorClass(-3, P) + point_class(Q)
 
 
 def test_dec_e1_off_section_plain():
@@ -86,7 +86,7 @@ def test_dec_e0_second_section_branch():
     s = Decomposable(DivisorClass(0, P))
     out = elm(s, OnX1(Q))
     assert out.rule == "dec_e0_onX1"
-    assert out.e_class_new == DivisorClass(0, -P) - point_class(Q)
+    assert out.model.e_class == DivisorClass(0, -P) - point_class(Q)
     assert out.y0_note == "X1prime"
 
 

@@ -139,6 +139,36 @@ def test_weierstrass_group_laws_exhaustive():
             assert (a + b) in pts
 
 
+def test_weierstrass_scalar_mul_is_repeated_addition():
+    W23 = WeierstrassGroup(23, -1, 0)
+    for P in W23.elements():
+        acc = W23.zero()
+        for k in range(41):
+            assert W23.mul(k, P) == acc
+            assert W23.mul(-k, P) == -acc
+            acc = acc + P
+
+
+def test_weierstrass_mul_doubles_only_while_bits_remain(monkeypatch):
+    W23 = WeierstrassGroup(23, -1, 0)
+    P = W23.nth(1)
+    calls = []
+    real = WeierstrassGroup.add
+
+    def counted(self, g, h):
+        calls.append((g, h))
+        return real(self, g, h)
+
+    monkeypatch.setattr(WeierstrassGroup, "add", counted)
+    counts = []
+    for k in (1, 2, 3):
+        calls.clear()
+        W23.mul(k, P)
+        counts.append(len(calls))
+    # One addition per set bit and one doubling per bit after the lowest.
+    assert counts == [1, 2, 3]
+
+
 def test_weierstrass_order_matches_hasse_window():
     n = W.order()
     assert abs(n - 14) <= 8  # |n - (p+1)| <= 2*sqrt(p)
