@@ -33,7 +33,7 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generation:
     """How the scroll is swept out: a correspondence between two directrix
     curves (degrees as subsets of projective space; a line has degree 1)."""
@@ -52,7 +52,7 @@ class Generation:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnisecantFamily:
     """One family of irreducible unisecant curves on the scroll.
 
@@ -84,7 +84,7 @@ class UnisecantFamily:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScrollModel:
     """Full classification record of one scroll."""
 
@@ -119,9 +119,21 @@ class ScrollModel:
 
 
 def _x0_af(min_deg_a: int, offset: int, ln_max: int) -> UnisecantFamily:
-    return UnisecantFamily(
-        "X0+af", min_deg_a=min_deg_a, degree_offset=offset, ln_max_degree=ln_max
-    )
+    return UnisecantFamily("X0+af", min_deg_a, offset, ln_max)
+
+
+# The families and generations that do not depend on the row; frozen, so
+# every row that has one shares it.
+_X0 = UnisecantFamily("X0")
+_X1 = UnisecantFamily("X1")
+_X0_DIRECTRIX = UnisecantFamily("X0", note="unique directrix")
+_X0_VERTEX = UnisecantFamily("X0", note="vertex")
+_X1_SECTIONS = UnisecantFamily("X1", note="hyperplane sections")
+_X0_PENCIL = UnisecantFamily("X0", note="one-dimensional family")
+_X0_AF_QUARTIC = _x0_af(1, 2, 4)
+_GEN_QUADRIC = Generation(1, 1, "1:1", 0)
+_GEN_TWO_LINES = Generation(1, 1, "2:2", 0)
+_GEN_IND0_QUARTIC = Generation(1, 3, "1:2", 1)
 
 
 def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
@@ -132,131 +144,72 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
     e = invariant_e(s)
     deg_b = b.degree
-    note = None
-    if isinstance(s, Decomposable) and e == 0:
-        note = "trivial" if s.e_class.is_trivial() else "nontrivial"
+    split = isinstance(s, Decomposable)
+    trivial = split and s.e_class.is_trivial()
+    note = ("trivial" if trivial else "nontrivial") if split and e == 0 else None
 
-    def row(tag, **kw) -> ScrollModel:
-        defaults = dict(
-            model_tag=tag,
-            e=e,
-            e_class_note=note,
-            deg_b=deg_b,
-            birational=True,
-            map_degree=1,
-            scroll_degree=intersect(s, H, H),
-            ambient=system.h0 - 1,
-            speciality=system.h1,
-            singular_locus="Empty",
-            generation=None,
-            families=(),
+    def row(tag, scroll_degree, singular="Empty", generation=None, families=(), map_degree=1):
+        # The map is birational exactly when it has degree 1.
+        return ScrollModel(
+            tag, e, note, deg_b, map_degree == 1, map_degree, scroll_degree,
+            system.h0 - 1, system.h1, singular, generation, families,
         )
-        defaults.update(kw)
-        return ScrollModel(**defaults)
 
-    if isinstance(s, Decomposable):
-        if s.e_class.is_trivial():
-            if b.is_trivial():
-                return row(
-                    "DegenerateLine",
-                    birational=False,
-                    map_degree=None,
-                    scroll_degree=1,
-                )
-            if deg_b == 2:
-                return row(
-                    "DoubleQuadric",
-                    birational=False,
-                    map_degree=2,
-                    scroll_degree=2,
-                    generation=Generation(1, 1, "1:1", 0),
-                )
-        if b == -s.e_class and e == 2:
-            return row(
-                "DoublePlane", birational=False, map_degree=2, scroll_degree=1
+    if split:
+        if trivial and b.is_trivial():
+            return row("DegenerateLine", 1, map_degree=None)
+        if trivial and deg_b == 2:
+            return row("DoubleQuadric", 2, generation=_GEN_QUADRIC, map_degree=2)
+        # Only a class of degree e can be -e_class, so the degree is tested
+        # before the class comparison.
+        if deg_b == e >= 2 and b == -s.e_class:
+            if e == 2:
+                return row("DoublePlane", 1, map_degree=2)
+            cone = UnisecantFamily(
+                "X0+af", min_deg_a=1 + e, degree_offset=0, ln_exact_degree=1 + e
             )
-        if b == -s.e_class and e > 2:
-            return row(
-                "Cone",
-                scroll_degree=e,
-                singular_locus="Vertex",
-                families=(
-                    UnisecantFamily("X0", note="vertex"),
-                    UnisecantFamily("X1", note="hyperplane sections"),
-                    UnisecantFamily(
-                        "X0+af",
-                        min_deg_a=1 + e,
-                        degree_offset=0,
-                        ln_exact_degree=1 + e,
-                    ),
-                ),
-            )
+            return row("Cone", e, "Vertex", None, (_X0_VERTEX, _X1_SECTIONS, cone))
+        degree = intersect(s, H, H)
         if e == 0 and deg_b == 2:
             return row(
-                "DecScrollTwoLines",
-                singular_locus="TwoDisjointLines",
-                generation=Generation(1, 1, "2:2", 0),
-                families=(
-                    UnisecantFamily("X0"),
-                    UnisecantFamily("X1"),
-                    _x0_af(1, 2, 4),
-                ),
+                "DecScrollTwoLines", degree, "TwoDisjointLines", _GEN_TWO_LINES,
+                (_X0, _X1, _X0_AF_QUARTIC),
             )
         if e > 0 and deg_b == e + 2:
             return row(
-                "DecScrollDirectrixLine",
-                singular_locus="DirectrixLine",
-                generation=Generation(1, e + 2, "1:2", 0),
-                families=(
-                    UnisecantFamily("X0", note="unique directrix"),
-                    UnisecantFamily("X1"),
-                    _x0_af(1 + e, 2, 4 + e),
-                ),
+                "DecScrollDirectrixLine", degree, "DirectrixLine",
+                Generation(1, e + 2, "1:2", 0),
+                (_X0_DIRECTRIX, _X1, _x0_af(1 + e, 2, 4 + e)),
             )
         # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
-        if s.e_class.is_trivial():
-            families = (
-                UnisecantFamily("X0", note="one-dimensional family"),
-                _x0_af(2, deg_b, 2 * deg_b),
-            )
+        if trivial:
+            families = (_X0_PENCIL, _x0_af(2, deg_b, 2 * deg_b))
         else:
-            families = (
-                UnisecantFamily("X0"),
-                UnisecantFamily("X1"),
-                _x0_af(e + 1, deg_b - e, 2 * deg_b - e),
-            )
+            families = (_X0, _X1, _x0_af(e + 1, deg_b - e, 2 * deg_b - e))
         return row(
-            "DecScrollSmooth",
-            generation=Generation(deg_b - e, deg_b, "1:1", 0),
-            families=families,
+            "DecScrollSmooth", degree, "Empty",
+            Generation(deg_b - e, deg_b, "1:1", 0), families,
         )
 
     if isinstance(s, Indec0):
+        degree = intersect(s, H, H)
         if deg_b == 2:
             return row(
-                "Ind0Quartic",
-                singular_locus="DoubleLine",
-                generation=Generation(1, 3, "1:2", 1),
-                families=(UnisecantFamily("X0"), _x0_af(1, 2, 4)),
+                "Ind0Quartic", degree, "DoubleLine", _GEN_IND0_QUARTIC,
+                (_X0, _X0_AF_QUARTIC),
             )
         return row(
-            "Ind0Smooth",
-            generation=Generation(deg_b, deg_b + 1, "1:1", 1),
-            families=(
-                UnisecantFamily("X0", note="unique directrix"),
-                _x0_af(1, deg_b, 2 * deg_b),
-            ),
+            "Ind0Smooth", degree, "Empty", Generation(deg_b, deg_b + 1, "1:1", 1),
+            (_X0_DIRECTRIX, _x0_af(1, deg_b, 2 * deg_b)),
         )
 
     # IndecMinus1
     if deg_b == 1:
-        return row(
-            "TriplePlane", birational=False, map_degree=3, scroll_degree=1
-        )
+        return row("TriplePlane", 1, map_degree=3)
     return row(
-        "IndM1Smooth",
-        generation=Generation(deg_b + 1, deg_b + 1, "1:1", 1),
-        families=(_x0_af(0, deg_b + 1, 2 * deg_b + 1),),
+        "IndM1Smooth", intersect(s, H, H), "Empty",
+        Generation(deg_b + 1, deg_b + 1, "1:1", 1),
+        (_x0_af(0, deg_b + 1, 2 * deg_b + 1),),
     )
 
 
@@ -272,21 +225,6 @@ def _order_at_least(group: CurveGroup, at_least: int) -> int:
     return order
 
 
-def _dec_with_e(group: CurveGroup, e: int, nontrivial: bool = False) -> Decomposable:
-    if e == 0 and nontrivial:
-        _order_at_least(group, 2)
-        cls = DivisorClass(0, group.nth(1) - group.zero())
-    elif e == 0:
-        cls = trivial_class(group)
-    else:
-        cls = DivisorClass(-e, group.zero())
-    return Decomposable(cls)
-
-
-def _deg_class(group: CurveGroup, degree: int) -> DivisorClass:
-    return DivisorClass(degree, group.zero())
-
-
 def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     """All scroll models whose ambient space is exactly P^N (N >= 3).
 
@@ -299,25 +237,30 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
         raise ValueError("tables are emitted for N >= 3")
     if group is None:
         group = default_group()
+    # Every class of the table sums to the identity but one, so the
+    # identity is built once per table.
+    zero = group.zero()
     rows: list[ScrollModel] = []
 
-    def add(s: SurfaceModel, deg_b: int, b: DivisorClass | None = None) -> None:
-        cls = b if b is not None else _deg_class(group, deg_b)
-        rows.append(classify_scroll(s, cls))
+    def add(s: SurfaceModel, deg_b: int) -> None:
+        rows.append(classify_scroll(s, DivisorClass(deg_b, zero)))
+
+    def dec(e: int) -> Decomposable:
+        return Decomposable(DivisorClass(-e, zero))
 
     if N % 2:
         b = (N + 1) // 2
         add(Indec0(group), b)
-        add(_dec_with_e(group, 0), b)  # degenerate double quadric in P^3
-        add(_dec_with_e(group, 0, nontrivial=True), b)
+        add(dec(0), b)  # degenerate double quadric in P^3
+        _order_at_least(group, 2)
+        add(Decomposable(DivisorClass(0, group.nth(1))), b)
     else:
-        add(IndecMinus1(group.zero()), N // 2)
+        add(IndecMinus1(zero), N // 2)
     for e in range(1 + N % 2, N - 3, 2):
-        add(_dec_with_e(group, e), (N + 1 + e) // 2)
+        add(dec(e), (N + 1 + e) // 2)
     if N > 3:
-        add(_dec_with_e(group, N - 3), N - 1)
-    cone = _dec_with_e(group, N)
-    add(cone, N, b=-cone.e_class)
+        add(dec(N - 3), N - 1)
+    add(dec(N), N)  # the cone: b is -e_class
 
     for r in rows:
         if r.model_tag != "DoubleQuadric" and r.ambient != N:
@@ -391,6 +334,20 @@ def product_surface(group: CurveGroup) -> Decomposable:
     return Decomposable(trivial_class(group))
 
 
+def _target_e(target: str, e: int | None) -> int:
+    """The invariant e of a plan target; refuses an unknown target, and a
+    split one without an invariant e >= 0."""
+    if target == "ind0":
+        return 0
+    if target == "indm1":
+        return -1
+    if target != "dec":
+        raise UnreachableTarget(f"unknown target {target!r}")
+    if e is None or e < 0:
+        raise UnreachableTarget("a split target needs an invariant e >= 0")
+    return e
+
+
 def nagata_plan(
     target: str, e: int | None = None, group: CurveGroup | None = None
 ) -> NagataPlan:
@@ -407,14 +364,11 @@ def nagata_plan(
     order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
+    e = _target_e(target, e)
     if target == "ind0":
         return NagataPlan("ind0", 0, (Generic(p1), Generic(p1)), 2)
     if target == "indm1":
         return NagataPlan("indm1", -1, (Generic(p1), Generic(p2), Generic(p3)), 3)
-    if target != "dec":
-        raise UnreachableTarget(f"unknown target {target!r}")
-    if e is None or e < 0:
-        raise UnreachableTarget("a split target needs an invariant e >= 0")
     if e == 0:
         return NagataPlan("dec", 0, (Generic(p1), Generic(p2)), 2)
     if e == 1:
@@ -487,8 +441,8 @@ def minimality_check(
         raise ValueError("exhaustive search is desk-scale: max_len <= 4")
     if group is None:
         group = TorusGroup(4, 4)
+    target_e = _target_e(target, e)
     start = product_surface(group)
-    target_e = {"ind0": 0, "indm1": -1}.get(target, e if e is not None else -99)
     if matches_target(start, target, target_e):
         return 0
     # Every model of the search lies on ``group``, so the point choices of

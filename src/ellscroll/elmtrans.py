@@ -177,6 +177,19 @@ class WalkResult:
     steps: tuple[ElmResult, ...]
 
 
+#: The point kinds a template names on each family with sections; a
+#: missing key is a template the family does not have.
+_TEMPLATE_KINDS = {
+    (Decomposable, "generic"): (Generic,),
+    (Decomposable, "onX0"): (OnX0,),
+    (Decomposable, "onX1"): (OnX1,),
+    (Decomposable, "random"): (Generic, OnX0, OnX1),
+    (Indec0, "generic"): (Generic,),
+    (Indec0, "onX0"): (OnX0,),
+    (Indec0, "random"): (Generic, OnX0),
+}
+
+
 def resolve_template(template, model: SurfaceModel, rng: random.Random) -> PointSpec:
     """Turn a walk-step template into a concrete point on ``model``.
 
@@ -203,16 +216,11 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
         if template == "random":
             return Pair(pick(), pick())
         raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
-    kinds = {
-        "generic": (Generic,),
-        "onX0": (OnX0,),
-        "onX1": (OnX1,) if isinstance(model, Decomposable) else (),
-        "random": (Generic, OnX0, OnX1)
-        if isinstance(model, Decomposable)
-        else (Generic, OnX0),
-    }.get(template, ())
-    if not kinds:
+    kinds = _TEMPLATE_KINDS.get((model.__class__, template))
+    if kinds is None:
         raise InvalidPointSpec(f"template {template!r} on family {model.family()}")
+    # ``rng.choice`` draws even from one kind, and the walk streams keep
+    # that draw.
     return rng.choice(kinds)(pick())
 
 

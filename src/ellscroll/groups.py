@@ -69,7 +69,7 @@ class GroupElement:
         return self.group.neg(self)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, self.group.neg(other))
+        return self.group.sub(self, other)
 
     def __mul__(self, k: int) -> "GroupElement":
         return self.group.mul(k, self)
@@ -77,7 +77,9 @@ class GroupElement:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self == self.group.zero()
+        # Compares with the identity's coords without building it; (0, 0)
+        # is a point of order 2 on y^2 = x^3 - x, not its identity.
+        return self.coords == self.group.ZERO_COORDS
 
     def sort_key(self) -> tuple:
         # Identity sorts first in the Weierstrass model.
@@ -105,6 +107,8 @@ class TorusGroup:
     m: int
     n: int
 
+    ZERO_COORDS = (0, 0)
+
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("torus moduli must be positive")
@@ -113,7 +117,7 @@ class TorusGroup:
         return GroupElement(self, (i % self.m, j % self.n))
 
     def zero(self) -> GroupElement:
-        return self.element(0, 0)
+        return GroupElement(self, self.ZERO_COORDS)
 
     def order(self) -> int:
         return self.m * self.n
@@ -121,6 +125,10 @@ class TorusGroup:
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
         _check_same_group(g, h)
         return self.element(g.coords[0] + h.coords[0], g.coords[1] + h.coords[1])
+
+    def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        _check_same_group(g, h)
+        return self.element(g.coords[0] - h.coords[0], g.coords[1] - h.coords[1])
 
     def neg(self, g: GroupElement) -> GroupElement:
         return self.element(-g.coords[0], -g.coords[1])
@@ -139,7 +147,7 @@ class TorusGroup:
         """The k-th element of ``elements()``, without enumerating."""
         if not 0 <= k < self.order():
             raise IndexError(f"{self} has no element number {k}")
-        return self.element(*divmod(k, self.n))
+        return GroupElement(self, divmod(k, self.n))
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         """All elements r with r + r = s (possibly empty)."""
@@ -179,6 +187,8 @@ class WeierstrassGroup:
     a: int
     b: int
 
+    ZERO_COORDS = None
+
     def __post_init__(self) -> None:
         p, a, b = self.p, self.a, self.b
         if p > PRIME_CAP:
@@ -189,7 +199,7 @@ class WeierstrassGroup:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
 
     def zero(self) -> GroupElement:
-        return GroupElement(self, None)
+        return GroupElement(self, self.ZERO_COORDS)
 
     def point(self, x: int, y: int) -> GroupElement:
         x, y = x % self.p, y % self.p
@@ -215,6 +225,10 @@ class WeierstrassGroup:
         x3 = (lam * lam - x1 - x2) % p
         y3 = (lam * (x1 - x3) - y1) % p
         return GroupElement(self, (x3, y3))
+
+    def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        _check_same_group(g, h)
+        return self.add(g, self.neg(h))
 
     def neg(self, g: GroupElement) -> GroupElement:
         if g.coords is None:
@@ -242,9 +256,10 @@ class WeierstrassGroup:
 
     def nth(self, k: int) -> GroupElement:
         """The k-th element of ``elements()``."""
-        if not 0 <= k < self.order():
+        points = _weierstrass_points(self)
+        if not 0 <= k < len(points):
             raise IndexError(f"{self} has no element number {k}")
-        return _weierstrass_points(self)[k]
+        return points[k]
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         _check_same_group(s, self.zero())

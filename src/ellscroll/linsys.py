@@ -42,9 +42,9 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """
     if H.m < 0:
         raise InvalidSecancy("negative fiber degree")
-    total = 0
+    total, deg_b, deg_e = 0, H.b.degree, s.deg_e
     for k in range(H.m + 1):
-        degree = H.b.degree + k * s.e_class.degree
+        degree = deg_b + k * deg_e
         # Only a class of degree 0 is built, to test whether it is trivial;
         # any other class has max(degree, 0) sections.
         total += picard.h0(H.b + k * s.e_class) if degree == 0 else max(degree, 0)
@@ -79,7 +79,7 @@ def h1_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
 
 def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """chi of the system's sheaf (Riemann-Roch on the surface, chi(O) = 0)."""
-    m, deg_b, deg_e = H.m, H.b.degree, s.e_class.degree
+    m, deg_b, deg_e = H.m, H.b.degree, s.deg_e
     return m * (m + 1) * deg_e // 2 + (m + 1) * deg_b
 
 

@@ -67,7 +67,7 @@ class DivisorClass:
         return DivisorClass(self.degree + other.degree, self.abel + other.abel)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        return DivisorClass(self.degree - other.degree, self.abel - other.abel)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-self.degree, -self.abel)

@@ -43,6 +43,10 @@ class Decomposable:
     def group(self) -> CurveGroup:
         return self.e_class.group
 
+    @property
+    def deg_e(self) -> int:
+        return self.e_class.degree
+
     def family(self) -> str:
         return "dec"
 
@@ -52,6 +56,9 @@ class Indec0:
     """Non-split bundle with trivial invariant class."""
 
     base: CurveGroup
+
+    #: The degree of ``e_class``, read without building the class.
+    deg_e = 0
 
     @property
     def group(self) -> CurveGroup:
@@ -71,6 +78,8 @@ class IndecMinus1:
 
     p0: GroupElement
 
+    deg_e = 1
+
     @property
     def group(self) -> CurveGroup:
         return self.p0.group
@@ -88,7 +97,7 @@ SurfaceModel = Decomposable | Indec0 | IndecMinus1
 
 def invariant_e(s: SurfaceModel) -> int:
     """The numerical invariant: minus the degree of the invariant class."""
-    return -s.e_class.degree
+    return -s.deg_e
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +113,7 @@ class SurfaceDivisorClass:
 
 def intersect(s: SurfaceModel, A: SurfaceDivisorClass, B: SurfaceDivisorClass) -> int:
     """Intersection number of two surface classes."""
-    deg_e = s.e_class.degree
-    return A.m * B.m * deg_e + A.m * B.b.degree + B.m * A.b.degree
+    return A.m * B.m * s.deg_e + A.m * B.b.degree + B.m * A.b.degree
 
 
 def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
@@ -118,7 +126,7 @@ def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
     """
     if D.m < 1:
         raise InvalidSecancy("genus is computed for classes with m >= 1")
-    m, deg_b, deg_e = D.m, D.b.degree, s.e_class.degree
+    m, deg_b, deg_e = D.m, D.b.degree, s.deg_e
     twice = m * (m - 1) * deg_e + (2 * m - 2) * deg_b
     return 1 + twice // 2
 

@@ -1,11 +1,13 @@
 """Scroll classification, table fixtures, and construction plans."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from test_linsys import all_cases
 
-from ellscroll import classify, elmtrans, linsys
+from ellscroll import classify, elmtrans, linsys, surface
 from ellscroll.classify import (
     classify_scroll,
     emit_table,
@@ -291,6 +293,17 @@ def test_plan_invalid_targets():
         nagata_plan("dec")
     with pytest.raises(UnreachableTarget):
         nagata_plan("mystery")
+    # The search refuses the same targets with the same messages.
+    split = "a split target needs an invariant e >= 0"
+    for check in (nagata_plan, minimality_check):
+        with pytest.raises(UnreachableTarget, match="unknown target 'bogus'"):
+            check("bogus", 2)
+        for e in (None, -1):
+            with pytest.raises(UnreachableTarget, match=split):
+                check("dec", e)
+    # The target is refused before the search lists any point.
+    with pytest.raises(UnreachableTarget, match="unknown target"):
+        minimality_check("bogus", group=TorusGroup(200, 200))
 
 
 def test_minimality_by_exhaustive_search():
@@ -488,3 +501,36 @@ def test_search_expands_a_model_again_when_reached_with_more_budget(monkeypatch)
 
     monkeypatch.setattr(classify, "elm", graph)
     assert minimality_check("dec", 0, max_len=4, group=group) == 4
+
+
+# -- the table path ----------------------------------------------------------
+
+#: sha256 of the JSON rows of ``emit_table(N)`` for N in 3..60.  The rows
+#: hold no group element, so every group model gives this value.
+TABLE_DIGEST = "7e1e6347f52be16e02dbfd79c0e71200d1f4ddc02e1a9d49ccbd2fd53ec8afe9"
+
+
+@pytest.mark.parametrize(
+    "group", [TorusGroup(12, 12), TorusGroup(2, 6), WeierstrassGroup(23, -1, 0)], ids=str
+)
+def test_tables_match_the_recorded_digest(group):
+    rows = [[r.to_dict() for r in emit_table(N, group)] for N in range(3, 61)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == TABLE_DIGEST
+
+
+def test_classify_builds_a_nonsplit_invariant_class_at_most_once(monkeypatch):
+    built = []
+
+    def counted(real):
+        def build(*args):
+            built.append(real.__name__)
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(surface, "trivial_class", counted(surface.trivial_class))
+    monkeypatch.setattr(surface, "point_class", counted(surface.point_class))
+    for s, deg_b in ((Indec0(G), 2), (Indec0(G), 5), (IndecMinus1(O), 1), (IndecMinus1(O), 4)):
+        built.clear()
+        classify_scroll(s, cls(deg_b))
+        assert len(built) <= 1, (s, deg_b, built)

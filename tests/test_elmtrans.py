@@ -184,6 +184,27 @@ def test_resolve_template_errors():
         walk(IndecMinus1(O), ["onX0"])
 
 
+def test_a_template_draws_its_kind_then_its_point():
+    # ``rng.choice`` draws even from a single kind; the seeded streams
+    # depend on that draw.
+    kinds = {
+        "generic": (Generic,), "onX0": (OnX0,), "onX1": (OnX1,),
+        "random": (Generic, OnX0, OnX1),
+    }
+    for s in (dec(0), dec(2), Indec0(G)):
+        for template, choices in kinds.items():
+            if isinstance(s, Indec0):
+                if template == "onX1":
+                    continue
+                choices = tuple(k for k in choices if k is not OnX1)
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                spec = resolve_template(template, s, rng)
+                kind = ref.choice(choices)
+                assert spec == kind(G.nth(ref.randrange(G.order())))
+                assert rng.getstate() == ref.getstate()
+
+
 def test_walk_deterministic_for_seed():
     a = walk(Indec0(G), ["random"] * 6, rng_seed=7)
     b = walk(Indec0(G), ["random"] * 6, rng_seed=7)

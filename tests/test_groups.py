@@ -111,6 +111,10 @@ def test_large_torus_answers_by_index():
 def test_mixed_groups_rejected():
     with pytest.raises(MixedGroups):
         G.element(1, 1) + TorusGroup(5, 5).element(1, 1)
+    with pytest.raises(MixedGroups):
+        G.element(1, 1) - TorusGroup(5, 5).element(1, 1)
+    with pytest.raises(MixedGroups):
+        W.nth(1) - WeierstrassGroup(23, -1, 0).nth(1)
 
 
 def test_element_equality_and_hash_follow_coords_and_group():
@@ -200,3 +204,26 @@ def test_weierstrass_halvings_consistent():
     for s in W.elements():
         for h in W.halvings(s):
             assert h + h == s
+
+
+def test_identity_test_reads_the_identity_coords():
+    # (0, 0) lies on y^2 = x^3 - x as a point of order 2, so it is not the
+    # Weierstrass identity, which has no coords.
+    W23 = WeierstrassGroup(23, -1, 0)
+    two_torsion = W23.point(0, 0)
+    assert not two_torsion.is_zero()
+    assert (two_torsion + two_torsion).is_zero() and W23.zero().is_zero()
+    T = TorusGroup(3, 5)
+    assert T.zero().is_zero() and T.nth(0).is_zero()
+    assert not T.element(0, 1).is_zero() and not T.element(1, 0).is_zero()
+
+
+@pytest.mark.parametrize(
+    "group", [TorusGroup(3, 5), TorusGroup(4, 4), WeierstrassGroup(23, -1, 0)], ids=str
+)
+def test_subtraction_adds_the_negative(group):
+    points = group.elements()
+    for a in points:
+        assert (a - a).is_zero()
+        for b in points:
+            assert a - b == a + (-b)

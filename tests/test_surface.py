@@ -50,6 +50,8 @@ def test_families_and_invariant():
     indm1 = IndecMinus1(G.element(1, 1))
     assert indm1.family() == "indm1" and invariant_e(indm1) == -1
     assert indm1.e_class == point_class(G.element(1, 1))
+    for s in (dec, ind0, indm1):
+        assert s.deg_e == s.e_class.degree
 
 
 def test_decomposable_rejects_positive_degree():
