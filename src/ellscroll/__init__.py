@@ -11,7 +11,6 @@ from .errors import (
     DegenerateModel,
     EngineError,
     GroupTooLarge,
-    HypothesisNotMet,
     InvalidPointSpec,
     InvalidSecancy,
     MixedGroups,

@@ -3,7 +3,9 @@
 ``classify_scroll`` turns (surface, section-class b) into a structured record
 of the image scroll of the map given by ``|X0 + b*f|``: its degree, ambient
 space, singular locus, projective generation, and its families of unisecant
-curves with their linear-normality ranges.
+curves with their linear-normality ranges.  The records (``ScrollModel``,
+``Generation``, ``UnisecantFamily``) are immutable named tuples, so a row is
+built in one tuple construction; their ``to_dict`` gives the JSON form.
 
 ``emit_table`` enumerates every scroll model living in a fixed projective
 space P^N.  ``nagata_plan`` produces the minimal sequence of elementary
@@ -15,7 +17,8 @@ exactly 1, on every transformation it makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linsys
 from .elmtrans import Generic, OnX0, OnX1, Pair, elm, walk
@@ -33,8 +36,7 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Generation:
+class Generation(NamedTuple):
     """How the scroll is swept out: a correspondence between two directrix
     curves (degrees as subsets of projective space; a line has degree 1)."""
 
@@ -44,16 +46,10 @@ class Generation:
     united_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "left_degree": self.left_degree,
-            "right_degree": self.right_degree,
-            "correspondence": self.correspondence,
-            "united_points": self.united_points,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True, slots=True)
-class UnisecantFamily:
+class UnisecantFamily(NamedTuple):
     """One family of irreducible unisecant curves on the scroll.
 
     For ``X0+af`` families the member of fiber class a has image degree
@@ -70,22 +66,11 @@ class UnisecantFamily:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"system": self.system}
-        for key in (
-            "min_deg_a",
-            "degree_offset",
-            "ln_max_degree",
-            "ln_exact_degree",
-            "note",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The fields that are set, in field order."""
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
-@dataclass(frozen=True, slots=True)
-class ScrollModel:
+class ScrollModel(NamedTuple):
     """Full classification record of one scroll."""
 
     model_tag: str
@@ -99,31 +84,23 @@ class ScrollModel:
     speciality: int
     singular_locus: str
     generation: Generation | None
-    families: tuple[UnisecantFamily, ...] = field(default_factory=tuple)
+    families: tuple[UnisecantFamily, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "model_tag": self.model_tag,
-            "e": self.e,
-            "e_class_note": self.e_class_note,
-            "deg_b": self.deg_b,
-            "birational": self.birational,
-            "map_degree": self.map_degree,
-            "scroll_degree": self.scroll_degree,
-            "ambient": self.ambient,
-            "speciality": self.speciality,
-            "singular_locus": self.singular_locus,
-            "generation": self.generation.to_dict() if self.generation else None,
-            "families": [f.to_dict() for f in self.families],
-        }
+        """Every field, None included, with the records nested as dicts."""
+        out = self._asdict()
+        if self.generation is not None:
+            out["generation"] = self.generation.to_dict()
+        out["families"] = [f.to_dict() for f in self.families]
+        return out
 
 
 def _x0_af(min_deg_a: int, offset: int, ln_max: int) -> UnisecantFamily:
     return UnisecantFamily("X0+af", min_deg_a, offset, ln_max)
 
 
-# The families and generations that do not depend on the row; frozen, so
-# every row that has one shares it.
+# The families and generations that do not depend on the row; immutable,
+# so every row that has one shares it.
 _X0 = UnisecantFamily("X0")
 _X1 = UnisecantFamily("X1")
 _X0_DIRECTRIX = UnisecantFamily("X0", note="unique directrix")
@@ -359,12 +336,12 @@ def nagata_plan(
     as two transformations over the same base point), ``"indm1"`` (three
     generic points).
     """
+    e = _target_e(target, e)
     if group is None:
         group = default_group()
     order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
-    e = _target_e(target, e)
     if target == "ind0":
         return NagataPlan("ind0", 0, (Generic(p1), Generic(p1)), 2)
     if target == "indm1":

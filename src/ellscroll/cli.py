@@ -618,9 +618,11 @@ def parse(line: str | Sequence[str]) -> Command:
     if cls is None:
         problem = f"unknown command {body[0]!r}" if body else "missing command word"
         raise ParseError(problem, column=0, expected=COMMANDS)
-    variant = cls(*[production(parser) for production in cls.grammar])
+    values = [production(parser) for production in cls.grammar]
+    # Leftover tokens are a parse error, reported before the command's own
+    # semantic checks run on what was read.
     parser.end()
-    return Command(variant, options)
+    return Command(cls(*values), options)
 
 
 def _render_text(payload: dict | str) -> str:

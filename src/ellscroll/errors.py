@@ -36,12 +36,6 @@ class InvalidSecancy(EngineError):
     code = "InvalidSecancy"
 
 
-class HypothesisNotMet(EngineError):
-    """A closed-form formula was invoked outside its hypothesis."""
-
-    code = "HypothesisNotMet"
-
-
 class NotBasePointFree(EngineError):
     """Scroll classification requested for a system with base points."""
 

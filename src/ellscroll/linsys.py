@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import picard
-from .errors import HypothesisNotMet, InvalidSecancy, UnsupportedSecancy
+from .errors import InvalidSecancy, UnsupportedSecancy
 from .picard import point_class
 from .surface import (
     Decomposable,
@@ -59,22 +59,6 @@ def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
         # The bundle splits, so the bound is attained for every m.
         return h0_bound(s, H)
     return _row(s, H).h0
-
-
-def h1_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
-    """Speciality of the system, via the base-curve class b + m*e_class.
-
-    Only valid when b, ..., b + (m-1)*e_class are all nonspecial; outside
-    that hypothesis the reduction to the base curve fails and the call
-    raises ``HypothesisNotMet``.
-    """
-    _check_m(H)
-    for k in range(H.m):
-        if not picard.is_nonspecial(H.b + k * s.e_class):
-            raise HypothesisNotMet(
-                f"b + {k}*e is special; the speciality formula does not apply"
-            )
-    return picard.h1(H.b + H.m * s.e_class)
 
 
 def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:

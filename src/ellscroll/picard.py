@@ -110,7 +110,3 @@ def h1(c: DivisorClass) -> int:
     """Speciality; equals ``h0`` of the negated class (trivial canonical)."""
     return h0(-c)
 
-
-def is_nonspecial(c: DivisorClass) -> bool:
-    return h1(c) == 0
-

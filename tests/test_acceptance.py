@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from test_linsys import h1_surface
 
 from ellscroll import linsys
 from ellscroll.classify import (
@@ -329,7 +330,7 @@ def test_criterion_8_cone_speciality():
             s = dec(e)
             b = -s.e_class
             H = SurfaceDivisorClass(1, b)
-            assert linsys.h1_surface(s, H) == 1
+            assert h1_surface(s, H) == 1
             assert linsys.h0_surface(s, H) == e + 1
             row = classify_scroll(s, b)
             assert row.model_tag == "Cone"

@@ -19,7 +19,12 @@ from ellscroll.classify import (
     verify_plan,
 )
 from ellscroll.elmtrans import OnX0, OnX1
-from ellscroll.errors import EngineError, NotBasePointFree, UnreachableTarget
+from ellscroll.errors import (
+    DegenerateModel,
+    EngineError,
+    NotBasePointFree,
+    UnreachableTarget,
+)
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, trivial_class
 from ellscroll.surface import Decomposable, Indec0, IndecMinus1, invariant_e
@@ -304,6 +309,14 @@ def test_plan_invalid_targets():
     # The target is refused before the search lists any point.
     with pytest.raises(UnreachableTarget, match="unknown target"):
         minimality_check("bogus", group=TorusGroup(200, 200))
+    # ... and before the plan checks the group order: a four-element group
+    # is too small for any plan, yet a bogus target is still named as such.
+    tiny = TorusGroup(2, 2)
+    for check in (nagata_plan, minimality_check):
+        with pytest.raises(UnreachableTarget, match="unknown target 'bogus'"):
+            check("bogus", group=tiny)
+    with pytest.raises(DegenerateModel):
+        nagata_plan("dec", 2, group=tiny)
 
 
 def test_minimality_by_exhaustive_search():
@@ -336,7 +349,7 @@ def test_table_refuses_a_row_in_another_space(monkeypatch):
 
     def misplaced(s, b):
         row = real(s, b)
-        return dataclasses.replace(row, ambient=row.ambient + 1)
+        return row._replace(ambient=row.ambient + 1)
 
     monkeypatch.setattr(classify, "classify_scroll", misplaced)
     with pytest.raises(EngineError, match="lands in P\\^6, not P\\^5"):
@@ -534,3 +547,50 @@ def test_classify_builds_a_nonsplit_invariant_class_at_most_once(monkeypatch):
         built.clear()
         classify_scroll(s, cls(deg_b))
         assert len(built) <= 1, (s, deg_b, built)
+
+
+# -- the records -------------------------------------------------------------
+
+#: The ``to_dict`` keys of each record, in field order.  A scroll row keeps
+#: every key, None included; a generation keeps all four; a family drops
+#: the keys whose value is None.
+SCROLL_KEYS = [
+    "model_tag", "e", "e_class_note", "deg_b", "birational", "map_degree",
+    "scroll_degree", "ambient", "speciality", "singular_locus", "generation",
+    "families",
+]
+GENERATION_KEYS = ["left_degree", "right_degree", "correspondence", "united_points"]
+FAMILY_KEYS = [
+    "system", "min_deg_a", "degree_offset", "ln_max_degree", "ln_exact_degree", "note",
+]
+
+
+def _small_table_rows():
+    return [row for N in range(3, 13) for row in emit_table(N)]
+
+
+def test_record_dicts_keep_key_order_and_none_policy():
+    for row in _small_table_rows():
+        d = row.to_dict()
+        assert list(d) == SCROLL_KEYS
+        assert [d[k] for k in SCROLL_KEYS[:10]] == list(row[:10])
+        g = row.generation
+        if g is None:
+            assert d["generation"] is None
+        else:
+            assert list(d["generation"].items()) == list(zip(GENERATION_KEYS, g))
+        assert len(d["families"]) == len(row.families)
+        for fam, fam_dict in zip(row.families, d["families"]):
+            kept = [(k, v) for k, v in zip(FAMILY_KEYS, fam) if v is not None]
+            assert list(fam_dict.items()) == kept
+
+
+def test_records_are_immutable_and_hashable():
+    rows = _small_table_rows()
+    assert set(rows) == set(_small_table_rows())
+    row = next(r for r in rows if r.generation is not None and r.families)
+    for record in (row, row.generation, row.families[0]):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        assert hash(record) == hash(type(record)(*record))

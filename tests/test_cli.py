@@ -225,6 +225,15 @@ def test_main_parse_error_exit_two(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("stray", ["-1", "x"])
+def test_leftover_tokens_are_a_parse_error(stray, capsys):
+    # The stray token is named; the command's own check (nagata dec needs
+    # the invariant e) does not run on a line that did not parse.
+    assert main(["nagata", "dec", stray]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError:") and f"got {stray[0]!r}" in err
+
+
 def test_main_semantic_error_exit_two(capsys):
     assert main(["elm", "ind0", "pair{(1,0),(2,0)}"]) == 2
     assert "SemanticError" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from ellscroll.picard import (
     class_of,
     h0,
     h1,
-    is_nonspecial,
     point_class,
     trivial_class,
 )
@@ -62,7 +61,7 @@ def test_h0_values(c):
 def test_degree_zero_nontrivial_class_has_no_sections():
     c = DivisorClass(0, G.element(5, 0))
     assert h0(c) == 0 and h1(c) == 0
-    assert not is_nonspecial(trivial_class(G))
+    assert h1(trivial_class(G)) == 1
 
 
 def test_point_class_and_scalar_mul():
