@@ -6,8 +6,8 @@ Two model families are provided:
   model is Torus(12, 12): it has full 2-torsion (four square roots of any
   divisible element) and 3-torsion headroom.
 * :class:`WeierstrassGroup` -- the rational points of y^2 = x^3 + ax + b over
-  a small prime field, with the chord-tangent group law.  Provided for
-  realism and cross-validation of the torus model.
+  a prime field F_p, p <= 10^12, with the chord-tangent group law.  Provided
+  for realism and cross-validation of the torus model.
 
 All values are immutable and all operations are pure functions, so they can
 be shared freely between threads.  Every enumeration is returned in a fixed
@@ -18,11 +18,16 @@ the whole enumeration as a tuple that is built once per group and cached.
 ``nth(k)`` returns its k-th element: the torus computes it from ``k`` alone,
 so callers that need a few elements, or one drawn at random, never
 enumerate the group; a Weierstrass model indexes its cached tuple.
+
+Halvings never enumerate.  The torus halves each coordinate; a Weierstrass
+model finds the x-coordinates of the halves of S as the roots in F_p of the
+halving quartic (x(2R) = x(S), Silverman III.2), so halvings answer for any
+prime up to ``PRIME_CAP``.  The order, the elements and ``nth`` of a
+Weierstrass model still enumerate it and need p < 5000.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,9 +36,12 @@ from .errors import GroupTooLarge, MixedGroups
 #: Largest group order that ``elements()`` will enumerate.
 ENUMERATION_CAP = 10_000
 
-#: Largest field size of a Weierstrass model, so that the primality check
-#: (trial division up to the square root) takes at most 10^6 steps.
+#: Largest field size of a Weierstrass model: below it, Miller-Rabin on the
+#: bases ``_MR_BASES`` decides primality exactly.
 PRIME_CAP = 10**12
+
+#: Miller-Rabin bases with no strong pseudoprime below 3,474,749,660,383.
+_MR_BASES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +166,10 @@ class TorusGroup:
                 out.append(self.element(i, j))
         return frozenset(out)
 
+    def two_torsion_order(self) -> int:
+        """``len(halvings(zero()))``: 2 per even modulus, 1 per odd one."""
+        return (2 - self.m % 2) * (2 - self.n % 2)
+
     def __str__(self) -> str:
         return f"Torus({self.m},{self.n})"
 
@@ -193,7 +205,7 @@ class WeierstrassGroup:
         p, a, b = self.p, self.a, self.b
         if p > PRIME_CAP:
             raise ValueError(f"field size {p} exceeds cap {PRIME_CAP}")
-        if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if p < 3 or not _is_prime(p):
             raise ValueError(f"{p} is not a small odd prime")
         if (4 * a**3 + 27 * b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
@@ -262,8 +274,36 @@ class WeierstrassGroup:
         return points[k]
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
+        """All points r with r + r = s, from the roots of the halving quartic."""
         _check_same_group(s, self.zero())
-        return frozenset(r for r in self.elements() if self.add(r, r) == s)
+        if s.coords is None:
+            return frozenset(_two_torsion(self))
+        p, a, b = self.p, self.a, self.b
+        xs, ys = s.coords
+        out = []
+        # x(2R) = (x^4 - 2ax^2 - 8bx + a^2) / (4(x^3 + ax + b)); equating it
+        # with x(S) gives the monic quartic whose roots are the x(R), 2R = +-S.
+        quartic = (
+            (a * a - 4 * b * xs) % p, (-8 * b - 4 * a * xs) % p, -2 * a % p, -4 * xs % p
+        )
+        for x in _roots(quartic, p):
+            y = _sqrt((x * x * x + a * x + b) % p, p)
+            if not y:
+                # Not a square, or a point of order 2, which doubles to O.
+                continue
+            # The tangent at R = (x, y) gives y(2R); the sign of y picks +-S.
+            lam = (3 * x * x + a) * pow(2 * y, -1, p) % p
+            if (lam * (x - xs) - y) % p == ys:
+                out.append(GroupElement(self, (x, y)))
+                if ys == 0:
+                    out.append(GroupElement(self, (x, p - y)))
+            else:
+                out.append(GroupElement(self, (x, p - y)))
+        return frozenset(out)
+
+    def two_torsion_order(self) -> int:
+        """``len(halvings(zero()))``, computed once per curve."""
+        return len(_two_torsion(self))
 
     def __str__(self) -> str:
         return f"Weierstrass({self.p},{self.a},{self.b})"
@@ -284,6 +324,163 @@ def _weierstrass_points(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
             points.append(GroupElement(group, (x, y)))
     points.sort(key=GroupElement.sort_key)
     return tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _two_torsion(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
+    """O and the points (x, 0), x a root of x^3 + ax + b."""
+    p, a, b = group.p, group.a, group.b
+    # The roots of x * (x^3 + ax + b) are those of the cubic and 0.
+    roots = _roots((0, b % p, a % p, 0), p)
+    return (group.zero(),) + tuple(
+        GroupElement(group, (x, 0)) for x in roots if x or b % p == 0
+    )
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3,474,749,660,383."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _roots(quartic: tuple[int, int, int, int], p: int) -> list[int]:
+    """The distinct roots in F_p of x^4 + c3 x^3 + c2 x^2 + c1 x + c0.
+
+    ``quartic`` is ``(c0, c1, c2, c3)``.  The roots are those of
+    g = gcd(f, x^p - x), which ``_split`` factors into linear pieces.
+    """
+    neg = tuple(-c % p for c in quartic)
+    xp = _power_mod(0, p, neg, p)
+    g = _gcd([*quartic, 1], _trim([xp[0], (xp[1] - 1) % p, xp[2], xp[3]]), p)
+    out: list[int] = []
+    _split(g, 0, neg, p, out)
+    return out
+
+
+def _split(g: list[int], delta: int, neg: tuple, p: int, out: list[int]) -> None:
+    """Append the roots of g, a monic product of distinct linear factors of f.
+
+    gcd(g, (x + delta)^((p-1)/2) - 1) keeps the roots r with r + delta a
+    nonzero square.  For two roots r != r', the character of
+    (r + delta)(r' + delta) sums to -1 over all delta in F_p, so some delta
+    below p separates them: the loop ends.
+    """
+    while len(g) > 2:
+        w = _power_mod(delta, (p - 1) // 2, neg, p)
+        h = _gcd(g, _divmod(_trim([(w[0] - 1) % p, w[1], w[2], w[3]]), g, p)[1], p)
+        delta += 1
+        if 1 < len(h) < len(g):
+            _split(h, delta, neg, p, out)
+            g = _divmod(g, h, p)[0]
+    if len(g) == 2:
+        out.append(-g[0] % p)
+
+
+def _power_mod(delta: int, e: int, neg: tuple, p: int) -> tuple[int, int, int, int]:
+    """(x + delta)^e modulo the monic quartic f, as (r0, r1, r2, r3).
+
+    ``neg`` holds the coefficients of x^4 = n0 + n1 x + n2 x^2 + n3 x^3
+    modulo f.  Residues stay 4-tuples and the squaring is unrolled: this is
+    the inner loop of every halving.
+    """
+    n0, n1, n2, n3 = neg
+    r0, r1, r2, r3 = delta % p, 1, 0, 0
+    for bit in bin(e)[3:]:
+        d6 = r3 * r3 % p
+        d5 = (2 * r2 * r3 + d6 * n3) % p
+        d4 = (2 * r1 * r3 + r2 * r2 + d6 * n2 + d5 * n3) % p
+        r3, r2, r1, r0 = (
+            (2 * (r0 * r3 + r1 * r2) + d6 * n1 + d5 * n2 + d4 * n3) % p,
+            (2 * r0 * r2 + r1 * r1 + d6 * n0 + d5 * n1 + d4 * n2) % p,
+            (2 * r0 * r1 + d5 * n0 + d4 * n1) % p,
+            (r0 * r0 + d4 * n0) % p,
+        )
+        if bit == "1":
+            # Multiply by x + delta: shift, fold x^4 back, add delta * r.
+            r0, r1, r2, r3 = (
+                (r3 * n0 + delta * r0) % p,
+                (r0 + r3 * n1 + delta * r1) % p,
+                (r1 + r3 * n2 + delta * r2) % p,
+                (r2 + r3 * n3 + delta * r3) % p,
+            )
+    return r0, r1, r2, r3
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p; polynomials are coefficient lists,
+    lowest first, with no trailing zeros."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = a[shift + db] * inv % p
+        if c:
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
+    del a[db:]
+    return q, _trim(a)
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p; a is nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _sqrt(v: int, p: int) -> int | None:
+    """A square root of v modulo p (0 for v = 0), or None for a non-square."""
+    if v == 0:
+        return 0
+    if p % 4 == 3:
+        y = pow(v, (p + 1) // 4, p)
+        return y if y * y % p == v else None
+    if pow(v, (p - 1) // 2, p) != 1:
+        return None
+    # Tonelli-Shanks, with the least non-residue z.
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        bb = pow(c, 1 << (s - i - 1), p)
+        s, c = i, bb * bb % p
+        t, r = t * c % p, r * bb % p
+    return r
 
 
 CurveGroup = TorusGroup | WeierstrassGroup

@@ -182,15 +182,14 @@ def min_curves_through(
 def ramification_points(s: IndecMinus1, t: GroupElement) -> frozenset[GroupElement]:
     """Focal points on the fiber over ``t``: all r with 2r = t + p0.
 
-    On a model with full 2-torsion the answer has size 0 or 4.  No finite
-    group is 2-divisible with nontrivial 2-torsion, so "four on every fiber"
-    is realized as "four whenever nonempty"; any other size means the model
-    lacks the required torsion and is rejected.
+    The model must have 2-torsion of order 4; it is checked on the model,
+    not on the answer, so every fiber of a model without it is rejected.
+    No finite group is 2-divisible with nontrivial 2-torsion, so "four on
+    every fiber" is realized as "four whenever nonempty".
     """
-    halves = s.group.halvings(t + s.p0)
-    if len(halves) not in (0, 4):
+    order = s.group.two_torsion_order()
+    if order != 4:
         raise DegenerateModel(
-            f"group {s.group} has {len(halves)} halvings; need 2-torsion of order 4"
+            f"group {s.group} has 2-torsion of order {order}; need 4"
         )
-    return halves
-
+    return s.group.halvings(t + s.p0)

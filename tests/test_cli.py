@@ -356,6 +356,13 @@ def test_large_groups_answer_by_index(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_ram_answers_on_a_curve_above_the_enumeration_cap(capsys):
+    # Halving solves a quartic, so the curve is never enumerated.
+    assert main(["ram", "indm1(O)", "O", "--curve", "5003,-1,0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["ramification_points"]) == 4
+
+
 def test_exhaustive_search_still_refuses_a_large_group():
     with pytest.raises(GroupTooLarge):
         minimality_check("ind0", group=TorusGroup(200, 200))

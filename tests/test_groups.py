@@ -1,5 +1,9 @@
 """Group-model tests: laws, enumeration order, halvings, and the cap."""
 
+import math
+import os
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +13,10 @@ from ellscroll.groups import (
     TorusGroup,
     WeierstrassGroup,
     _half_residues,
+    _is_prime,
+    _sqrt,
     _torus_elements,
+    _weierstrass_points,
     default_group,
 )
 
@@ -204,6 +211,129 @@ def test_weierstrass_halvings_consistent():
     for s in W.elements():
         for h in W.halvings(s):
             assert h + h == s
+
+
+def scan_halvings(group):
+    """The halvings of every point by a scan over the curve: each point r is
+    doubled once and filed under r + r.  This is the enumeration that
+    ``WeierstrassGroup.halvings`` replaced, kept here as its oracle."""
+    table = {s: set() for s in group.elements()}
+    for r in group.elements():
+        table[group.add(r, r)].add(r)
+    return {s: frozenset(rs) for s, rs in table.items()}
+
+
+def two_torsion_by_scan(p, a, b):
+    return 1 + sum((x**3 + a * x + b) % p == 0 for x in range(p))
+
+
+def curves(p):
+    return [
+        (a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p
+    ]
+
+
+def check_halvings_against_scan(group, points=None):
+    table = scan_halvings(group)
+    for s in table if points is None else points:
+        assert group.halvings(s) == table[s], (group, s)
+
+
+def test_weierstrass_halvings_match_the_scan_on_a_sample_of_curves():
+    # For each prime, the first curve of each 2-torsion order (1, 2 or 4) in
+    # a seeded shuffle; every point, so S = O and S of order 2 are covered.
+    rng = random.Random(9)
+    primes = (3, 5, 7, 11, 13, 17, 23, 29, 41, 89, 97, 101, 103)
+    seen = set()
+    for p in primes:
+        sample = curves(p)
+        rng.shuffle(sample)
+        orders = set()
+        for a, b in sample:
+            order = two_torsion_by_scan(p, a, b)
+            if order in orders:
+                continue
+            orders.add(order)
+            group = WeierstrassGroup(p, a, b)
+            assert group.two_torsion_order() == order
+            check_halvings_against_scan(group)
+            seen.add((order, p % 4))
+            if len(orders) == 3:
+                break
+    assert seen == {(order, r) for order in (1, 2, 4) for r in (1, 3)}
+
+
+FUZZ_FRESH = os.environ.get("ELLSCROLL_FUZZ") == "1"
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+def test_weierstrass_halvings_sweep_every_curve_below_60():
+    for p in filter(_is_prime, range(3, 60)):
+        for a, b in curves(p):
+            check_halvings_against_scan(WeierstrassGroup(p, a, b))
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize("p", [4993, 4999])
+def test_weierstrass_halvings_sweep_near_the_enumeration_cap(p):
+    # y^2 = x^3 - x, with full 2-torsion, and a seeded curve: 100 points each.
+    rng = random.Random(p)
+    a, b = 0, 0
+    while (4 * a**3 + 27 * b**2) % p == 0:
+        a, b = rng.randrange(p), rng.randrange(p)
+    for group in (WeierstrassGroup(p, -1, 0), WeierstrassGroup(p, a, b)):
+        check_halvings_against_scan(group, rng.sample(group.elements(), 100))
+
+
+def test_weierstrass_halvings_on_a_prime_near_the_cap():
+    p = 999_999_999_989  # p = 1 mod 4: square roots by Tonelli-Shanks
+    big = WeierstrassGroup(p, -1, 0)
+    x = 10**6
+    while _sqrt((x**3 - x) % p, p) is None:
+        x += 1
+    P = big.point(x, _sqrt((x**3 - x) % p, p))
+    S = P + P
+    halves = big.halvings(S)
+    assert len(halves) == 4 and P in halves
+    assert all(r + r == S for r in halves)
+    assert big.two_torsion_order() == 4
+
+
+@pytest.mark.parametrize(
+    "group",
+    [G, TorusGroup(3, 5), TorusGroup(2, 9), TorusGroup(1, 1), W,
+     WeierstrassGroup(23, -1, 0), WeierstrassGroup(23, 1, 0)],
+    ids=str,
+)
+def test_two_torsion_order_counts_the_halvings_of_zero(group):
+    assert group.two_torsion_order() == len(group.halvings(group.zero()))
+
+
+def test_is_prime_matches_trial_division():
+    divisors = [d for d in range(2, 317) if all(d % e for e in range(2, d))]
+    for n in range(10**5):
+        root = math.isqrt(n)
+        expected = n > 1 and all(n % d for d in divisors if d <= root)
+        assert _is_prime(n) == expected, n
+
+
+@pytest.mark.parametrize(
+    "n", [2047, 1373653, 25326001, 3215031751, 2152302898747, 101 * 101]
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # Each of the first five fools every Miller-Rabin base below the next prime.
+    assert not _is_prime(n)
+
+
+def test_sqrt_on_both_residue_classes_of_p():
+    for p in (23, 97, 103, 10009):
+        squares = {x * x % p for x in range(p)}
+        for v in range(min(p, 500)):
+            y = _sqrt(v, p)
+            if v in squares:
+                assert y * y % p == v
+            else:
+                assert y is None
 
 
 def test_identity_test_reads_the_identity_coords():

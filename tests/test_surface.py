@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ellscroll.errors import InvalidSecancy, NonNormalizedInput
-from ellscroll.groups import TorusGroup, default_group
+from ellscroll.errors import DegenerateModel, InvalidSecancy, NonNormalizedInput
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class, trivial_class
 from ellscroll.surface import (
     Decomposable,
@@ -117,8 +117,20 @@ def test_ramification_points_size_zero_or_four():
 
 
 def test_ramification_rejects_torsion_poor_model():
-    from ellscroll.errors import DegenerateModel
-
     s = IndecMinus1(TorusGroup(3, 9).zero())  # doubling not 4-to-1
     with pytest.raises(DegenerateModel):
         ramification_points(s, s.group.zero())
+
+
+@pytest.mark.parametrize(
+    "group, order",
+    [(TorusGroup(2, 3), 2), (TorusGroup(3, 9), 1),
+     (WeierstrassGroup(23, 1, 0), 2), (WeierstrassGroup(13, 1, 1), 2)],
+    ids=str,
+)
+def test_ramification_rejects_every_fiber_of_a_torsion_poor_model(group, order):
+    # Each fiber is refused, also those whose halvings happen to be empty.
+    s = IndecMinus1(group.zero())
+    for t in group.elements():
+        with pytest.raises(DegenerateModel, match=f"of order {order}; need 4"):
+            ramification_points(s, t)
