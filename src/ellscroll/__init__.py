@@ -44,7 +44,7 @@ from .surface import (
     ramification_points,
     tau,
 )
-from .linsys import SystemAnalysis, analyze, h0_surface, is_bpf, is_very_ample
+from .linsys import SystemAnalysis, analyze, h0_surface, is_bpf
 from .elmtrans import (
     ALL_RULES,
     ElmResult,

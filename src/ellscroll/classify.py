@@ -55,7 +55,17 @@ class UnisecantFamily(NamedTuple):
     For ``X0+af`` families the member of fiber class a has image degree
     ``deg(a) + degree_offset``; it is linearly normal exactly when its degree
     is in the recorded range (or equals ``ln_exact_degree`` on cones) and
-    a is not the hyperplane class b.
+    a is not the hyperplane class b.  Every birational row has one, derived
+    from its hyperplane class H = X0 + b*f and its system's row:
+
+    - ``min_deg_a`` is 2 on a split surface with a trivial invariant class,
+      and e + 1 everywhere else;
+    - ``degree_offset`` is deg b - e, since H.(X0 + a*f) = deg a + deg b - e;
+    - the linear-normality degree is h0(H) = ambient + 1: a linearly normal
+      elliptic curve of degree d spans P^(d-1) (Riemann-Roch in genus 1;
+      Hartshorne, Algebraic Geometry, IV.1).  By the restriction sequence,
+      H cuts h0(H) - h0(b - a) of the H.C sections on a curve C in
+      |X0 + a*f|, since H - C = (b - a)*f.
     """
 
     system: str  # "X0" | "X1" | "X0+af"
@@ -67,7 +77,7 @@ class UnisecantFamily(NamedTuple):
 
     def to_dict(self) -> dict:
         """The fields that are set, in field order."""
-        return {k: v for k, v in self._asdict().items() if v is not None}
+        return {k: v for k, v in zip(self._fields, self) if v is not None}
 
 
 class ScrollModel(NamedTuple):
@@ -95,11 +105,7 @@ class ScrollModel(NamedTuple):
         return out
 
 
-def _x0_af(min_deg_a: int, offset: int, ln_max: int) -> UnisecantFamily:
-    return UnisecantFamily("X0+af", min_deg_a, offset, ln_max)
-
-
-# The families and generations that do not depend on the row; immutable,
+# The curves and generations that do not depend on the row; immutable,
 # so every row that has one shares it.
 _X0 = UnisecantFamily("X0")
 _X1 = UnisecantFamily("X1")
@@ -107,7 +113,6 @@ _X0_DIRECTRIX = UnisecantFamily("X0", note="unique directrix")
 _X0_VERTEX = UnisecantFamily("X0", note="vertex")
 _X1_SECTIONS = UnisecantFamily("X1", note="hyperplane sections")
 _X0_PENCIL = UnisecantFamily("X0", note="one-dimensional family")
-_X0_AF_QUARTIC = _x0_af(1, 2, 4)
 _GEN_QUADRIC = Generation(1, 1, "1:1", 0)
 _GEN_TWO_LINES = Generation(1, 1, "2:2", 0)
 _GEN_IND0_QUARTIC = Generation(1, 3, "1:2", 1)
@@ -125,8 +130,16 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     trivial = split and s.e_class.is_trivial()
     note = ("trivial" if trivial else "nontrivial") if split and e == 0 else None
 
-    def row(tag, scroll_degree, singular="Empty", generation=None, families=(), map_degree=1):
-        # The map is birational exactly when it has degree 1.
+    def row(tag, scroll_degree, singular="Empty", generation=None, curves=(), map_degree=1):
+        # The map is birational exactly when it has degree 1, and then the
+        # scroll carries the X0+af family derived from the row.
+        families = curves
+        if map_degree == 1:
+            cone = tag == "Cone"
+            families += (UnisecantFamily(
+                "X0+af", 2 if trivial else e + 1, deg_b - e,
+                None if cone else system.h0, system.h0 if cone else None,
+            ),)
         return ScrollModel(
             tag, e, note, deg_b, map_degree == 1, map_degree, scroll_degree,
             system.h0 - 1, system.h1, singular, generation, families,
@@ -142,42 +155,32 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
         if deg_b == e >= 2 and b == -s.e_class:
             if e == 2:
                 return row("DoublePlane", 1, map_degree=2)
-            cone = UnisecantFamily(
-                "X0+af", min_deg_a=1 + e, degree_offset=0, ln_exact_degree=1 + e
-            )
-            return row("Cone", e, "Vertex", None, (_X0_VERTEX, _X1_SECTIONS, cone))
+            return row("Cone", e, "Vertex", None, (_X0_VERTEX, _X1_SECTIONS))
         degree = intersect(s, H, H)
         if e == 0 and deg_b == 2:
             return row(
                 "DecScrollTwoLines", degree, "TwoDisjointLines", _GEN_TWO_LINES,
-                (_X0, _X1, _X0_AF_QUARTIC),
+                (_X0, _X1),
             )
         if e > 0 and deg_b == e + 2:
             return row(
                 "DecScrollDirectrixLine", degree, "DirectrixLine",
-                Generation(1, e + 2, "1:2", 0),
-                (_X0_DIRECTRIX, _X1, _x0_af(1 + e, 2, 4 + e)),
+                Generation(1, e + 2, "1:2", 0), (_X0_DIRECTRIX, _X1),
             )
         # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
-        if trivial:
-            families = (_X0_PENCIL, _x0_af(2, deg_b, 2 * deg_b))
-        else:
-            families = (_X0, _X1, _x0_af(e + 1, deg_b - e, 2 * deg_b - e))
         return row(
             "DecScrollSmooth", degree, "Empty",
-            Generation(deg_b - e, deg_b, "1:1", 0), families,
+            Generation(deg_b - e, deg_b, "1:1", 0),
+            (_X0_PENCIL,) if trivial else (_X0, _X1),
         )
 
     if isinstance(s, Indec0):
         degree = intersect(s, H, H)
         if deg_b == 2:
-            return row(
-                "Ind0Quartic", degree, "DoubleLine", _GEN_IND0_QUARTIC,
-                (_X0, _X0_AF_QUARTIC),
-            )
+            return row("Ind0Quartic", degree, "DoubleLine", _GEN_IND0_QUARTIC, (_X0,))
         return row(
             "Ind0Smooth", degree, "Empty", Generation(deg_b, deg_b + 1, "1:1", 1),
-            (_X0_DIRECTRIX, _x0_af(1, deg_b, 2 * deg_b)),
+            (_X0_DIRECTRIX,),
         )
 
     # IndecMinus1
@@ -186,7 +189,6 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     return row(
         "IndM1Smooth", intersect(s, H, H), "Empty",
         Generation(deg_b + 1, deg_b + 1, "1:1", 1),
-        (_x0_af(0, deg_b + 1, 2 * deg_b + 1),),
     )
 
 

@@ -3,8 +3,8 @@
 For fiber degree m in {1, 2} the engine knows exact section counts and exact
 base-point-free / very-ample / generic-irreducibility truth tables, with all
 torsion side conditions decided by divisor-class equality in the finite group
-model.  They form one table, ``_row``, with one branch per (family, m); the
-predicates, ``analyze`` and ``classify.classify_scroll`` read it.  For
+model.  They form one table, ``_row``, with one branch per (family, m);
+``is_bpf``, ``analyze`` and ``classify.classify_scroll`` read it.  For
 m >= 3 the split formula stays exact on decomposable surfaces; on the
 non-split families only the upper bound is available, and the exact
 operations refuse with ``UnsupportedSecancy``.
@@ -138,24 +138,6 @@ def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     return _row(s, H).bpf
 
 
-def is_very_ample(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
-    """Exact very-ampleness table for m in {1, 2}."""
-    return _row(s, H).very_ample
-
-
-def generic_irreducible(
-    s: SurfaceModel, H: SurfaceDivisorClass
-) -> tuple[bool, int | None]:
-    """Whether the generic member is irreducible, and its genus if so.
-
-    An irreducible generic member is automatically smooth on these surfaces,
-    so the genus returned is the geometric genus (1 for fiber degree 1).
-    """
-    if not _row(s, H).irreducible:
-        return False, None
-    return True, genus_adjunction(s, H)
-
-
 @dataclass(frozen=True)
 class SystemAnalysis:
     """Flat summary record for one linear system on one surface."""
@@ -176,7 +158,11 @@ class SystemAnalysis:
 
 
 def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:
-    """Full analysis of one system (m in {1, 2})."""
+    """Full analysis of one system (m in {1, 2}).
+
+    An irreducible generic member is smooth on these surfaces, so its genus
+    is the geometric genus (1 for fiber degree 1).
+    """
     h0, h1, bpf, very_ample, irreducible = _row(s, H)
     return SystemAnalysis(
         h0=h0,

@@ -192,10 +192,11 @@ def test_criterion_3_predicate_tables():
 
         count = 0
         for s, H in all_cases():
+            system = linsys.analyze(s, H)
             assert linsys.is_bpf(s, H) == oracle_bpf(s, H), (s, str(H))
-            assert linsys.is_very_ample(s, H) == oracle_va(s, H), (s, str(H))
-            assert linsys.generic_irreducible(s, H)[0] == oracle_irr(s, H)
-            if linsys.is_very_ample(s, H):
+            assert system.very_ample == oracle_va(s, H), (s, str(H))
+            assert system.generic_irreducible == oracle_irr(s, H)
+            if system.very_ample:
                 assert linsys.is_bpf(s, H)
                 assert (H.b + H.m * s.e_class).degree >= 3
             count += 1

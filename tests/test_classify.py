@@ -5,9 +5,9 @@ import hashlib
 import json
 
 import pytest
-from test_linsys import all_cases
+from test_linsys import all_cases, oracle_irr
 
-from ellscroll import classify, elmtrans, linsys, surface
+from ellscroll import classify, elmtrans, linsys, picard, surface
 from ellscroll.classify import (
     classify_scroll,
     emit_table,
@@ -27,7 +27,14 @@ from ellscroll.errors import (
 )
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, trivial_class
-from ellscroll.surface import Decomposable, Indec0, IndecMinus1, invariant_e
+from ellscroll.surface import (
+    Decomposable,
+    Indec0,
+    IndecMinus1,
+    SurfaceDivisorClass,
+    intersect,
+    invariant_e,
+)
 
 G = default_group()
 O = G.zero()
@@ -155,6 +162,71 @@ def test_nonsplit_cases():
     assert smooth1.model_tag == "IndM1Smooth"
     assert (smooth1.scroll_degree, smooth1.ambient) == (5, 4)
     assert fam_summary(smooth1) == [("X0+af", 0)]
+
+
+# -- the X0+af family against the restriction sequence -----------------------
+
+
+def restriction_oracle(s, H, a):
+    """The degree H.C of a curve C in |X0 + a*f|, and whether H = X0 + b*f
+    embeds it linearly normally.
+
+    The restriction sequence 0 -> O(H - C) -> O(H) -> O_C(H), with
+    H - C = (b - a)*f, gives C the h0(S, H) - h0(b - a) sections that H
+    cuts; C has genus 1, so H restricted to it has H.C sections.
+    """
+    degree = intersect(s, H, SurfaceDivisorClass(1, a))
+    return degree, linsys.h0_surface(s, H) - picard.h0(H.b - a) == degree
+
+
+def x0_af_rows(group):
+    """Every classify_scroll row on surfaces of each family, e <= 5, with the
+    classes that decide the torsion side conditions."""
+    zero, g = group.zero(), group.nth(1)
+    surfaces = [IndecMinus1(zero), Indec0(group)] + [
+        Decomposable(DivisorClass(-e, x)) for e in range(6) for x in (zero, g)
+    ]
+    for s in surfaces:
+        for abel in {zero, group.nth(2), (-s.e_class).abel}:
+            for deg_b in range(-1, 9):
+                b = DivisorClass(deg_b, abel)
+                try:
+                    yield s, b, classify_scroll(s, b)
+                except NotBasePointFree:
+                    pass
+
+
+@pytest.mark.parametrize("group", [G, WeierstrassGroup(23, -1, 0)], ids=str)
+def test_x0_af_family_matches_the_restriction_sequence(group):
+    tags = set()
+    for s, b, row in x0_af_rows(group):
+        families = [f for f in row.families if f.system == "X0+af"]
+        if not row.birational:
+            assert row.families == (), row
+            continue
+        assert len(families) == 1 and row.families[-1] is families[0], row
+        fam, H = families[0], SurfaceDivisorClass(1, b)
+        tags.add(row.model_tag)
+        # nth(1) and nth(2) are distinct and nonzero, so one is generic.
+        abels = {group.zero(), group.nth(1), group.nth(2), b.abel, (-s.e_class).abel}
+        # Below min_deg_a some class has no irreducible member; from it on,
+        # every class has one.
+        below = [DivisorClass(fam.min_deg_a - 1, x) for x in abels]
+        assert not all(oracle_irr(s, SurfaceDivisorClass(1, a)) for a in below), row
+        for deg_a in range(fam.min_deg_a, max(b.degree, fam.min_deg_a) + 2):
+            for a in (DivisorClass(deg_a, x) for x in abels):
+                assert oracle_irr(s, SurfaceDivisorClass(1, a)), (row, a)
+                degree, normal = restriction_oracle(s, H, a)
+                assert deg_a + fam.degree_offset == degree, (row, a)
+                if fam.ln_exact_degree is not None:
+                    recorded = degree == fam.ln_exact_degree
+                else:
+                    recorded = degree <= fam.ln_max_degree
+                assert (recorded and a != b) == normal, (row, a)
+    assert tags == {
+        "Cone", "DecScrollTwoLines", "DecScrollDirectrixLine", "DecScrollSmooth",
+        "Ind0Quartic", "Ind0Smooth", "IndM1Smooth",
+    }
 
 
 # -- table fixtures ----------------------------------------------------------

@@ -127,10 +127,11 @@ def oracle_irr(s, H):
 def test_predicate_tables_match_independent_transcription():
     mismatches = []
     for s, H in all_cases():
+        system = linsys.analyze(s, H)
         trio = (
             linsys.is_bpf(s, H) == oracle_bpf(s, H),
-            linsys.is_very_ample(s, H) == oracle_va(s, H),
-            linsys.generic_irreducible(s, H)[0] == oracle_irr(s, H),
+            system.very_ample == oracle_va(s, H),
+            system.generic_irreducible == oracle_irr(s, H),
         )
         if not all(trio):
             mismatches.append((s, str(H), trio))
@@ -139,7 +140,7 @@ def test_predicate_tables_match_independent_transcription():
 
 def test_implications_va_implies_bpf_and_degree():
     for s, H in all_cases():
-        if linsys.is_very_ample(s, H):
+        if linsys.analyze(s, H).very_ample:
             assert linsys.is_bpf(s, H)
             assert (H.b + H.m * s.e_class).degree >= 3
 
