@@ -365,18 +365,12 @@ def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:
 
 
 def matches_target(model: SurfaceModel, target: str, e: int) -> bool:
-    """Whether ``model`` lies in the target family of a plan."""
-    if target == "ind0":
-        return isinstance(model, Indec0)
-    if target == "indm1":
-        return isinstance(model, IndecMinus1)
-    if not isinstance(model, Decomposable):
-        return False
-    if invariant_e(model) != e:
-        return False
-    if e == 0:
-        return not model.e_class.is_trivial()
-    return True
+    """Whether ``model`` is in a plan's target family; the product surface is not."""
+    return (
+        model.family() == target
+        and invariant_e(model) == e
+        and not (target == "dec" and model.e_class.is_trivial())
+    )
 
 
 def _all_specs(model: SurfaceModel) -> list:

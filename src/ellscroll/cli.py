@@ -2,8 +2,12 @@
 
 A small DSL names group elements, divisors, surfaces, linear systems and
 transformation points; a recursive-descent parser turns a command line into a
-:class:`Command`, and ``run`` hands it to the engine.  Canonical commands
-round-trip through :meth:`Command.format`.
+:class:`Command` whose fields are engine values (surface models, classes
+``m*X0 + b*f``, point descriptors), and ``run`` hands them to the engine.
+A divisor is reduced to its class as it is read, so :meth:`Command.format`
+writes each class in its canonical text: the point summing the class once,
+then ``O`` terms up to its degree (``-O+P(1,0)`` for degree 0).  Every
+command round-trips: ``parse(cmd.format()) == cmd``.
 
 Each command is one class in the registry ``COMMANDS``, keyed by its command
 word.  The class's fields are what the command parses; its ``grammar`` lists
@@ -45,7 +49,7 @@ from . import linsys
 from .elmtrans import Generic, OnX0, OnX1, Pair, PointSpec, elm, walk
 from .errors import EngineError, ParseError, SemanticError
 from .groups import CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group
-from .picard import Divisor, class_of
+from .picard import Divisor, DivisorClass, class_of
 from .surface import (
     Decomposable,
     Indec0,
@@ -113,40 +117,7 @@ def _tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parsed expression forms (kept for exact formatting)
-
-
-@dataclass(frozen=True)
-class SurfaceExpr:
-    kind: str  # "dec" | "ind0" | "indm1"
-    divisor: Divisor | None = None
-    point: GroupElement | None = None
-
-    def model(self) -> SurfaceModel:
-        if self.kind == "dec":
-            return Decomposable(class_of(self.divisor))
-        if self.kind == "ind0":
-            return Indec0(self.point.group)
-        return IndecMinus1(self.point)
-
-    def format(self) -> str:
-        if self.kind == "dec":
-            return f"dec({format_divisor(self.divisor)})"
-        if self.kind == "ind0":
-            return "ind0"
-        return f"indm1({self.point})"
-
-
-@dataclass(frozen=True)
-class SystemExpr:
-    m: int
-    divisor: Divisor
-
-    def cls(self) -> SurfaceDivisorClass:
-        return SurfaceDivisorClass(self.m, class_of(self.divisor))
-
-    def format(self) -> str:
-        return f"{self.m}X0+({format_divisor(self.divisor)})f"
+# Formatting
 
 
 def format_divisor(d: Divisor) -> str:
@@ -158,14 +129,26 @@ def format_divisor(d: Divisor) -> str:
     return out or "0*O"
 
 
+def format_class(c: DivisorClass) -> str:
+    """The canonical text of a class: its point sum once, then ``O`` terms."""
+    g = c.group
+    return format_divisor(Divisor.of(g, (c.abel, 1), (g.zero(), c.degree - 1)))
+
+
 def format_field(value) -> str:
     """The DSL text of one parsed field; an absent optional field is empty."""
     if value is None:
         return ""
     if isinstance(value, tuple):  # walk steps
         return " ".join(map(format_field, value))
-    if isinstance(value, (SurfaceExpr, SystemExpr)):
-        return value.format()
+    if isinstance(value, SurfaceDivisorClass):
+        return f"{value.m}X0+({format_class(value.b)})f"
+    if isinstance(value, Decomposable):
+        return f"dec({format_class(value.e_class)})"
+    if isinstance(value, Indec0):
+        return "ind0"
+    if isinstance(value, IndecMinus1):
+        return f"indm1({value.p0})"
     if isinstance(value, Pair):
         return f"pair{{{value.q},{value.r}}}"
     if isinstance(value, PointSpec):
@@ -212,10 +195,16 @@ class _Parser:
 
     def expect_int(self) -> int:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
+        if tok.kind != "INT":
+            raise self.fail(("integer",))
+        self.next()
+        try:
             return int(tok.text)
-        raise self.fail(("integer",))
+        except ValueError as exc:  # over the interpreter's int-conversion limit
+            raise ParseError(
+                f"integer of {len(tok.text)} digits at column {tok.column} is too long",
+                column=tok.column,
+            ) from exc
 
     def expect_ident(self, *names: str) -> str:
         if self.peek().text in names:
@@ -273,25 +262,27 @@ class _Parser:
                 return Divisor.of(self.group, *terms)
             sign = 1 if self.next().text == "+" else -1
 
-    def surface(self) -> SurfaceExpr:
+    def surface(self) -> SurfaceModel:
         name = self.family()
         if name == "ind0":
-            return SurfaceExpr("ind0", point=self.group.zero())
+            return Indec0(self.group)
         self.expect_sym("(")
         if name == "dec":
             div = self.divisor()
             self.expect_sym(")")
             cls = class_of(div)
+            # Checked here, so that the error is a SemanticError rather than
+            # the engine's NonNormalizedInput.
             if cls.degree > 0:
                 raise SemanticError(
                     f"dec(...) needs a divisor of degree <= 0, got {cls.degree}"
                 )
-            return SurfaceExpr("dec", divisor=div)
+            return Decomposable(cls)
         p = self.point()
         self.expect_sym(")")
-        return SurfaceExpr("indm1", point=p)
+        return IndecMinus1(p)
 
-    def system(self) -> SystemExpr:
+    def system(self) -> SurfaceDivisorClass:
         m = self.expect_int()
         self.expect_ident("X0")
         self.expect_sym("+")
@@ -299,7 +290,7 @@ class _Parser:
         div = self.divisor()
         self.expect_sym(")")
         self.expect_ident("f")
-        return SystemExpr(m, div)
+        return SurfaceDivisorClass(m, class_of(div))
 
     def pointspec(self) -> PointSpec:
         name = self.expect_ident(*SPEC_KINDS, "pair")
@@ -356,22 +347,22 @@ class _Command:
 
 @dataclass(frozen=True)
 class Analyze(_Command):
-    surface: SurfaceExpr
-    system: SystemExpr
+    surface: SurfaceModel
+    system: SurfaceDivisorClass
 
     word = "analyze"
     grammar = (_Parser.surface, _Parser.system)
 
     def run(self, options: Options) -> dict:
-        model, H = self.surface.model(), self.system.cls()
-        analysis = linsys.analyze(model, H)
-        return {"surface": _family_dict(model), "system": str(H), **analysis.to_dict()}
+        s, H = self.surface, self.system
+        analysis = linsys.analyze(s, H)
+        return {"surface": _family_dict(s), "system": str(H), **analysis.to_dict()}
 
 
 @dataclass(frozen=True)
 class Classify(_Command):
-    surface: SurfaceExpr
-    system: SystemExpr
+    surface: SurfaceModel
+    system: SurfaceDivisorClass
 
     word = "classify"
     grammar = (_Parser.surface, _Parser.system)
@@ -381,20 +372,19 @@ class Classify(_Command):
             raise SemanticError("classify needs a fiber-degree-1 system (1X0+...)")
 
     def run(self, options: Options) -> dict:
-        model = self.surface.model()
-        return classify_mod.classify_scroll(model, self.system.cls().b).to_dict()
+        return classify_mod.classify_scroll(self.surface, self.system.b).to_dict()
 
 
 @dataclass(frozen=True)
 class Elm(_Command):
-    surface: SurfaceExpr
+    surface: SurfaceModel
     spec: PointSpec
 
     word = "elm"
     grammar = (_Parser.surface, _Parser.pointspec)
 
     def __post_init__(self) -> None:
-        kind, is_pair = self.surface.kind, isinstance(self.spec, Pair)
+        kind, is_pair = self.surface.family(), isinstance(self.spec, Pair)
         if kind == "indm1" and not is_pair:
             raise SemanticError("points of indm1 are pair{...} descriptors")
         if kind != "indm1" and is_pair:
@@ -403,7 +393,7 @@ class Elm(_Command):
             raise SemanticError("ind0 has no second section onX1")
 
     def run(self, options: Options) -> dict:
-        result = elm(self.surface.model(), self.spec)
+        result = elm(self.surface, self.spec)
         return {
             "rule": result.rule,
             "result": _family_dict(result.model),
@@ -413,14 +403,14 @@ class Elm(_Command):
 
 @dataclass(frozen=True)
 class Walk(_Command):
-    surface: SurfaceExpr
+    surface: SurfaceModel
     steps: tuple  # templates (str) and/or concrete PointSpecs
 
     word = "walk"
     grammar = (_Parser.surface, _Parser.steps)
 
     def run(self, options: Options) -> dict:
-        result = walk(self.surface.model(), self.steps, rng_seed=options.seed)
+        result = walk(self.surface, self.steps, rng_seed=options.seed)
         return {
             "steps": [
                 {"rule": step.rule, **_family_dict(step.model)} for step in result.steps
@@ -479,20 +469,19 @@ class Nagata(_Command):
 
 @dataclass(frozen=True)
 class MinCurves(_Command):
-    surface: SurfaceExpr
+    surface: IndecMinus1
     pair: Pair
 
     word = "mincurves"
     grammar = (_Parser.surface, _Parser.pointspec)
 
     def __post_init__(self) -> None:
-        if self.surface.kind != "indm1" or not isinstance(self.pair, Pair):
+        if not isinstance(self.surface, IndecMinus1) or not isinstance(self.pair, Pair):
             raise SemanticError("mincurves needs an indm1 surface and a pair{...}")
 
     def run(self, options: Options) -> dict:
-        s = self.surface.model()
-        descriptor = tau(s, self.pair.q, self.pair.r)
-        curves = min_curves_through(s, descriptor)
+        descriptor = tau(self.surface, self.pair.q, self.pair.r)
+        curves = min_curves_through(self.surface, descriptor)
         return {
             "point": format_field(self.pair),
             "fiber": str(descriptor.t),
@@ -501,25 +490,25 @@ class MinCurves(_Command):
         }
 
 
-def _ram_surface(parser: _Parser) -> SurfaceExpr:
+def _ram_surface(parser: _Parser) -> IndecMinus1:
     # Checked before the fiber point is read: a family mismatch is reported
     # as such even when the rest of the line is malformed.
     surface = parser.surface()
-    if surface.kind != "indm1":
+    if not isinstance(surface, IndecMinus1):
         raise SemanticError("ram applies to indm1 surfaces only")
     return surface
 
 
 @dataclass(frozen=True)
 class Ram(_Command):
-    surface: SurfaceExpr
+    surface: IndecMinus1
     t: GroupElement
 
     word = "ram"
     grammar = (_ram_surface, _Parser.point)
 
     def run(self, options: Options) -> dict:
-        points = ramification_points(self.surface.model(), self.t)
+        points = ramification_points(self.surface, self.t)
         return {"fiber": str(self.t), "ramification_points": sorted(map(str, points))}
 
 

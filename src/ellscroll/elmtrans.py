@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DegenerateModel, InvalidPointSpec
-from .groups import GroupElement
+from .groups import GroupElement, check_same_group
 from .picard import DivisorClass, point_class, trivial_class
 from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
 
@@ -91,6 +91,11 @@ def _dec(e_class: DivisorClass, y0: str, rule: str) -> ElmResult:
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     """Apply one elementary transformation at the described point."""
+    # Several rules build the result from the point alone, and would answer
+    # on the point's group.  A pair's second point is checked by its rule:
+    # one from another group never equals the first, and the split rule
+    # subtracts the two.
+    check_same_group(s.group, (x.q if isinstance(x, Pair) else x.P).group)
     if isinstance(s, Decomposable):
         return _elm_dec(s, x)
     if isinstance(s, Indec0):

@@ -101,11 +101,10 @@ class GroupElement:
         return f"({self.coords[0]},{self.coords[1]})"
 
 
-def _check_same_group(g: GroupElement, h: GroupElement) -> None:
-    if g.group is not h.group and g.group != h.group:
-        raise MixedGroups(
-            f"elements of {g.group} and {h.group} cannot be combined"
-        )
+def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
+    """Refuse to combine values from two different group models."""
+    if a is not b and a != b:
+        raise MixedGroups(f"elements of {a} and {b} cannot be combined")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,11 +130,11 @@ class TorusGroup:
         return self.m * self.n
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        _check_same_group(g, h)
+        check_same_group(g.group, h.group)
         return self.element(g.coords[0] + h.coords[0], g.coords[1] + h.coords[1])
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        _check_same_group(g, h)
+        check_same_group(g.group, h.group)
         return self.element(g.coords[0] - h.coords[0], g.coords[1] - h.coords[1])
 
     def neg(self, g: GroupElement) -> GroupElement:
@@ -159,7 +158,7 @@ class TorusGroup:
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         """All elements r with r + r = s (possibly empty)."""
-        _check_same_group(s, self.zero())
+        check_same_group(s.group, self)
         out = []
         for i in _half_residues(s.coords[0], self.m):
             for j in _half_residues(s.coords[1], self.n):
@@ -220,7 +219,7 @@ class WeierstrassGroup:
         return GroupElement(self, (x, y))
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        _check_same_group(g, h)
+        check_same_group(g.group, h.group)
         if g.coords is None:
             return h
         if h.coords is None:
@@ -239,7 +238,7 @@ class WeierstrassGroup:
         return GroupElement(self, (x3, y3))
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        _check_same_group(g, h)
+        check_same_group(g.group, h.group)
         return self.add(g, self.neg(h))
 
     def neg(self, g: GroupElement) -> GroupElement:
@@ -275,7 +274,7 @@ class WeierstrassGroup:
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         """All points r with r + r = s, from the roots of the halving quartic."""
-        _check_same_group(s, self.zero())
+        check_same_group(s.group, self)
         if s.coords is None:
             return frozenset(_two_torsion(self))
         p, a, b = self.p, self.a, self.b

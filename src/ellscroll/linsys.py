@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from . import picard
 from .errors import InvalidSecancy, UnsupportedSecancy
+from .groups import check_same_group
 from .picard import point_class
 from .surface import (
     Decomposable,
@@ -53,6 +54,7 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
 
 def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """Exact section count of the complete system ``|m*X0 + b*f|``."""
+    check_same_group(s.group, H.b.group)
     if H.m == 0:
         return picard.h0(H.b)
     if isinstance(s, Decomposable):
@@ -84,6 +86,7 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
     they guard, which cost group arithmetic.
     """
     _check_m(H)
+    check_same_group(s.group, H.b.group)
     m, b, deg_b, e = H.m, H.b, H.b.degree, invariant_e(s)
     if m > 2:
         raise UnsupportedSecancy(

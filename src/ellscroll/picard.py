@@ -23,8 +23,10 @@ from .groups import CurveGroup, GroupElement
 class Divisor:
     """A formal sum of points with nonzero integer multiplicities.
 
-    Kept only as the user-facing input form (the CLI parses signed sums into
-    this type); all engine predicates work on :class:`DivisorClass`.
+    The CLI's text form of a class: it parses each signed sum into this type
+    and reduces it to its class at once, and writes a class back as one
+    divisor of it (the point summing the class once, then ``O`` terms).  All
+    engine predicates work on :class:`DivisorClass`.
     """
 
     group: CurveGroup

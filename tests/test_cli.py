@@ -4,6 +4,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -21,10 +23,10 @@ from ellscroll.cli import (
     Nagata,
     Options,
     Ram,
-    SurfaceExpr,
-    SystemExpr,
     Table,
     Walk,
+    _Parser,
+    format_class,
     format_divisor,
     main,
     parse,
@@ -33,10 +35,12 @@ from ellscroll.cli import (
 from ellscroll.elmtrans import Generic, OnX0, OnX1, Pair
 from ellscroll.classify import minimality_check
 from ellscroll.errors import GroupTooLarge, ParseError, SemanticError
-from ellscroll.groups import TorusGroup, default_group
-from ellscroll.picard import Divisor, class_of
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
+from ellscroll.picard import Divisor, DivisorClass, class_of
+from ellscroll.surface import Decomposable, Indec0, IndecMinus1, SurfaceDivisorClass
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 G = default_group()
 
 
@@ -46,9 +50,8 @@ G = default_group()
 def test_parse_classify_example():
     cmd = parse('classify dec(-P(1,0)-P(2,0)) "1X0+(P(1,0)+P(2,0)+P(3,0))f"')
     assert isinstance(cmd.variant, Classify)
-    surface = cmd.variant.surface.model()
-    assert -surface.e_class.degree == 2
-    assert cmd.variant.system.cls().b.degree == 3
+    assert cmd.variant.surface == Decomposable(DivisorClass(-2, G.element(9, 0)))
+    assert cmd.variant.system == SurfaceDivisorClass(1, DivisorClass(3, G.element(6, 0)))
 
 
 def test_parse_table_json():
@@ -127,17 +130,17 @@ def divisors(draw, max_deg=None, force_nonpositive=False):
 def surfaces(draw):
     kind = draw(st.sampled_from(["dec", "ind0", "indm1"]))
     if kind == "dec":
-        return SurfaceExpr("dec", divisor=draw(divisors(force_nonpositive=True)))
+        return Decomposable(class_of(draw(divisors(force_nonpositive=True))))
     if kind == "ind0":
-        return SurfaceExpr("ind0", point=G.zero())
+        return Indec0(G)
     i, j = draw(coords)
-    return SurfaceExpr("indm1", point=G.element(i, j))
+    return IndecMinus1(G.element(i, j))
 
 
 @st.composite
 def systems(draw, m=None):
     fiber = m if m is not None else draw(st.integers(1, 3))
-    return SystemExpr(fiber, draw(divisors()))
+    return SurfaceDivisorClass(fiber, class_of(draw(divisors())))
 
 
 points = st.builds(G.element, st.integers(0, 11), st.integers(0, 11))
@@ -159,11 +162,11 @@ def commands(draw):
         variant = Classify(surface, draw(systems(m=1)))
     elif choice == 2:
         spec = draw(pointspecs)
-        if surface.kind == "indm1":
+        if isinstance(surface, IndecMinus1):
             q, r = draw(points), draw(points)
             spec = Pair(q, r)
         elif isinstance(spec, Pair) or (
-            surface.kind == "ind0" and isinstance(spec, OnX1)
+            isinstance(surface, Indec0) and isinstance(spec, OnX1)
         ):
             spec = Generic(draw(points))
         variant = Elm(surface, spec)
@@ -181,11 +184,9 @@ def commands(draw):
         variant = Nagata(target, e)
     elif choice == 6:
         q, r = draw(points), draw(points)
-        variant = MinCurves(
-            SurfaceExpr("indm1", point=draw(points)), Pair(q, r)
-        )
+        variant = MinCurves(IndecMinus1(draw(points)), Pair(q, r))
     else:
-        variant = Ram(SurfaceExpr("indm1", point=draw(points)), draw(points))
+        variant = Ram(IndecMinus1(draw(points)), draw(points))
     options = Options(
         group=default_group(),
         json=draw(st.booleans()),
@@ -205,9 +206,24 @@ def test_parse_format_roundtrip(cmd):
 
 @given(divisors())
 def test_divisor_format_roundtrip_preserves_class(d):
-    text = format_divisor(d)
-    cmd = parse(f"analyze dec(0*O) 1X0+({text})f")
-    assert class_of(cmd.variant.system.divisor) == class_of(d)
+    assert _Parser(format_divisor(d), G).divisor() == d
+
+
+@pytest.mark.parametrize(
+    "flag, group",
+    [
+        (["--group", "4,4"], TorusGroup(4, 4)),
+        (["--curve", "23,-1,0"], WeierstrassGroup(23, -1, 0)),
+    ],
+)
+def test_every_small_class_text_parses_to_its_class(flag, group):
+    assert format_class(DivisorClass(1, group.zero())) == "O"
+    for degree in range(-3, 4):
+        for point in group.elements():
+            c = DivisorClass(degree, point)
+            text = format_class(c)
+            cmd = parse(["analyze", "ind0", f"1X0+({text})f", *flag])
+            assert cmd.variant.system.b == c, text
 
 
 # -- execution and exit codes ------------------------------------------------
@@ -297,6 +313,21 @@ def test_golden_json_schema_stable(name):
     assert out + "\n" == expected
 
 
+def readme_cli_lines():
+    """The command lines of the README's CLI section."""
+    section = README.read_text().split("## CLI", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_lines_exit_as_documented(line, capsys):
+    # A line marked "# exit N" documents a nonzero exit code.
+    words = shlex.split(line, comments=True)
+    assert words[0] == "ellscroll"
+    marked = re.search(r"# exit (\d)", line)
+    assert main(words[1:]) == (int(marked.group(1)) if marked else 0)
+
+
 # -- command registry, argv words, small groups --------------------------------
 
 
@@ -374,6 +405,26 @@ def test_non_ascii_digits_are_a_parse_error(word, capsys):
     assert capsys.readouterr().err.startswith("ParseError: unexpected character")
 
 
+#: An integer literal longer than the interpreter's int-conversion limit.
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["table", HUGE], 0),
+        (["analyze", "ind0", HUGE + "X0+(O)f"], 5),
+        (["ram", "indm1(O)", f"({HUGE},0)"], 10),
+    ],
+)
+def test_integers_over_the_conversion_limit_are_a_parse_error(argv, column, capsys):
+    with pytest.raises(ParseError) as info:
+        parse(argv)
+    assert info.value.column == column
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ParseError: integer of 5000 digits")
+
+
 def test_composite_curve_modulus_is_a_parse_error(capsys):
     assert main(["elm", "ind0", "gen@(0,1)", "--curve", "10201,1,1"]) == 2
     assert capsys.readouterr().err.startswith("ParseError: bad value for --curve")
@@ -400,7 +451,7 @@ ARGUMENTS = {
     "spec": ("onX0@(1,0)", "onX1@O", "gen@(0,1)", "pair{(0,0),(1,1)}", "pair{O,O}"),
     "point": ("O", "(1,1)", "(0,2)"),
     "template": WALK_TEMPLATES,
-    "int": ("0", "1", "3", "7"),
+    "int": ("0", "1", "3", "7", HUGE),
     "family": ("dec", "ind0", "indm1"),
 }
 SHAPES = {

@@ -15,8 +15,8 @@ from ellscroll.elmtrans import (
     resolve_template,
     walk,
 )
-from ellscroll.errors import InvalidPointSpec
-from ellscroll.groups import WeierstrassGroup, default_group
+from ellscroll.errors import InvalidPointSpec, MixedGroups
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
     Decomposable,
@@ -241,3 +241,21 @@ def test_random_walk_streams_are_pinned():
         for seed in (0, 1, 20260823):
             steps = walk(s0, ["random"] * 50, rng_seed=seed).steps
             assert steps == _reference_random_walk(s0, 50, seed)
+
+
+T4 = TorusGroup(4, 4)
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [
+        (dec(0), OnX0(T4.element(1, 0))),  # dec_trivial_any
+        (Indec0(G), OnX0(T4.element(1, 0))),  # ind0_onX0
+        (Indec0(G), Generic(T4.element(1, 0))),  # ind0_gen
+        (IndecMinus1(O), Pair(T4.element(1, 0), T4.element(1, 0))),  # indm1_diag
+        (IndecMinus1(O), Pair(P, T4.element(2, 0))),  # indm1_split, r foreign
+    ],
+)
+def test_a_point_of_another_group_is_refused(s, x):
+    with pytest.raises(MixedGroups):
+        elm(s, x)

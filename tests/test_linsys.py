@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellscroll import linsys
-from ellscroll.errors import InvalidSecancy, UnsupportedSecancy
-from ellscroll.groups import default_group
+from ellscroll.errors import InvalidSecancy, MixedGroups, UnsupportedSecancy
+from ellscroll.groups import TorusGroup, default_group
 from ellscroll.picard import DivisorClass, h1, point_class, trivial_class
 from ellscroll.surface import (
     Decomposable,
@@ -248,6 +248,31 @@ def test_analysis_serialization_shape():
     assert d["h0"] == 6 and d["ambient"] == 5 and d["degree"] == 8
     assert d["bpf"] is True and d["very_ample"] is False
     assert d["genus_generic"] == 3
+
+
+T4 = TorusGroup(4, 4)
+
+
+@pytest.mark.parametrize(
+    "query, s, H",
+    [
+        (linsys.analyze, Indec0(G), SurfaceDivisorClass(1, trivial_class(T4))),
+        (
+            linsys.analyze,
+            IndecMinus1(O),
+            SurfaceDivisorClass(2, DivisorClass(-1, T4.element(2, 0))),
+        ),
+        (
+            linsys.h0_surface,
+            Decomposable(trivial_class(G)),
+            SurfaceDivisorClass(1, DivisorClass(3, T4.element(2, 0))),
+        ),
+        (linsys.h0_surface, Indec0(G), SurfaceDivisorClass(0, trivial_class(T4))),
+    ],
+)
+def test_a_class_of_another_group_is_refused(query, s, H):
+    with pytest.raises(MixedGroups):
+        query(s, H)
 
 
 ms = st.integers(1, 2)
