@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linsys
-from .elmtrans import Generic, OnX0, OnX1, Pair, elm, walk
+from .elmtrans import POINT_KINDS, Generic, OnX0, Pair, elm, walk
 from .errors import DegenerateModel, EngineError, NotBasePointFree, UnreachableTarget
 from .groups import CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
@@ -313,13 +313,19 @@ def product_surface(group: CurveGroup) -> Decomposable:
     return Decomposable(trivial_class(group))
 
 
+#: The invariant e of each non-split target.
+_OWN_E = {"ind0": 0, "indm1": -1}
+
+
 def _target_e(target: str, e: int | None) -> int:
-    """The invariant e of a plan target; refuses an unknown target, and a
-    split one without an invariant e >= 0."""
-    if target == "ind0":
-        return 0
-    if target == "indm1":
-        return -1
+    """The invariant e of a plan target; refuses an unknown target, a
+    non-split one with an e not its own, and a split one without an
+    invariant e >= 0."""
+    own = _OWN_E.get(target)
+    if own is not None:
+        if e not in (None, own):
+            raise UnreachableTarget(f"{target} has the invariant e = {own}, not {e}")
+        return own
     if target != "dec":
         raise UnreachableTarget(f"unknown target {target!r}")
     if e is None or e < 0:
@@ -374,18 +380,11 @@ def matches_target(model: SurfaceModel, target: str, e: int) -> bool:
 
 
 def _all_specs(model: SurfaceModel) -> list:
+    """Every point of ``model``, by its family's kinds; each pair once."""
     elements = model.group.elements()
-    if isinstance(model, Decomposable):
-        return [
-            kind(p) for p in elements for kind in (OnX0, OnX1, Generic)
-        ]
-    if isinstance(model, Indec0):
-        return [kind(p) for p in elements for kind in (OnX0, Generic)]
-    return [
-        Pair(q, r)
-        for i, q in enumerate(elements)
-        for r in elements[i:]
-    ]
+    if isinstance(model, IndecMinus1):
+        return [Pair(q, r) for i, q in enumerate(elements) for r in elements[i:]]
+    return [kind(p) for p in elements for kind in POINT_KINDS[model.__class__]]
 
 
 def minimality_check(

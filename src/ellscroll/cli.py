@@ -31,6 +31,8 @@ Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``mincurves s pair{..}``, ``ram s point``.  Flags: ``--group m,n``,
 ``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``.  Each shell
 argument is one word: a flag inside an argument is not split out of it.
+``table`` takes N <= 10000 and ``nagata`` an e <= 10000 (``SIZE_CAP``): the
+work grows linearly in either, and a larger one is a semantic error.
 
 Exit codes: 0 success, 1 engine error, 2 parse/semantic error.  In JSON mode
 errors are also emitted on standard output as ``{"error": code, ...}``.
@@ -46,8 +48,10 @@ from typing import Callable, ClassVar, Sequence
 
 from . import classify as classify_mod
 from . import linsys
-from .elmtrans import Generic, OnX0, OnX1, Pair, PointSpec, elm, walk
-from .errors import EngineError, ParseError, SemanticError
+from .elmtrans import (
+    WALK_TEMPLATES, Generic, OnX0, OnX1, Pair, PointSpec, check_point_kind, elm, walk,
+)
+from .errors import EngineError, InvalidPointSpec, ParseError, SemanticError
 from .groups import CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group
 from .picard import Divisor, DivisorClass, class_of
 from .surface import (
@@ -62,7 +66,9 @@ from .surface import (
 )
 
 FAMILIES = ("dec", "ind0", "indm1")
-WALK_TEMPLATES = ("generic", "onX0", "onX1", "random")
+#: The largest N of ``table N`` and E of ``nagata target E``: a table has
+#: about N/2 rows and a split plan E steps.
+SIZE_CAP = 10_000
 #: Point-spec keywords written ``word@point``; ``pair{q,r}`` has its own form.
 SPEC_KINDS = {"onX0": OnX0, "onX1": OnX1, "gen": Generic}
 
@@ -307,7 +313,9 @@ class _Parser:
     def steps(self) -> tuple:
         steps: list = []
         while self.peek().kind != "EOF":
-            if self.peek().text in WALK_TEMPLATES:
+            # ``onX0`` is a template, and ``onX0@point`` a concrete point.
+            after = self.tokens[self.pos + 1].text
+            if self.peek().text in WALK_TEMPLATES and after != "@":
                 steps.append(self.next().text)
             else:
                 steps.append(self.pointspec())
@@ -384,13 +392,10 @@ class Elm(_Command):
     grammar = (_Parser.surface, _Parser.pointspec)
 
     def __post_init__(self) -> None:
-        kind, is_pair = self.surface.family(), isinstance(self.spec, Pair)
-        if kind == "indm1" and not is_pair:
-            raise SemanticError("points of indm1 are pair{...} descriptors")
-        if kind != "indm1" and is_pair:
-            raise SemanticError(f"pair{{...}} does not apply to {kind}")
-        if kind == "ind0" and isinstance(self.spec, OnX1):
-            raise SemanticError("ind0 has no second section onX1")
+        try:
+            check_point_kind(self.surface, self.spec)
+        except InvalidPointSpec as exc:
+            raise SemanticError(str(exc)) from exc
 
     def run(self, options: Options) -> dict:
         result = elm(self.surface, self.spec)
@@ -429,6 +434,8 @@ class Table(_Command):
     def __post_init__(self) -> None:
         if self.n < 3:
             raise SemanticError("table requires an ambient dimension N >= 3")
+        if self.n > SIZE_CAP:
+            raise SemanticError(f"table takes an ambient dimension N <= {SIZE_CAP}")
 
     def run(self, options: Options) -> list | str:
         rows = classify_mod.emit_table(self.n, options.group)
@@ -448,6 +455,8 @@ class Nagata(_Command):
     def __post_init__(self) -> None:
         if self.target == "dec" and self.e is None:
             raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
+        if self.e is not None and self.e > SIZE_CAP:
+            raise SemanticError(f"nagata takes an invariant e <= {SIZE_CAP}")
 
     def run(self, options: Options) -> dict:
         plan = classify_mod.nagata_plan(self.target, self.e, options.group)

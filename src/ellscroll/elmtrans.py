@@ -14,6 +14,10 @@ where the chosen point sits:
 Every rule moves the invariant e by exactly +-1, and the image of the rule
 table never leaves the three normalized families -- the desk-scale shadow of
 the fact that there are only two non-split models.
+
+``POINT_KINDS`` lists the point kinds of each family.  ``elm`` and the CLI
+refuse a kind the family lacks with ``check_point_kind``, a walk template
+draws from it, and the minimality search enumerates it.
 """
 
 from __future__ import annotations
@@ -69,6 +73,25 @@ class Pair:
 
 PointSpec = OnX0 | OnX1 | Generic | Pair
 
+#: The point kinds of each family: the only list of them.  Each tuple is in
+#: the order a ``"random"`` walk step draws from.
+POINT_KINDS = {
+    Decomposable: (Generic, OnX0, OnX1), Indec0: (Generic, OnX0), IndecMinus1: (Pair,)
+}
+
+
+def check_point_kind(s: SurfaceModel, x: PointSpec) -> None:
+    """Refuse a point kind that ``s``'s family lacks; the messages are the CLI's."""
+    if x.__class__ in POINT_KINDS[s.__class__]:
+        return
+    if isinstance(x, Pair):
+        raise InvalidPointSpec(f"pair{{...}} does not apply to {s.family()}")
+    if isinstance(s, IndecMinus1):
+        raise InvalidPointSpec(f"points of {s.family()} are pair{{...}} descriptors")
+    if isinstance(x, OnX1):
+        raise InvalidPointSpec(f"{s.family()} has no second section onX1")
+    raise InvalidPointSpec(f"{x!r} is not a point descriptor")
+
 
 # ---------------------------------------------------------------------------
 # Transformation result
@@ -91,21 +114,16 @@ def _dec(e_class: DivisorClass, y0: str, rule: str) -> ElmResult:
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     """Apply one elementary transformation at the described point."""
+    check_point_kind(s, x)
     # Several rules build the result from the point alone, and would answer
     # on the point's group.  A pair's second point is checked by its rule:
     # one from another group never equals the first, and the split rule
     # subtracts the two.
     check_same_group(s.group, (x.q if isinstance(x, Pair) else x.P).group)
-    if isinstance(s, Decomposable):
-        return _elm_dec(s, x)
-    if isinstance(s, Indec0):
-        return _elm_ind0(s, x)
-    return _elm_indm1(s, x)
+    return _RULES[s.__class__](s, x)
 
 
 def _elm_dec(s: Decomposable, x: PointSpec) -> ElmResult:
-    if isinstance(x, Pair):
-        raise InvalidPointSpec("pair descriptors only apply to the e=-1 surface")
     e_cls = s.e_class
     e = -e_cls.degree
     P = point_class(x.P)
@@ -133,8 +151,6 @@ def _elm_dec(s: Decomposable, x: PointSpec) -> ElmResult:
 
 
 def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
-    if isinstance(x, (Pair, OnX1)):
-        raise InvalidPointSpec("this surface has no X1 section or pair points")
     P = point_class(x.P)
     if isinstance(x, OnX0):
         return _dec(-P, "X0prime", "ind0_onX0")
@@ -142,8 +158,6 @@ def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
 
 
 def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
-    if not isinstance(x, Pair):
-        raise InvalidPointSpec("points of the e=-1 surface are pair descriptors")
     if x.q == x.r:
         # Focal point: a single minimum curve passes through it, and
         # 2q ~ p0 + t forces the new invariant class to be trivial.
@@ -152,6 +166,9 @@ def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
     # first gives the split model with invariant class q - r (nontrivial).
     new_e = DivisorClass(0, x.q - x.r)
     return _dec(new_e, "DRprime", "indm1_split")
+
+
+_RULES = {Decomposable: _elm_dec, Indec0: _elm_ind0, IndecMinus1: _elm_indm1}
 
 
 #: All 13 rule identifiers, for coverage bookkeeping.
@@ -182,25 +199,16 @@ class WalkResult:
     steps: tuple[ElmResult, ...]
 
 
-#: The point kinds a template names on each family with sections; a
-#: missing key is a template the family does not have.
-_TEMPLATE_KINDS = {
-    (Decomposable, "generic"): (Generic,),
-    (Decomposable, "onX0"): (OnX0,),
-    (Decomposable, "onX1"): (OnX1,),
-    (Decomposable, "random"): (Generic, OnX0, OnX1),
-    (Indec0, "generic"): (Generic,),
-    (Indec0, "onX0"): (OnX0,),
-    (Indec0, "random"): (Generic, OnX0),
-}
+#: The point kind each template word names; ``"random"`` draws from ``POINT_KINDS``.
+TEMPLATE_KINDS = {"generic": Generic, "onX0": OnX0, "onX1": OnX1}
+WALK_TEMPLATES = (*TEMPLATE_KINDS, "random")
 
 
 def resolve_template(template, model: SurfaceModel, rng: random.Random) -> PointSpec:
     """Turn a walk-step template into a concrete point on ``model``.
 
     A template is either a concrete :class:`PointSpec` (validated against
-    the family by ``elm`` itself) or one of the strings ``"generic"``,
-    ``"onX0"``, ``"onX1"``, ``"random"``.
+    the family by ``elm`` itself) or a word of ``WALK_TEMPLATES``.
     """
     if not isinstance(template, str):
         return template
@@ -221,9 +229,12 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
         if template == "random":
             return Pair(pick(), pick())
         raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
-    kinds = _TEMPLATE_KINDS.get((model.__class__, template))
-    if kinds is None:
-        raise InvalidPointSpec(f"template {template!r} on family {model.family()}")
+    kinds = POINT_KINDS[model.__class__]
+    if template != "random":
+        kind = TEMPLATE_KINDS.get(template)
+        if kind not in kinds:
+            raise InvalidPointSpec(f"template {template!r} on family {model.family()}")
+        kinds = (kind,)
     # ``rng.choice`` draws even from one kind, and the walk streams keep
     # that draw.
     return rng.choice(kinds)(pick())

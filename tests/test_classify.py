@@ -391,6 +391,17 @@ def test_plan_invalid_targets():
         nagata_plan("dec", 2, group=tiny)
 
 
+def test_a_non_split_target_refuses_an_e_not_its_own():
+    for target, own in (("ind0", 0), ("indm1", -1)):
+        for check in (nagata_plan, minimality_check):
+            assert check(target, own) == check(target)
+            for e in (own - 1, own + 1, 5):
+                with pytest.raises(
+                    UnreachableTarget, match=f"{target} has the invariant e = {own}, not {e}"
+                ):
+                    check(target, e)
+
+
 def test_minimality_by_exhaustive_search():
     assert minimality_check("dec", 0) == 2
     assert minimality_check("dec", 1) == 1

@@ -110,6 +110,39 @@ def test_semantic_errors():
         parse("table 2")
 
 
+def test_walk_steps_take_concrete_points_named_like_templates():
+    cmd = parse("walk dec(0*O) onX0@(1,0) onX1@O onX0 gen@(0,1) random")
+    G = default_group()
+    assert cmd.variant.steps == (
+        OnX0(G.element(1, 0)), OnX1(G.zero()), "onX0", Generic(G.element(0, 1)), "random"
+    )
+    assert parse(cmd.format()) == cmd
+    assert main(["walk", "dec(0*O)", "onX0@(1,0)", "onX1@O"]) == 0
+
+
+def test_table_and_nagata_sizes_are_capped(capsys):
+    assert parse("table 10000").variant.n == 10000
+    with pytest.raises(SemanticError, match="N <= 10000"):
+        parse("table 10001")
+    assert parse("nagata dec 10000").variant.e == 10000
+    with pytest.raises(SemanticError, match="e <= 10000"):
+        parse("nagata dec 10001")
+    # Refused as it is parsed, before any row or step is built.
+    assert main(["table", "1" * 50]) == 2
+    assert main(["nagata", "dec", "1" * 50]) == 2
+    with pytest.raises(SemanticError) as info:
+        parse("table 2")
+    assert str(info.value) == "table requires an ambient dimension N >= 3"
+
+
+def test_nagata_refuses_an_e_a_non_split_target_does_not_have(capsys):
+    assert main(["nagata", "ind0", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "UnreachableTarget: ind0 has the invariant e = 0, not 5\n"
+    )
+    assert main(["nagata", "ind0", "0"]) == 0
+
+
 # -- round-trips -------------------------------------------------------------
 
 coords = st.tuples(st.integers(0, 11), st.integers(0, 11))

@@ -15,7 +15,9 @@ from ellscroll.elmtrans import (
     resolve_template,
     walk,
 )
-from ellscroll.errors import InvalidPointSpec, MixedGroups
+from ellscroll.classify import _all_specs
+from ellscroll.cli import Elm, parse
+from ellscroll.errors import InvalidPointSpec, MixedGroups, SemanticError
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
@@ -119,13 +121,80 @@ def test_indm1_branches():
     assert split.y0_note == "DRprime"
 
 
-def test_family_mismatch_specs_rejected():
-    with pytest.raises(InvalidPointSpec):
-        elm(dec(1), Pair(P, Q))
-    with pytest.raises(InvalidPointSpec):
-        elm(Indec0(G), OnX1(P))
-    with pytest.raises(InvalidPointSpec):
-        elm(IndecMinus1(O), Generic(P))
+#: The point kinds of each family, written out from the paper: points on
+#: X0, on X1 or on neither of a split surface; on the minimum section or
+#: off it for e = 0; unordered pairs for e = -1.
+FAMILY_KINDS = {
+    "dec": {Generic, OnX0, OnX1}, "ind0": {Generic, OnX0}, "indm1": {Pair}
+}
+FAMILY_MODELS = {
+    "dec": (dec(2, P), "dec(-3*O+P(1,0))"), "ind0": (Indec0(G), "ind0"),
+    "indm1": (IndecMinus1(O), "indm1(O)"),
+}
+KIND_SPECS = {
+    Generic: (Generic(P), "gen@(1,0)"), OnX0: (OnX0(P), "onX0@(1,0)"),
+    OnX1: (OnX1(P), "onX1@(1,0)"), Pair: (Pair(P, Q), "pair{(1,0),(0,1)}"),
+}
+#: The walk template that draws each kind, and the kinds each template
+#: resolves to on each family; a missing key is a template the family
+#: refuses.
+KIND_TEMPLATES = {Generic: "generic", OnX0: "onX0", OnX1: "onX1", Pair: "random"}
+TEMPLATE_RESULTS = {
+    ("dec", "generic"): {Generic}, ("dec", "onX0"): {OnX0}, ("dec", "onX1"): {OnX1},
+    ("dec", "random"): {Generic, OnX0, OnX1},
+    ("ind0", "generic"): {Generic}, ("ind0", "onX0"): {OnX0},
+    ("ind0", "random"): {Generic, OnX0},
+    ("indm1", "generic"): {Pair}, ("indm1", "random"): {Pair},
+}
+
+
+@pytest.mark.parametrize("kind", KIND_SPECS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("family", FAMILY_KINDS)
+def test_family_mismatch_specs_rejected(family, kind):
+    s, surface_text = FAMILY_MODELS[family]
+    spec, spec_text = KIND_SPECS[kind]
+    has_kind = kind in FAMILY_KINDS[family]
+    # The engine and the CLI refuse the same pairings, in the same words.
+    if has_kind:
+        elm(s, spec)
+        assert parse(f"elm {surface_text} {spec_text}").variant == Elm(s, spec)
+    else:
+        with pytest.raises(InvalidPointSpec) as engine:
+            elm(s, spec)
+        with pytest.raises(SemanticError) as cli:
+            parse(f"elm {surface_text} {spec_text}")
+        assert str(cli.value) == str(engine.value)
+    # The template that draws this kind resolves on this family as listed.
+    template = KIND_TEMPLATES[kind]
+    expected = TEMPLATE_RESULTS.get((family, template))
+    for seed in range(8):
+        if expected is None:
+            with pytest.raises(InvalidPointSpec):
+                resolve_template(template, s, random.Random(seed))
+        else:
+            assert type(resolve_template(template, s, random.Random(seed))) in expected
+    # The search enumerates exactly the family's kinds.
+    assert (kind in {type(x) for x in _all_specs(s)}) == has_kind
+
+
+def test_the_cli_messages_of_a_kind_a_family_lacks():
+    # Pinned byte for byte: the benchmark's digest hashes the CLI's stderr.
+    cases = {
+        "elm indm1(O) gen@(1,0)": "points of indm1 are pair{...} descriptors",
+        "elm ind0 pair{(1,0),(0,1)}": "pair{...} does not apply to ind0",
+        "elm dec(0*O) pair{(1,0),(0,1)}": "pair{...} does not apply to dec",
+        "elm ind0 onX1@(1,0)": "ind0 has no second section onX1",
+    }
+    for line, message in cases.items():
+        with pytest.raises(SemanticError) as info:
+            parse(line)
+        assert str(info.value) == message
+
+
+def test_elm_refuses_what_is_not_a_point_descriptor():
+    for s in (dec(1), Indec0(G)):
+        with pytest.raises(InvalidPointSpec, match="not a point descriptor"):
+            elm(s, "onX0")
 
 
 def test_pair_is_unordered():
