@@ -13,6 +13,7 @@ from .errors import (
     GroupTooLarge,
     InvalidPointSpec,
     InvalidSecancy,
+    InvalidSurface,
     MixedGroups,
     NonNormalizedInput,
     NotBasePointFree,

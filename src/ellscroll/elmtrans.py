@@ -13,7 +13,9 @@ where the chosen point sits:
 
 Every rule moves the invariant e by exactly +-1, and the image of the rule
 table never leaves the three normalized families -- the desk-scale shadow of
-the fact that there are only two non-split models.
+the fact that there are only two non-split models.  A rule reads the
+invariant class as its degree and group sum, and builds the new class from
+one group operation on that sum and the point.
 
 ``POINT_KINDS`` lists the point kinds of each family.  ``elm`` and the CLI
 refuse a kind the family lacks with ``check_point_kind``, a walk template
@@ -25,9 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DegenerateModel, InvalidPointSpec
+from .errors import DegenerateModel, InvalidPointSpec, InvalidSurface
 from .groups import GroupElement, check_same_group
-from .picard import DivisorClass, point_class, trivial_class
+from .picard import DivisorClass
 from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
 
 
@@ -82,8 +84,10 @@ POINT_KINDS = {
 
 def check_point_kind(s: SurfaceModel, x: PointSpec) -> None:
     """Refuse a point kind that ``s``'s family lacks; the messages are the CLI's."""
-    if x.__class__ in POINT_KINDS[s.__class__]:
+    if x.__class__ in POINT_KINDS.get(s.__class__, ()):
         return
+    if s.__class__ not in POINT_KINDS:
+        raise InvalidSurface(f"{s!r} is not a surface model")
     if isinstance(x, Pair):
         raise InvalidPointSpec(f"pair{{...}} does not apply to {s.family()}")
     if isinstance(s, IndecMinus1):
@@ -108,10 +112,6 @@ class ElmResult:
     rule: str
 
 
-def _dec(e_class: DivisorClass, y0: str, rule: str) -> ElmResult:
-    return ElmResult(Decomposable(e_class), y0, rule)
-
-
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     """Apply one elementary transformation at the described point."""
     check_point_kind(s, x)
@@ -119,41 +119,42 @@ def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     # on the point's group.  A pair's second point is checked by its rule:
     # one from another group never equals the first, and the split rule
     # subtracts the two.
-    check_same_group(s.group, (x.q if isinstance(x, Pair) else x.P).group)
+    point = x.q if x.__class__ is Pair else x.P
+    if point.__class__ is not GroupElement:
+        raise InvalidPointSpec(f"{x!r} is not a point descriptor")
+    check_same_group(s.group, point.group)
     return _RULES[s.__class__](s, x)
 
 
 def _elm_dec(s: Decomposable, x: PointSpec) -> ElmResult:
-    e_cls = s.e_class
-    e = -e_cls.degree
-    P = point_class(x.P)
-    if e_cls.is_trivial():
+    degree, abel = s.e_class.degree, s.e_class.abel  # e = -degree
+    P = x.P
+    if not degree and abel.is_zero():
         # One formula for every point: the transform splits again.
-        return _dec(-P, "X0prime", "dec_trivial_any")
-    if isinstance(x, OnX0):
-        rule = "dec_onX0_epos" if e >= 1 else "dec_e0_onX0"
-        return _dec(e_cls - P, "X0prime", rule)
-    if e >= 2:
-        return _dec(e_cls + P, "X0prime", "dec_e2_offX0")
-    if e == 1:
-        if e_cls != -P:
-            return _dec(e_cls + P, "X0prime", "dec_e1_offX0_plain")
-        if isinstance(x, OnX1):
-            return _dec(trivial_class(s.group), "X0prime", "dec_e1_onX1_torsion")
-        # Generic point over the single base point of -e_class: the
-        # transform no longer splits but keeps a trivial invariant class.
-        return ElmResult(Indec0(s.group), "X0prime", "dec_e1_gen_torsion")
+        return ElmResult(Decomposable(DivisorClass(-1, -P)), "X0prime", "dec_trivial_any")
+    if x.__class__ is OnX0:
+        rule = "dec_onX0_epos" if degree else "dec_e0_onX0"
+        return ElmResult(Decomposable(DivisorClass(degree - 1, abel - P)), "X0prime", rule)
+    total = abel + P
+    if degree < -1:
+        new_e = DivisorClass(degree + 1, total)
+        return ElmResult(Decomposable(new_e), "X0prime", "dec_e2_offX0")
+    if degree:  # e == 1: the class is -P exactly when ``total`` is zero.
+        if x.__class__ is Generic and total.is_zero():
+            # Generic point over the single base point of -e_class: the
+            # transform no longer splits but keeps a trivial invariant class.
+            return ElmResult(Indec0(abel.group), "X0prime", "dec_e1_gen_torsion")
+        rule = "dec_e1_onX1_torsion" if total.is_zero() else "dec_e1_offX0_plain"
+        return ElmResult(Decomposable(DivisorClass(0, total)), "X0prime", rule)
     # e == 0 with a nontrivial invariant class.
-    if isinstance(x, OnX1):
-        return _dec(-e_cls - P, "X1prime", "dec_e0_onX1")
-    new_e = e_cls + P  # degree 1
-    return ElmResult(IndecMinus1(new_e.abel), "X0prime", "dec_e0_gen")
+    if x.__class__ is OnX1:
+        return ElmResult(Decomposable(DivisorClass(-1, -total)), "X1prime", "dec_e0_onX1")
+    return ElmResult(IndecMinus1(total), "X0prime", "dec_e0_gen")
 
 
 def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
-    P = point_class(x.P)
-    if isinstance(x, OnX0):
-        return _dec(-P, "X0prime", "ind0_onX0")
+    if x.__class__ is OnX0:
+        return ElmResult(Decomposable(DivisorClass(-1, -x.P)), "X0prime", "ind0_onX0")
     return ElmResult(IndecMinus1(x.P), "X0prime", "ind0_gen")
 
 
@@ -164,8 +165,7 @@ def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
         return ElmResult(Indec0(s.group), "DRprime", "indm1_diag")
     # Split point: two minimum curves through it; transforming along the
     # first gives the split model with invariant class q - r (nontrivial).
-    new_e = DivisorClass(0, x.q - x.r)
-    return _dec(new_e, "DRprime", "indm1_split")
+    return ElmResult(Decomposable(DivisorClass(0, x.q - x.r)), "DRprime", "indm1_split")
 
 
 _RULES = {Decomposable: _elm_dec, Indec0: _elm_ind0, IndecMinus1: _elm_indm1}
@@ -173,19 +173,9 @@ _RULES = {Decomposable: _elm_dec, Indec0: _elm_ind0, IndecMinus1: _elm_indm1}
 
 #: All 13 rule identifiers, for coverage bookkeeping.
 ALL_RULES = (
-    "dec_onX0_epos",
-    "dec_e2_offX0",
-    "dec_e1_offX0_plain",
-    "dec_e1_onX1_torsion",
-    "dec_e1_gen_torsion",
-    "dec_e0_onX0",
-    "dec_e0_onX1",
-    "dec_e0_gen",
-    "dec_trivial_any",
-    "ind0_onX0",
-    "ind0_gen",
-    "indm1_diag",
-    "indm1_split",
+    "dec_onX0_epos", "dec_e2_offX0", "dec_e1_offX0_plain", "dec_e1_onX1_torsion",
+    "dec_e1_gen_torsion", "dec_e0_onX0", "dec_e0_onX1", "dec_e0_gen", "dec_trivial_any",
+    "ind0_onX0", "ind0_gen", "indm1_diag", "indm1_split",
 )
 
 
@@ -213,21 +203,19 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
     if not isinstance(template, str):
         return template
     group = model.group
-    order = group.order()
     # Each point costs one draw below the order, the draw ``rng.choice``
     # over ``elements()`` makes, so a seed gives the same walk either way.
-    pick = lambda: group.nth(rng.randrange(order))
-    if isinstance(model, IndecMinus1):
+    order, nth = group.order(), group.nth
+    if model.__class__ is IndecMinus1:
         if template == "generic":
             if order < 2:
                 raise DegenerateModel(f"group {group} has no two distinct points")
-            q = pick()
-            r = pick()
+            q = r = nth(rng.randrange(order))
             while r == q:
-                r = pick()
+                r = nth(rng.randrange(order))
             return Pair(q, r)
         if template == "random":
-            return Pair(pick(), pick())
+            return Pair(nth(rng.randrange(order)), nth(rng.randrange(order)))
         raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
     kinds = POINT_KINDS[model.__class__]
     if template != "random":
@@ -237,7 +225,7 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
         kinds = (kind,)
     # ``rng.choice`` draws even from one kind, and the walk streams keep
     # that draw.
-    return rng.choice(kinds)(pick())
+    return rng.choice(kinds)(nth(rng.randrange(order)))
 
 
 def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:

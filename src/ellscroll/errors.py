@@ -48,6 +48,12 @@ class InvalidPointSpec(EngineError):
     code = "InvalidPointSpec"
 
 
+class InvalidSurface(EngineError):
+    """A value given as a ruled surface is not one of the three families."""
+
+    code = "InvalidSurface"
+
+
 class NonNormalizedInput(EngineError):
     """A decomposable surface was given an invariant class of positive degree."""
 

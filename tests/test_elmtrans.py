@@ -1,5 +1,8 @@
-"""Rule-engine tests: the 13 branches, closure, and seeded walks."""
+"""Rule-engine tests: the 13 branches, closure, seeded walks, the rule table
+of the paper and the reversibility of every transformation."""
 
+import hashlib
+import os
 import random
 
 import pytest
@@ -17,7 +20,7 @@ from ellscroll.elmtrans import (
 )
 from ellscroll.classify import _all_specs
 from ellscroll.cli import Elm, parse
-from ellscroll.errors import InvalidPointSpec, MixedGroups, SemanticError
+from ellscroll.errors import InvalidPointSpec, InvalidSurface, MixedGroups, SemanticError
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
@@ -26,6 +29,9 @@ from ellscroll.surface import (
     IndecMinus1,
     invariant_e,
 )
+
+#: The tier-1 run checks Torus(4,4); ``ELLSCROLL_FUZZ=1`` adds the sweeps.
+FUZZ_FRESH = os.environ.get("ELLSCROLL_FUZZ") == "1"
 
 G = default_group()
 O = G.zero()
@@ -192,9 +198,22 @@ def test_the_cli_messages_of_a_kind_a_family_lacks():
 
 
 def test_elm_refuses_what_is_not_a_point_descriptor():
-    for s in (dec(1), Indec0(G)):
-        with pytest.raises(InvalidPointSpec, match="not a point descriptor"):
-            elm(s, "onX0")
+    # Not a descriptor, or a descriptor of something that is not a point.
+    for x in ("onX0", OnX0((1, 0)), Generic(point_class(P)), OnX0(None)):
+        for s in (dec(1), Indec0(G)):
+            with pytest.raises(InvalidPointSpec, match="not a point descriptor"):
+                elm(s, x)
+
+
+@pytest.mark.parametrize(
+    "s", ["dec", None, G, point_class(P), Generic(P)],
+    ids=["str", "None", "group", "class", "point"],
+)
+def test_elm_refuses_what_is_not_a_surface_model(s):
+    for x in (OnX0(O), Pair(P, Q), "onX0"):
+        with pytest.raises(InvalidSurface, match="is not a surface model") as info:
+            elm(s, x)
+        assert info.value.code == "InvalidSurface"
 
 
 def test_pair_is_unordered():
@@ -328,3 +347,149 @@ T4 = TorusGroup(4, 4)
 def test_a_point_of_another_group_is_refused(s, x):
     with pytest.raises(MixedGroups):
         elm(s, x)
+
+
+# -- the rule table of the paper ---------------------------------------------
+
+#: The 13 rules of the paper's three results on elementary transformations
+#: (Theorem telementalelipticasdescomp, Propositions telementalnodescomp0 and
+#: telementalnodescomp1), one entry per (family, e, kind, torsion condition).
+#: ``e`` is the source's invariant, 2 standing for every e >= 2.  A is the
+#: group sum of the source's invariant class (p0 on indm1) and P the point; a
+#: pair {q, r} is read as P = q, its first point in element order, and r.
+#: ``None`` is no condition.  Each entry gives the result's family, its change
+#: of e, the group sum of its invariant class as the coefficients of (A, P, r),
+#: the curve that became its minimum section and the rule id.
+RULE_TABLE = {
+    ("dec", 0, Generic, "A=0"): ("dec", +1, (0, -1, 0), "X0prime", "dec_trivial_any"),
+    ("dec", 0, OnX0, "A=0"): ("dec", +1, (0, -1, 0), "X0prime", "dec_trivial_any"),
+    ("dec", 0, OnX1, "A=0"): ("dec", +1, (0, -1, 0), "X0prime", "dec_trivial_any"),
+    ("dec", 0, OnX0, "A!=0"): ("dec", +1, (1, -1, 0), "X0prime", "dec_e0_onX0"),
+    ("dec", 0, OnX1, "A!=0"): ("dec", +1, (-1, -1, 0), "X1prime", "dec_e0_onX1"),
+    ("dec", 0, Generic, "A!=0"): ("indm1", -1, (1, 1, 0), "X0prime", "dec_e0_gen"),
+    ("dec", 1, OnX0, None): ("dec", +1, (1, -1, 0), "X0prime", "dec_onX0_epos"),
+    ("dec", 1, OnX1, "A+P!=0"): ("dec", -1, (1, 1, 0), "X0prime", "dec_e1_offX0_plain"),
+    ("dec", 1, Generic, "A+P!=0"): ("dec", -1, (1, 1, 0), "X0prime", "dec_e1_offX0_plain"),
+    ("dec", 1, OnX1, "A+P=0"): ("dec", -1, (0, 0, 0), "X0prime", "dec_e1_onX1_torsion"),
+    ("dec", 1, Generic, "A+P=0"): ("ind0", -1, (0, 0, 0), "X0prime", "dec_e1_gen_torsion"),
+    ("dec", 2, OnX0, None): ("dec", +1, (1, -1, 0), "X0prime", "dec_onX0_epos"),
+    ("dec", 2, OnX1, None): ("dec", -1, (1, 1, 0), "X0prime", "dec_e2_offX0"),
+    ("dec", 2, Generic, None): ("dec", -1, (1, 1, 0), "X0prime", "dec_e2_offX0"),
+    ("ind0", 0, OnX0, None): ("dec", +1, (0, -1, 0), "X0prime", "ind0_onX0"),
+    ("ind0", 0, Generic, None): ("indm1", -1, (0, 1, 0), "X0prime", "ind0_gen"),
+    ("indm1", -1, Pair, "q=r"): ("ind0", +1, (0, 0, 0), "DRprime", "indm1_diag"),
+    ("indm1", -1, Pair, "q!=r"): ("dec", +1, (0, 1, -1), "DRprime", "indm1_split"),
+}
+
+
+def _models(group):
+    """Split models with e = 0..3 and every group sum, and every non-split model."""
+    elements = group.elements()
+    return [
+        *(Decomposable(DivisorClass(-e, a)) for e in range(4) for a in elements),
+        Indec0(group), *(IndecMinus1(p0) for p0 in elements),
+    ]
+
+
+def _points(model):
+    """Every point of ``model``: each kind over each base point, each pair once."""
+    elements = model.group.elements()
+    if model.family() == "indm1":
+        return [Pair(q, r) for i, q in enumerate(elements) for r in elements[i:]]
+    kinds = sorted(FAMILY_KINDS[model.family()], key=lambda kind: kind.__name__)
+    return [kind(p) for p in elements for kind in kinds]
+
+
+def test_the_rule_table_names_each_rule():
+    assert {entry[-1] for entry in RULE_TABLE.values()} == set(ALL_RULES)
+
+
+def test_elm_answers_as_the_rule_table_on_every_point_of_torus_4_4():
+    zero, cases = T4.zero(), 0
+    for s in _models(T4):
+        family, e, A = s.family(), invariant_e(s), s.e_class.abel
+        for x in _points(s):
+            P, r = (x.q, x.r) if isinstance(x, Pair) else (x.P, zero)
+            holds = {
+                None: True, "A=0": A == zero, "A!=0": A != zero,
+                "A+P=0": A + P == zero, "A+P!=0": A + P != zero,
+                "q=r": P == r, "q!=r": P != r,
+            }
+            [entry] = [
+                value for (f, e_key, kind, condition), value in RULE_TABLE.items()
+                if (f, e_key, kind) == (family, min(e, 2), type(x)) and holds[condition]
+            ]
+            to_family, de, (c_A, c_P, c_r), y0_note, rule = entry
+            out = elm(s, x)
+            new_class = DivisorClass(-(e + de), c_A * A + c_P * P + c_r * r)
+            assert (out.model.family(), out.model.e_class, out.y0_note, out.rule) == (
+                to_family, new_class, y0_note, rule
+            ), (s, x)
+            cases += 1
+    assert cases == 5280
+
+
+def test_random_walk_streams_match_their_digest():
+    # The 21 walks of test_random_walk_streams_are_pinned.  Its reference
+    # walk calls elm itself; this digest pins elm's answers along them.
+    W = WeierstrassGroup(23, -1, 0)
+    starts = [
+        dec(0), dec(0, P), dec(1), dec(2, G.element(3, 4)), Indec0(G),
+        IndecMinus1(G.element(1, 1)), IndecMinus1(W.nth(5)),
+    ]
+    digest = hashlib.sha256()
+    for s0 in starts:
+        for seed in (0, 1, 20260823):
+            for step in walk(s0, ["random"] * 50, rng_seed=seed).steps:
+                digest.update(f"{step.rule} {step.model!r}\n".encode())
+    assert digest.hexdigest() == (
+        "c76d93b6a32287f4dadb1a722e695f094026a8bb12b241b113ff7a99b8c83f72"
+    )
+
+
+# -- reversibility (Hartshorne V.5.7.1) ----------------------------------------
+
+def _isomorphic(a, b, doubles):
+    """Equal models, or models related by one of the two isomorphisms that
+    are not equalities: swapping the two sections of a split model at e = 0,
+    ``Decomposable(A) ~ Decomposable(-A)``, and twisting the e = -1 model by
+    a point t, ``IndecMinus1(p0) ~ IndecMinus1(p0 + 2t)``.  ``doubles`` is
+    the set of all 2t."""
+    if a == b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Decomposable):
+        return a.e_class.degree == b.e_class.degree == 0 and a.e_class.abel == -b.e_class.abel
+    return isinstance(a, IndecMinus1) and a.p0 - b.p0 in doubles
+
+
+def _points_over(model, t):
+    """The points of ``model`` on the fiber over t; a pair {q, r} lies over
+    q + r - p0."""
+    if isinstance(model, IndecMinus1):
+        return {Pair(q, t + model.p0 - q) for q in model.group.elements()}
+    return [kind(t) for kind in FAMILY_KINDS[model.family()]]
+
+
+def _assert_every_transformation_is_undone_over_its_fiber(group):
+    doubles = {t + t for t in group.elements()}
+    for s in _models(group):
+        for x in _points(s):
+            t = x.q + x.r - s.p0 if isinstance(x, Pair) else x.P
+            image = elm(s, x).model
+            assert any(
+                _isomorphic(elm(image, y).model, s, doubles) for y in _points_over(image, t)
+            ), (s, x)
+
+
+def test_every_transformation_is_undone_over_its_fiber():
+    _assert_every_transformation_is_undone_over_its_fiber(T4)
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize(
+    "group", [TorusGroup(2, 6), WeierstrassGroup(11, -1, 0)], ids=str
+)
+def test_every_transformation_is_undone_over_its_fiber_sweep(group):
+    _assert_every_transformation_is_undone_over_its_fiber(group)
