@@ -26,6 +26,10 @@ Grammar (after flag words are stripped)::
     pointspec := "onX0@" point | "onX1@" point | "gen@" point
                | "pair{" point "," point "}"
 
+Tokens: an INT is a run of ASCII digits, an identifier a ``str.isalpha``
+character or ``_`` then ``str.isalnum`` ones or ``_``, a symbol one of
+``(){},+-*@``; any other character but a space is a ParseError.
+
 Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``elm s pointspec``, ``walk s step...``, ``table N``, ``nagata target [e]``,
 ``mincurves s pair{..}``, ``ram s point``.  Flags: ``--group m,n``,
@@ -36,14 +40,18 @@ work grows linearly in either, and a larger one is a semantic error.
 
 Exit codes: 0 success, 1 engine error, 2 parse/semantic error.  In JSON mode
 errors are also emitted on standard output as ``{"error": code, ...}``.
+``--json`` prints ``json.dumps(payload, indent=2)`` byte for byte, built
+without the pure-Python encoder that ``json.dumps`` takes when it indents.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Sequence
 
 from . import classify as classify_mod
@@ -77,48 +85,20 @@ SPEC_KINDS = {"onX0": OnX0, "onX1": OnX1, "gen": Generic}
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "INT" | "IDENT" | "SYM" | "EOF"
-    text: str
-    column: int
+#: ``[^\W\d]`` also admits characters such as "²" and "½", numeric but not
+#: decimal: ``_tokenize`` refuses an identifier that starts with one.
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[^\W\d]\w*)|(?P<SYM>[(){},+\-*@])|(?P<BAD>\S)")
 
 
-#: Only ASCII digits: ``str.isdigit`` also accepts characters such as "²"
-#: that ``int`` rejects.
-DIGITS = frozenset("0123456789")
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in DIGITS:
-            j = i
-            while j < n and text[j] in DIGITS:
-                j += 1
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch in "(){},+-*@":
-            tokens.append(Token("SYM", ch, i))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r} at column {i}", column=i
-        )
-    tokens.append(Token("EOF", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, column) tokens of ``text``, ending in an EOF token."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, word, i = match.lastgroup, match.group(), match.start()
+        if kind == "BAD" or kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {text[i]!r} at column {i}", column=i)
+        tokens.append((kind, word, i))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -169,71 +149,67 @@ def format_field(value) -> str:
 
 class _Parser:
     def __init__(self, text: str, group: CurveGroup):
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts, self.columns = zip(*_tokenize(text))
         self.pos = 0
         self.group = group
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
+        text = self.texts[self.pos]
         self.pos += 1
-        return tok
+        return text
 
     def fail(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self.peek()
-        got = tok.text or "end of input"
+        got = self.peek() or "end of input"
+        column = self.columns[self.pos]
         return ParseError(
-            f"expected {' or '.join(expected)}, got {got!r} at column {tok.column}",
-            column=tok.column,
+            f"expected {' or '.join(expected)}, got {got!r} at column {column}",
+            column=column,
             expected=expected,
         )
 
-    def at(self, text: str) -> bool:
-        """Whether the next token is this symbol or identifier."""
-        return self.peek().text == text
-
-    def expect_sym(self, sym: str) -> Token:
-        if self.at(sym):
+    def expect_sym(self, sym: str) -> str:
+        if self.peek() == sym:
             return self.next()
         raise self.fail((f"'{sym}'",))
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
+        if self.kinds[self.pos] != "INT":
             raise self.fail(("integer",))
-        self.next()
+        column = self.columns[self.pos]
+        text = self.next()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError as exc:  # over the interpreter's int-conversion limit
             raise ParseError(
-                f"integer of {len(tok.text)} digits at column {tok.column} is too long",
-                column=tok.column,
+                f"integer of {len(text)} digits at column {column} is too long",
+                column=column,
             ) from exc
 
     def expect_ident(self, *names: str) -> str:
-        if self.peek().text in names:
-            return self.next().text
+        if self.peek() in names:
+            return self.next()
         raise self.fail(names)
 
     # -- grammar productions ------------------------------------------------
 
     def optional_int(self) -> int | None:
-        return self.expect_int() if self.peek().kind == "INT" else None
+        return self.expect_int() if self.kinds[self.pos] == "INT" else None
 
     def family(self) -> str:
         return self.expect_ident(*FAMILIES)
 
     def signed_int(self) -> int:
-        sign = -1 if self.at("-") and self.next() else 1
+        sign = -1 if self.peek() == "-" and self.next() else 1
         return sign * self.expect_int()
 
     def point(self) -> GroupElement:
-        if self.at("O"):
+        if self.peek() == "O":
             self.next()
             return self.group.zero()
-        if self.at("("):
+        if self.peek() == "(":
             self.next()
             x = self.signed_int()
             self.expect_sym(",")
@@ -249,10 +225,10 @@ class _Parser:
 
     def term(self) -> tuple[GroupElement, int]:
         mult = 1
-        if self.peek().kind == "INT":
+        if self.kinds[self.pos] == "INT":
             mult = self.expect_int()
             self.expect_sym("*")
-        name = self.peek().text
+        name = self.peek()
         if name not in ("P", "O", "PO"):
             raise self.fail(("'P'", "'O'"))
         self.next()
@@ -260,13 +236,13 @@ class _Parser:
 
     def divisor(self) -> Divisor:
         terms: list[tuple[GroupElement, int]] = []
-        sign = -1 if self.at("-") and self.next() else 1
+        sign = -1 if self.peek() == "-" and self.next() else 1
         while True:
             point, mult = self.term()
             terms.append((point, sign * mult))
-            if not (self.at("+") or self.at("-")):
+            if self.peek() not in ("+", "-"):
                 return Divisor.of(self.group, *terms)
-            sign = 1 if self.next().text == "+" else -1
+            sign = 1 if self.next() == "+" else -1
 
     def surface(self) -> SurfaceModel:
         name = self.family()
@@ -312,17 +288,17 @@ class _Parser:
 
     def steps(self) -> tuple:
         steps: list = []
-        while self.peek().kind != "EOF":
+        while self.kinds[self.pos] != "EOF":
             # ``onX0`` is a template, and ``onX0@point`` a concrete point.
-            after = self.tokens[self.pos + 1].text
-            if self.peek().text in WALK_TEMPLATES and after != "@":
-                steps.append(self.next().text)
+            after = self.texts[self.pos + 1]
+            if self.peek() in WALK_TEMPLATES and after != "@":
+                steps.append(self.next())
             else:
                 steps.append(self.pointspec())
         return tuple(steps)
 
     def end(self) -> None:
-        if self.peek().kind != "EOF":
+        if self.kinds[self.pos] != "EOF":
             raise self.fail(("end of input",))
 
 
@@ -634,11 +610,36 @@ def _render_text(payload: dict | str) -> str:
     return "\n".join(lines)
 
 
+def _render_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts keyed by str, lists, str, int,
+    True, False and None, each of exactly that type; anything else is a TypeError."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if cls is list:
+        items = [_render_json(v, inner) for v in value]
+    elif cls is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_render_json(v, inner)}" for k, v in value.items()
+        ]
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    brackets = "[]" if cls is list else "{}"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def run(cmd: Command) -> tuple[int, str]:
     """Execute a parsed command; returns (exit status, stdout text)."""
     payload = cmd.variant.run(cmd.options)
     if cmd.options.json:
-        return 0, json.dumps(payload, indent=2)
+        return 0, _render_json(payload)
     return 0, _render_text(payload)
 
 

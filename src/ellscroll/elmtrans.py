@@ -67,10 +67,13 @@ class Pair:
 
     def __post_init__(self) -> None:
         # Normalize so that {q, r} == {r, q}.
-        if self.q.sort_key() > self.r.sort_key():
-            q, r = self.q, self.r
-            object.__setattr__(self, "q", r)
-            object.__setattr__(self, "r", q)
+        try:
+            if self.q.sort_key() > self.r.sort_key():
+                q, r = self.q, self.r
+                object.__setattr__(self, "q", r)
+                object.__setattr__(self, "r", q)
+        except AttributeError:
+            raise InvalidPointSpec(f"{self!r} is not a point descriptor") from None
 
 
 PointSpec = OnX0 | OnX1 | Generic | Pair
@@ -202,6 +205,10 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
     """
     if not isinstance(template, str):
         return template
+    try:
+        kinds = POINT_KINDS[model.__class__]
+    except KeyError:
+        raise InvalidSurface(f"{model!r} is not a surface model") from None
     group = model.group
     # Each point costs one draw below the order, the draw ``rng.choice``
     # over ``elements()`` makes, so a seed gives the same walk either way.
@@ -217,7 +224,6 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
         if template == "random":
             return Pair(nth(rng.randrange(order)), nth(rng.randrange(order)))
         raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
-    kinds = POINT_KINDS[model.__class__]
     if template != "random":
         kind = TEMPLATE_KINDS.get(template)
         if kind not in kinds:
@@ -230,6 +236,8 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
 
 def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
     """Apply a sequence of transformations; deterministic for a fixed seed."""
+    if s0.__class__ not in POINT_KINDS:
+        raise InvalidSurface(f"{s0!r} is not a surface model")
     rng = random.Random(rng_seed)
     trajectory = [s0]
     steps = []

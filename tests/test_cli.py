@@ -4,12 +4,13 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellscroll import errors
 from ellscroll.cli import (
@@ -26,6 +27,8 @@ from ellscroll.cli import (
     Table,
     Walk,
     _Parser,
+    _render_json,
+    _tokenize,
     format_class,
     format_divisor,
     main,
@@ -359,6 +362,10 @@ def test_readme_cli_lines_exit_as_documented(line, capsys):
     assert words[0] == "ellscroll"
     marked = re.search(r"# exit (\d)", line)
     assert main(words[1:]) == (int(marked.group(1)) if marked else 0)
+    if not marked:
+        # With --json, the same line renders as the indented json.dumps.
+        cmd = parse(words[1:] + ["--json"])
+        assert run(cmd) == (0, json.dumps(cmd.variant.run(cmd.options), indent=2))
 
 
 # -- command registry, argv words, small groups --------------------------------
@@ -550,3 +557,93 @@ def test_main_fuzz_ends_in_an_exit_code_and_a_coded_error(argv):
     assert (code == 2) == (first in ("ParseError", "SemanticError"))
     if any(a == "--json" or a.startswith("--json=") for a in argv):
         assert json.loads(out.getvalue())["error"] == first
+
+
+# -- lexer and JSON rendering --------------------------------------------------
+
+
+def lex(text):
+    """The (kind, text, column) tokens of ``text`` before EOF, or the
+    (message, column) of the ParseError it raises."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.column
+    assert tokens[-1] == ("EOF", "", len(text))
+    return tokens[:-1]
+
+
+def lone(ch, column=0):
+    """What the lexer must make of ``ch`` alone, at ``column``, by definition."""
+    if ch.isspace():
+        return []
+    if ch in "0123456789":
+        return [("INT", ch, column)]
+    if ch.isalpha() or ch == "_":
+        return [("IDENT", ch, column)]
+    if ch in "(){},+-*@":
+        return [("SYM", ch, column)]
+    return f"unexpected character {ch!r} at column {column}", column
+
+
+def after(token, ch):
+    """The tokens of ``token[1] + ch``: ``token``, then ``ch`` alone."""
+    rest = lone(ch, len(token[1]))
+    return rest if isinstance(rest, tuple) else [token, *rest]
+
+
+def check_lexer(code_points):
+    for ch in map(chr, code_points):
+        assert lex(ch) == lone(ch), repr(ch)
+        assert lex(" " + ch) == lone(ch, 1), repr(ch)
+        word = ch.isalnum() or ch == "_"
+        assert lex("a" + ch) == ([("IDENT", "a" + ch, 0)] if word else after(("IDENT", "a", 0), ch))
+        digit = ch in "0123456789"
+        assert lex("1" + ch) == ([("INT", "1" + ch, 0)] if digit else after(("INT", "1", 0), ch))
+
+
+#: Characters where ``str`` methods and regular-expression classes could part:
+#: numeric but not decimal, decimal but not ASCII, separators that are spaces,
+#: and a combining mark.
+LEXER_EDGES = "\u00b2\u00bd\u0663\x1c\x1d\x1e\x1f\xa0\u2028\u3000\u0301"
+
+
+def test_lexer_matches_its_definition():
+    sample = random.Random(0).sample(range(0x800, 0x110000), 4000)
+    check_lexer([*range(0x800), *sample, *map(ord, LEXER_EDGES)])
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="every code point; set ELLSCROLL_FUZZ=1")
+def test_lexer_matches_its_definition_sweep():
+    check_lexer(range(0x110000))
+
+
+#: Strings with quotes, backslashes, control and non-ASCII characters, ints
+#: up to 300 digits, and containers small enough that the examples stay fast.
+json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7fé \U0001f600') | st.characters(), max_size=10)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | json_texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_texts, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=not FUZZ_FRESH, print_blob=True)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], {}, [[]]], "d": {"e": {}}})
+@example(10**299)
+def test_json_rendering_fuzz_matches_json_dumps(value):
+    assert _render_json(value) == json.dumps(value, indent=2)
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, (1, 2), Text("x"), [True, 1.0], {"a": 0.0}, {1: None}],
+    ids=["float", "tuple", "str-subclass", "float-after-true", "float-in-dict", "int-key"],
+)
+def test_json_rendering_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _render_json(value)

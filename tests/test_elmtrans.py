@@ -210,10 +210,26 @@ def test_elm_refuses_what_is_not_a_point_descriptor():
     ids=["str", "None", "group", "class", "point"],
 )
 def test_elm_refuses_what_is_not_a_surface_model(s):
-    for x in (OnX0(O), Pair(P, Q), "onX0"):
+    # A walk checks its start before any step, even with no steps to take,
+    # and a template is refused before it is resolved on the model.
+    calls = [lambda x=x: elm(s, x) for x in (OnX0(O), Pair(P, Q), "onX0")] + [
+        lambda: walk(s, ["random"]),
+        lambda: walk(s, []),
+        lambda: resolve_template("random", s, random.Random(0)),
+    ]
+    for call in calls:
         with pytest.raises(InvalidSurface, match="is not a surface model") as info:
-            elm(s, x)
+            call()
         assert info.value.code == "InvalidSurface"
+
+
+@pytest.mark.parametrize(
+    "q, r", [((1, 0), (0, 1)), (P, None), (point_class(P), Q)], ids=["tuples", "None", "class"]
+)
+def test_pair_refuses_what_is_not_a_point(q, r):
+    for args in ((q, r), (r, q)):
+        with pytest.raises(InvalidPointSpec, match="not a point descriptor"):
+            Pair(*args)
 
 
 def test_pair_is_unordered():
