@@ -11,6 +11,7 @@ from .errors import (
     DegenerateModel,
     EngineError,
     GroupTooLarge,
+    InvalidArgument,
     InvalidPointSpec,
     InvalidSecancy,
     InvalidSurface,

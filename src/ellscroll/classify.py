@@ -22,7 +22,13 @@ from typing import NamedTuple
 
 from . import linsys
 from .elmtrans import POINT_KINDS, Generic, OnX0, Pair, elm, walk
-from .errors import DegenerateModel, EngineError, NotBasePointFree, UnreachableTarget
+from .errors import (
+    DegenerateModel,
+    EngineError,
+    InvalidArgument,
+    NotBasePointFree,
+    UnreachableTarget,
+)
 from .groups import CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
 from .surface import (
@@ -119,76 +125,65 @@ _GEN_IND0_QUARTIC = Generation(1, 3, "1:2", 1)
 
 
 def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
-    """Classify the image of the map defined by ``|X0 + b*f|``."""
+    """Classify the image of the map defined by ``|X0 + b*f|``.
+
+    The system's row refuses a value that is not a surface model, so the
+    last branch below is the e = -1 surface.
+    """
     H = SurfaceDivisorClass(1, b)
-    system = linsys._row(s, H)
-    if not system.bpf:
+    h0, h1, bpf, _, _ = linsys._row(s, H)
+    if not bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
-    e = invariant_e(s)
-    deg_b = b.degree
-    split = isinstance(s, Decomposable)
-    trivial = split and s.e_class.is_trivial()
-    note = ("trivial" if trivial else "nontrivial") if split and e == 0 else None
-
-    def row(tag, scroll_degree, singular="Empty", generation=None, curves=(), map_degree=1):
-        # The map is birational exactly when it has degree 1, and then the
-        # scroll carries the X0+af family derived from the row.
-        families = curves
-        if map_degree == 1:
-            cone = tag == "Cone"
-            families += (UnisecantFamily(
-                "X0+af", 2 if trivial else e + 1, deg_b - e,
-                None if cone else system.h0, system.h0 if cone else None,
-            ),)
-        return ScrollModel(
-            tag, e, note, deg_b, map_degree == 1, map_degree, scroll_degree,
-            system.h0 - 1, system.h1, singular, generation, families,
-        )
-
-    if split:
+    e, deg_b, degree = -s.deg_e, b.degree, intersect(s, H, H)
+    note, trivial, map_degree, ln_max, ln_exact = None, False, 1, h0, None
+    singular, generation, curves = "Empty", None, ()
+    if s.__class__ is Decomposable:
+        if not e:
+            trivial = s.e_class.is_trivial()
+            note = "trivial" if trivial else "nontrivial"
         if trivial and b.is_trivial():
-            return row("DegenerateLine", 1, map_degree=None)
-        if trivial and deg_b == 2:
-            return row("DoubleQuadric", 2, generation=_GEN_QUADRIC, map_degree=2)
+            tag, degree, map_degree = "DegenerateLine", 1, None
+        elif trivial and deg_b == 2:
+            tag, degree, generation, map_degree = "DoubleQuadric", 2, _GEN_QUADRIC, 2
         # Only a class of degree e can be -e_class, so the degree is tested
         # before the class comparison.
-        if deg_b == e >= 2 and b == -s.e_class:
+        elif deg_b == e >= 2 and b == -s.e_class:
             if e == 2:
-                return row("DoublePlane", 1, map_degree=2)
-            return row("Cone", e, "Vertex", None, (_X0_VERTEX, _X1_SECTIONS))
-        degree = intersect(s, H, H)
-        if e == 0 and deg_b == 2:
-            return row(
-                "DecScrollTwoLines", degree, "TwoDisjointLines", _GEN_TWO_LINES,
-                (_X0, _X1),
-            )
-        if e > 0 and deg_b == e + 2:
-            return row(
-                "DecScrollDirectrixLine", degree, "DirectrixLine",
-                Generation(1, e + 2, "1:2", 0), (_X0_DIRECTRIX, _X1),
-            )
-        # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
-        return row(
-            "DecScrollSmooth", degree, "Empty",
-            Generation(deg_b - e, deg_b, "1:1", 0),
-            (_X0_PENCIL,) if trivial else (_X0, _X1),
-        )
-
-    if isinstance(s, Indec0):
-        degree = intersect(s, H, H)
+                tag, degree, map_degree = "DoublePlane", 1, 2
+            else:
+                tag, singular, curves = "Cone", "Vertex", (_X0_VERTEX, _X1_SECTIONS)
+                ln_max, ln_exact = None, h0
+        elif e == 0 and deg_b == 2:
+            tag, singular, generation = "DecScrollTwoLines", "TwoDisjointLines", _GEN_TWO_LINES
+            curves = (_X0, _X1)
+        elif e > 0 and deg_b == e + 2:
+            tag, singular = "DecScrollDirectrixLine", "DirectrixLine"
+            generation, curves = Generation(1, e + 2, "1:2", 0), (_X0_DIRECTRIX, _X1)
+        else:
+            # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
+            tag, generation = "DecScrollSmooth", Generation(deg_b - e, deg_b, "1:1", 0)
+            curves = (_X0_PENCIL,) if trivial else (_X0, _X1)
+    elif s.__class__ is Indec0:
         if deg_b == 2:
-            return row("Ind0Quartic", degree, "DoubleLine", _GEN_IND0_QUARTIC, (_X0,))
-        return row(
-            "Ind0Smooth", degree, "Empty", Generation(deg_b, deg_b + 1, "1:1", 1),
-            (_X0_DIRECTRIX,),
-        )
-
-    # IndecMinus1
-    if deg_b == 1:
-        return row("TriplePlane", 1, map_degree=3)
-    return row(
-        "IndM1Smooth", intersect(s, H, H), "Empty",
-        Generation(deg_b + 1, deg_b + 1, "1:1", 1),
+            tag, singular, generation = "Ind0Quartic", "DoubleLine", _GEN_IND0_QUARTIC
+            curves = (_X0,)
+        else:
+            tag, generation = "Ind0Smooth", Generation(deg_b, deg_b + 1, "1:1", 1)
+            curves = (_X0_DIRECTRIX,)
+    elif deg_b == 1:
+        tag, degree, map_degree = "TriplePlane", 1, 3
+    else:
+        tag, generation = "IndM1Smooth", Generation(deg_b + 1, deg_b + 1, "1:1", 1)
+    # The map is birational exactly when it has degree 1, and then the
+    # scroll carries the X0+af family derived from the row.
+    birational = map_degree == 1
+    if birational:
+        curves += (UnisecantFamily(
+            "X0+af", 2 if trivial else e + 1, deg_b - e, ln_max, ln_exact
+        ),)
+    return ScrollModel(
+        tag, e, note, deg_b, birational, map_degree, degree, h0 - 1, h1,
+        singular, generation, curves,
     )
 
 
@@ -213,33 +208,29 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     (speciality 1) always closes the table.
     """
     if N < 3:
-        raise ValueError("tables are emitted for N >= 3")
+        raise InvalidArgument("tables are emitted for N >= 3")
     if group is None:
         group = default_group()
     # Every class of the table sums to the identity but one, so the
-    # identity is built once per table.
+    # identity is built once per table.  Each row has deg b = (N + 1 + e) // 2.
     zero = group.zero()
-    rows: list[ScrollModel] = []
-
-    def add(s: SurfaceModel, deg_b: int) -> None:
-        rows.append(classify_scroll(s, DivisorClass(deg_b, zero)))
-
-    def dec(e: int) -> Decomposable:
-        return Decomposable(DivisorClass(-e, zero))
-
     if N % 2:
-        b = (N + 1) // 2
-        add(Indec0(group), b)
-        add(dec(0), b)  # degenerate double quadric in P^3
         _order_at_least(group, 2)
-        add(Decomposable(DivisorClass(0, group.nth(1))), b)
+        b = DivisorClass((N + 1) // 2, zero)
+        # The split e = 0 rows; the first, with a trivial invariant class, is
+        # the degenerate double quadric in P^3.
+        split = Decomposable(DivisorClass(0, zero)), Decomposable(DivisorClass(0, group.nth(1)))
+        rows = [classify_scroll(s, b) for s in (Indec0(group), *split)]
     else:
-        add(IndecMinus1(zero), N // 2)
-    for e in range(1 + N % 2, N - 3, 2):
-        add(dec(e), (N + 1 + e) // 2)
-    if N > 3:
-        add(dec(N - 3), N - 1)
-    add(dec(N), N)  # the cone: b is -e_class
+        rows = [classify_scroll(IndecMinus1(zero), DivisorClass(N // 2, zero))]
+    # The split rows with e of the parity of N + 1, up to N - 3, and the
+    # cone, e = N, where b is -e_class.
+    rows += [
+        classify_scroll(
+            Decomposable(DivisorClass(-e, zero)), DivisorClass((N + 1 + e) // 2, zero)
+        )
+        for e in (*range(1 + N % 2, N - 2, 2), N)
+    ]
 
     for r in rows:
         if r.model_tag != "DoubleQuadric" and r.ambient != N:
@@ -410,7 +401,7 @@ def minimality_check(
     ``EngineError`` when a rule breaks it.  Nothing is kept between calls.
     """
     if max_len > 4:
-        raise ValueError("exhaustive search is desk-scale: max_len <= 4")
+        raise InvalidArgument("exhaustive search is desk-scale: max_len <= 4")
     if group is None:
         group = TorusGroup(4, 4)
     target_e = _target_e(target, e)

@@ -238,6 +238,10 @@ def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
     """Apply a sequence of transformations; deterministic for a fixed seed."""
     if s0.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{s0!r} is not a surface model")
+    try:
+        templates = iter(templates)
+    except TypeError:
+        raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps") from None
     rng = random.Random(rng_seed)
     trajectory = [s0]
     steps = []

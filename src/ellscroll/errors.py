@@ -54,6 +54,12 @@ class InvalidSurface(EngineError):
     code = "InvalidSurface"
 
 
+class InvalidArgument(EngineError, ValueError):
+    """A library argument is outside the range the operation is defined on."""
+
+    code = "InvalidArgument"
+
+
 class NonNormalizedInput(EngineError):
     """A decomposable surface was given an invariant class of positive degree."""
 

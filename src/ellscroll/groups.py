@@ -482,6 +482,8 @@ def _sqrt(v: int, p: int) -> int | None:
     return r
 
 
+#: The two group models; ``CurveGroup`` is their union.
+GROUP_MODELS = (TorusGroup, WeierstrassGroup)
 CurveGroup = TorusGroup | WeierstrassGroup
 
 

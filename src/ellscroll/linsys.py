@@ -16,23 +16,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import picard
-from .errors import InvalidSecancy, UnsupportedSecancy
+from .errors import InvalidSecancy, InvalidSurface, UnsupportedSecancy
 from .groups import check_same_group
 from .picard import point_class
 from .surface import (
     Decomposable,
     Indec0,
+    IndecMinus1,
     SurfaceDivisorClass,
     SurfaceModel,
     genus_adjunction,
     intersect,
-    invariant_e,
 )
-
-
-def _check_m(H: SurfaceDivisorClass) -> None:
-    if H.m < 1:
-        raise InvalidSecancy("systems with m < 1 are not analyzed")
 
 
 def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
@@ -43,21 +38,28 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """
     if H.m < 0:
         raise InvalidSecancy("negative fiber degree")
-    total, deg_b, deg_e = 0, H.b.degree, s.deg_e
+    total, b, degree, deg_e = 0, H.b, H.b.degree, s.deg_e
     for k in range(H.m + 1):
-        degree = deg_b + k * deg_e
-        # Only a class of degree 0 is built, to test whether it is trivial;
-        # any other class has max(degree, 0) sections.
-        total += picard.h0(H.b + k * s.e_class) if degree == 0 else max(degree, 0)
+        # A class of positive degree d has d sections and one of negative
+        # degree none; only a class of degree 0 is built, to test whether
+        # it is trivial.
+        if degree > 0:
+            total += degree
+        elif not degree:
+            total += picard.h0(b + k * s.e_class)
+        degree += deg_e
     return total
 
 
 def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """Exact section count of the complete system ``|m*X0 + b*f|``."""
+    cls = s.__class__
+    if cls is not Decomposable and cls is not Indec0 and cls is not IndecMinus1:
+        raise InvalidSurface(f"{s!r} is not a surface model")
     check_same_group(s.group, H.b.group)
     if H.m == 0:
         return picard.h0(H.b)
-    if isinstance(s, Decomposable):
+    if cls is Decomposable:
         # The bundle splits, so the bound is attained for every m.
         return h0_bound(s, H)
     return _row(s, H).h0
@@ -80,37 +82,37 @@ class _Row(NamedTuple):
 
 
 def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
-    """The closed-form row of ``|m*X0 + b*f|``, one branch per (family, m).
+    """The closed-form row of ``|m*X0 + b*f|``: one branch per family, then
+    one per m.
 
     Conditions on degrees are tested before the divisor-class comparisons
-    they guard, which cost group arithmetic.
+    they guard, which cost group arithmetic.  A value of no family is
+    refused by the last branch, so the three families pay nothing for it.
     """
-    _check_m(H)
-    check_same_group(s.group, H.b.group)
-    m, b, deg_b, e = H.m, H.b, H.b.degree, invariant_e(s)
-    if m > 2:
-        raise UnsupportedSecancy(
-            f"no closed form for the predicates at m={m}"
-            if isinstance(s, Decomposable)
-            else f"no closed form for m={m} on a non-split surface"
-        )
+    m, b = H.m, H.b
+    if m < 1:
+        raise InvalidSecancy("systems with m < 1 are not analyzed")
+    cls, group, deg_b = s.__class__, b.abel.group, b.degree
     # Very ample exactly when b + m*e_class has degree at least 3, and
     # base-point-free when it has degree at least 2; only split surfaces
     # have base-point-free systems below that degree.
-    very_ample = deg_b >= m * e + 3
-    bpf = deg_b >= m * e + 2
-    if isinstance(s, Decomposable):
+    if cls is Decomposable:
         E = s.e_class
+        if E.abel.group is not group:
+            check_same_group(E.abel.group, group)
+        if m > 2:
+            raise UnsupportedSecancy(f"no closed form for the predicates at m={m}")
+        e = -E.degree
         h0 = h0_bound(s, H)
-        if m == 1 and E.is_trivial():
-            bpf = irreducible = bpf or b.is_trivial()
+        if m == 1 and not e and E.is_trivial():
+            bpf = irreducible = deg_b >= 2 or b.is_trivial()
         elif m == 1:
             minus_e = deg_b == e and b == -E
-            bpf = bpf or (minus_e and e >= 2)
+            bpf = deg_b >= e + 2 or (minus_e and e >= 2)
             irreducible = deg_b >= e + 1 or b.is_trivial() or minus_e
         else:
             minus_2e = deg_b == 2 * e and b == -2 * E
-            bpf = bpf or (minus_2e and (e > 0 or (2 * E).is_trivial()))
+            bpf = deg_b >= 2 * e + 2 or (minus_2e and (e > 0 or (2 * E).is_trivial()))
             # With b ~ -2*e_class the generic member is irreducible when the
             # system is base-point-free and e_class is not trivial.
             irreducible = (
@@ -118,22 +120,34 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
                 or (deg_b == 2 * e + 1 and not E.is_trivial())
                 or (minus_2e and bpf and not E.is_trivial())
             )
-    elif isinstance(s, Indec0):
-        h0 = (m + 1) * deg_b if deg_b >= 1 else int(b.is_trivial())
-        irreducible = deg_b >= 1 or (m == 1 and b.is_trivial())
-    else:  # IndecMinus1
-        if deg_b >= 0:
-            h0 = 2 * deg_b + 1 if m == 1 else 3 * deg_b + 3
+    elif cls is Indec0 or cls is IndecMinus1:
+        if s.group is not group:
+            check_same_group(s.group, group)
+        if m > 2:
+            raise UnsupportedSecancy(f"no closed form for m={m} on a non-split surface")
+        if cls is Indec0:
+            e = 0
+            h0 = (m + 1) * deg_b if deg_b >= 1 else int(b.is_trivial())
+            irreducible = deg_b >= 1 or (m == 1 and b.is_trivial())
         else:
-            # Three classes of degree -1 keep one curve in |2*X0 + b*f|: the
-            # -b with 2*(-b) ~ 2*p0 and -b not ~ p0.
-            p0 = point_class(s.p0)
-            h0 = int(m == 2 and deg_b == -1 and 2 * -b == 2 * p0 and -b != p0)
-        # On the e = -1 surface every nonempty system here is irreducible.
-        irreducible = h0 > 0
+            e = -1
+            if deg_b >= 0:
+                h0 = 2 * deg_b + 1 if m == 1 else 3 * deg_b + 3
+            else:
+                # Three classes of degree -1 keep one curve in |2*X0 + b*f|:
+                # the -b with 2*(-b) ~ 2*p0 and -b not ~ p0.
+                p0 = point_class(s.p0)
+                h0 = int(m == 2 and deg_b == -1 and 2 * -b == 2 * p0 and -b != p0)
+            # On the e = -1 surface every nonempty system here is irreducible.
+            irreducible = h0 > 0
+        bpf = deg_b >= m * e + 2
+    else:
+        raise InvalidSurface(f"{s!r} is not a surface model")
     # With the exact h0 in hand, the index theorem pins down h1 (the second
     # cohomology vanishes for m >= 1).
-    return _Row(h0, h0 - euler_characteristic(s, H), bpf, very_ample, irreducible)
+    return _Row(
+        h0, h0 - euler_characteristic(s, H), bpf, deg_b >= m * e + 3, irreducible
+    )
 
 
 def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:

@@ -22,8 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateModel, InvalidPointSpec, InvalidSecancy, NonNormalizedInput
-from .groups import CurveGroup, GroupElement
+from .errors import (
+    DegenerateModel,
+    InvalidPointSpec,
+    InvalidSecancy,
+    InvalidSurface,
+    NonNormalizedInput,
+)
+from .groups import GROUP_MODELS, CurveGroup, GroupElement
 from .picard import DivisorClass, point_class, trivial_class
 
 
@@ -60,6 +66,10 @@ class Indec0:
     #: The degree of ``e_class``, read without building the class.
     deg_e = 0
 
+    def __post_init__(self) -> None:
+        if self.base.__class__ not in GROUP_MODELS:
+            raise InvalidSurface(f"{self.base!r} is not a group model")
+
     @property
     def group(self) -> CurveGroup:
         return self.base
@@ -79,6 +89,10 @@ class IndecMinus1:
     p0: GroupElement
 
     deg_e = 1
+
+    def __post_init__(self) -> None:
+        if self.p0.__class__ is not GroupElement:
+            raise InvalidSurface(f"{self.p0!r} is not a group element")
 
     @property
     def group(self) -> CurveGroup:

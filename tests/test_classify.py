@@ -22,6 +22,7 @@ from ellscroll.elmtrans import OnX0, OnX1
 from ellscroll.errors import (
     DegenerateModel,
     EngineError,
+    InvalidArgument,
     NotBasePointFree,
     UnreachableTarget,
 )
@@ -410,6 +411,15 @@ def test_minimality_by_exhaustive_search():
     assert minimality_check("dec", 4, max_len=4) == 4
     assert minimality_check("ind0") == 2
     assert minimality_check("indm1") == 3
+
+
+def test_argument_bounds_raise_a_coded_error():
+    calls = [lambda: emit_table(2), lambda: minimality_check("dec", 9, max_len=9)]
+    for call in calls:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert info.value.code == "InvalidArgument"
+        assert isinstance(info.value, EngineError) and isinstance(info.value, ValueError)
 
 
 def test_minimality_unreachable_within_budget():

@@ -223,6 +223,12 @@ def test_elm_refuses_what_is_not_a_surface_model(s):
         assert info.value.code == "InvalidSurface"
 
 
+@pytest.mark.parametrize("templates", [None, 5, OnX0(O)], ids=["None", "int", "point"])
+def test_walk_refuses_steps_that_are_not_a_sequence(templates):
+    with pytest.raises(InvalidPointSpec, match="is not a sequence of walk steps"):
+        walk(Indec0(G), templates)
+
+
 @pytest.mark.parametrize(
     "q, r", [((1, 0), (0, 1)), (P, None), (point_class(P), Q)], ids=["tuples", "None", "class"]
 )

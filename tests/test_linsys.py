@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellscroll import linsys
-from ellscroll.errors import InvalidSecancy, MixedGroups, UnsupportedSecancy
+from ellscroll.classify import classify_scroll
+from ellscroll.errors import InvalidSecancy, InvalidSurface, MixedGroups, UnsupportedSecancy
 from ellscroll.groups import TorusGroup, default_group
 from ellscroll.picard import DivisorClass, h1, point_class, trivial_class
 from ellscroll.surface import (
@@ -273,6 +274,23 @@ T4 = TorusGroup(4, 4)
 def test_a_class_of_another_group_is_refused(query, s, H):
     with pytest.raises(MixedGroups):
         query(s, H)
+
+
+@pytest.mark.parametrize(
+    "s", ["dec", None, G, point_class(O), SurfaceDivisorClass(1, trivial_class(G))],
+    ids=["str", "None", "group", "class", "system"],
+)
+def test_classification_entry_refuses_what_is_not_a_surface_model(s):
+    b = DivisorClass(3, O)
+    calls = [lambda: classify_scroll(s, b)] + [
+        lambda query=query, m=m: query(s, SurfaceDivisorClass(m, b))
+        for query in (linsys.analyze, linsys.is_bpf, linsys.h0_surface)
+        for m in (1, 2, 3)
+    ] + [lambda: linsys.h0_surface(s, SurfaceDivisorClass(0, b))]
+    for call in calls:
+        with pytest.raises(InvalidSurface, match="is not a surface model") as info:
+            call()
+        assert info.value.code == "InvalidSurface"
 
 
 ms = st.integers(1, 2)

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ellscroll.errors import DegenerateModel, InvalidSecancy, NonNormalizedInput
+from ellscroll.errors import (
+    DegenerateModel,
+    InvalidSecancy,
+    InvalidSurface,
+    NonNormalizedInput,
+)
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class, trivial_class
 from ellscroll.surface import (
@@ -57,6 +62,24 @@ def test_families_and_invariant():
 def test_decomposable_rejects_positive_degree():
     with pytest.raises(NonNormalizedInput):
         Decomposable(DivisorClass(1, G.zero()))
+
+
+@pytest.mark.parametrize(
+    "value", [None, "T", G.zero(), point_class(G.zero())], ids=["None", "str", "point", "class"]
+)
+def test_nonsplit_models_refuse_what_is_not_a_group_model(value):
+    with pytest.raises(InvalidSurface, match="is not a group model") as info:
+        Indec0(value)
+    assert info.value.code == "InvalidSurface"
+
+
+@pytest.mark.parametrize(
+    "value", [None, (0, 0), G, point_class(G.zero())], ids=["None", "tuple", "group", "class"]
+)
+def test_e_minus_1_model_refuses_what_is_not_a_group_element(value):
+    with pytest.raises(InvalidSurface, match="is not a group element") as info:
+        IndecMinus1(value)
+    assert info.value.code == "InvalidSurface"
 
 
 @given(surfaces(), sys_classes(), sys_classes())
