@@ -13,7 +13,6 @@ operations refuse with ``UnsupportedSecancy``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import picard
 from .errors import InvalidSecancy, InvalidSurface, UnsupportedSecancy
@@ -62,7 +61,8 @@ def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     if cls is Decomposable:
         # The bundle splits, so the bound is attained for every m.
         return h0_bound(s, H)
-    return _row(s, H).h0
+    h0, _, _, _, _ = _row(s, H)
+    return h0
 
 
 def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
@@ -71,19 +71,10 @@ def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     return m * (m + 1) * deg_e // 2 + (m + 1) * deg_b
 
 
-class _Row(NamedTuple):
-    """One row of the closed-form tables."""
-
-    h0: int
-    h1: int
-    bpf: bool
-    very_ample: bool
-    irreducible: bool
-
-
-def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
+def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool, bool]:
     """The closed-form row of ``|m*X0 + b*f|``: one branch per family, then
-    one per m.
+    one per m.  A row is the plain tuple (h0, h1, bpf, very_ample,
+    irreducible); the analysis record names the fields.
 
     Conditions on degrees are tested before the divisor-class comparisons
     they guard, which cost group arithmetic.  A value of no family is
@@ -145,14 +136,13 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> _Row:
         raise InvalidSurface(f"{s!r} is not a surface model")
     # With the exact h0 in hand, the index theorem pins down h1 (the second
     # cohomology vanishes for m >= 1).
-    return _Row(
-        h0, h0 - euler_characteristic(s, H), bpf, deg_b >= m * e + 3, irreducible
-    )
+    return h0, h0 - euler_characteristic(s, H), bpf, deg_b >= m * e + 3, irreducible
 
 
 def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact base-point-freeness table for m in {1, 2}."""
-    return _row(s, H).bpf
+    _, _, bpf, _, _ = _row(s, H)
+    return bpf
 
 
 @dataclass(frozen=True)
