@@ -3,12 +3,15 @@
 ``classify_scroll`` turns (surface, section-class b) into a structured record
 of the image scroll of the map given by ``|X0 + b*f|``: its degree, ambient
 space, singular locus, projective generation, and its families of unisecant
-curves with their linear-normality ranges.  The records (``ScrollModel``,
-``Generation``, ``UnisecantFamily``) are immutable named tuples, so a row is
-built in one tuple construction; their ``to_dict`` gives the JSON form.
+curves with their linear-normality ranges.  It reads the system's row from
+``linsys._row`` once, dispatches once on the surface's class, and each
+branch assigns the row's fields; the ``X0+af`` family and the record are
+built at one exit.  The records (``ScrollModel``, ``Generation``,
+``UnisecantFamily``) are immutable named tuples, so a row is built in one
+tuple construction; their ``to_dict`` gives the JSON form.
 
 ``emit_table`` enumerates every scroll model living in a fixed projective
-space P^N.  ``nagata_plan`` produces the minimal sequence of elementary
+space P^N; every row has deg b = (N + 1 + e) // 2.  ``nagata_plan`` produces the minimal sequence of elementary
 transformations constructing each surface family from the product surface,
 and ``minimality_check`` verifies minimality by a search that is exhaustive
 up to the e-distance bound; it checks the bound's premise, that e moves by

@@ -3,11 +3,14 @@
 For fiber degree m in {1, 2} the engine knows exact section counts and exact
 base-point-free / very-ample / generic-irreducibility truth tables, with all
 torsion side conditions decided by divisor-class equality in the finite group
-model.  They form one table, ``_row``, with one branch per (family, m);
-``is_bpf``, ``analyze`` and ``classify.classify_scroll`` read it.  For
-m >= 3 the split formula stays exact on decomposable surfaces; on the
-non-split families only the upper bound is available, and the exact
-operations refuse with ``UnsupportedSecancy``.
+model.  They form one table, ``_row``: it dispatches once on the surface's
+class, then branches on m, and returns a plain tuple; ``is_bpf``,
+``analyze`` and ``classify.classify_scroll`` read it.  Its last branch
+refuses a value that is not a surface model with ``InvalidSurface``.  Split
+section counts come from one formula, ``h0_bound``.  For m >= 3 the split
+formula stays exact on decomposable surfaces; on the non-split families only
+the upper bound is available, and the exact operations refuse with
+``UnsupportedSecancy``.
 """
 
 from __future__ import annotations
@@ -84,16 +87,16 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
     if m < 1:
         raise InvalidSecancy("systems with m < 1 are not analyzed")
     cls, group, deg_b = s.__class__, b.abel.group, b.degree
-    # Very ample exactly when b + m*e_class has degree at least 3, and
-    # base-point-free when it has degree at least 2; only split surfaces
-    # have base-point-free systems below that degree.
+    # Very ample exactly when b + m*e_class has degree at least 3, that is
+    # deg b >= m*e + 3, and base-point-free when it has degree at least 2;
+    # only split surfaces have base-point-free systems below that degree.
     if cls is Decomposable:
         E = s.e_class
         if E.abel.group is not group:
             check_same_group(E.abel.group, group)
         if m > 2:
             raise UnsupportedSecancy(f"no closed form for the predicates at m={m}")
-        e = -E.degree
+        e = -E.degree  # -s.deg_e, without the property call
         h0 = h0_bound(s, H)
         if m == 1 and not e and E.is_trivial():
             bpf = irreducible = deg_b >= 2 or b.is_trivial()
@@ -116,12 +119,11 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
             check_same_group(s.group, group)
         if m > 2:
             raise UnsupportedSecancy(f"no closed form for m={m} on a non-split surface")
+        e = -s.deg_e
         if cls is Indec0:
-            e = 0
             h0 = (m + 1) * deg_b if deg_b >= 1 else int(b.is_trivial())
             irreducible = deg_b >= 1 or (m == 1 and b.is_trivial())
         else:
-            e = -1
             if deg_b >= 0:
                 h0 = 2 * deg_b + 1 if m == 1 else 3 * deg_b + 3
             else:
