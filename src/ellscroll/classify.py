@@ -7,8 +7,8 @@ curves with their linear-normality ranges.  It reads the system's row from
 ``linsys._row`` once, dispatches once on the surface's class, and each
 branch assigns the row's fields; the ``X0+af`` family and the record are
 built at one exit.  The records (``ScrollModel``, ``Generation``,
-``UnisecantFamily``) are immutable named tuples, so a row is built in one
-tuple construction; their ``to_dict`` gives the JSON form.
+``UnisecantFamily``) are immutable named tuples, which ``classify_scroll``
+builds from every field with ``tuple.__new__``; ``to_dict`` gives the JSON form.
 
 ``emit_table`` enumerates every scroll model living in a fixed projective
 space P^N; every row has deg b = (N + 1 + e) // 2.  ``nagata_plan`` produces the minimal sequence of elementary
@@ -20,7 +20,6 @@ exactly 1, on every transformation it makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linsys
@@ -43,6 +42,7 @@ from .surface import (
     intersect,
     invariant_e,
 )
+from .values import Value
 
 
 class Generation(NamedTuple):
@@ -125,6 +125,8 @@ _X0_PENCIL = UnisecantFamily("X0", note="one-dimensional family")
 _GEN_QUADRIC = Generation(1, 1, "1:1", 0)
 _GEN_TWO_LINES = Generation(1, 1, "2:2", 0)
 _GEN_IND0_QUARTIC = Generation(1, 3, "1:2", 1)
+#: Builds a record from all its fields, skipping its Python-level ``__new__``.
+_new = tuple.__new__
 
 
 def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
@@ -161,33 +163,33 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
             curves = (_X0, _X1)
         elif e > 0 and deg_b == e + 2:
             tag, singular = "DecScrollDirectrixLine", "DirectrixLine"
-            generation, curves = Generation(1, e + 2, "1:2", 0), (_X0_DIRECTRIX, _X1)
+            generation, curves = _new(Generation, (1, e + 2, "1:2", 0)), (_X0_DIRECTRIX, _X1)
         else:
             # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
-            tag, generation = "DecScrollSmooth", Generation(deg_b - e, deg_b, "1:1", 0)
+            tag, generation = "DecScrollSmooth", _new(Generation, (deg_b - e, deg_b, "1:1", 0))
             curves = (_X0_PENCIL,) if trivial else (_X0, _X1)
     elif s.__class__ is Indec0:
         if deg_b == 2:
             tag, singular, generation = "Ind0Quartic", "DoubleLine", _GEN_IND0_QUARTIC
             curves = (_X0,)
         else:
-            tag, generation = "Ind0Smooth", Generation(deg_b, deg_b + 1, "1:1", 1)
+            tag, generation = "Ind0Smooth", _new(Generation, (deg_b, deg_b + 1, "1:1", 1))
             curves = (_X0_DIRECTRIX,)
     elif deg_b == 1:
         tag, degree, map_degree = "TriplePlane", 1, 3
     else:
-        tag, generation = "IndM1Smooth", Generation(deg_b + 1, deg_b + 1, "1:1", 1)
+        tag, generation = "IndM1Smooth", _new(Generation, (deg_b + 1, deg_b + 1, "1:1", 1))
     # The map is birational exactly when it has degree 1, and then the
     # scroll carries the X0+af family derived from the row.
     birational = map_degree == 1
     if birational:
-        curves += (UnisecantFamily(
-            "X0+af", 2 if trivial else e + 1, deg_b - e, ln_max, ln_exact
-        ),)
-    return ScrollModel(
+        curves += (_new(UnisecantFamily, (
+            "X0+af", 2 if trivial else e + 1, deg_b - e, ln_max, ln_exact, None
+        )),)
+    return _new(ScrollModel, (
         tag, e, note, deg_b, birational, map_degree, degree, h0 - 1, h1,
         singular, generation, curves,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +286,10 @@ def render_table(N: int, rows: list[ScrollModel]) -> str:
 # Construction plans
 
 
-@dataclass(frozen=True)
-class NagataPlan:
+class NagataPlan(Value):
     """A sequence of transformations building a target from the product surface."""
 
-    target: str  # "dec" | "ind0" | "indm1"
-    target_e: int
-    steps: tuple  # concrete point specs
-    length: int
+    __slots__ = ("target", "target_e", "steps", "length")  # target: "dec" | "ind0" | "indm1"
 
     def to_dict(self) -> dict:
         return {

@@ -10,9 +10,9 @@ then ``O`` terms up to its degree (``-O+P(1,0)`` for degree 0).  Every
 command round-trips: ``parse(cmd.format()) == cmd``.
 
 Each command is one class in the registry ``COMMANDS``, keyed by its command
-word.  The class's fields are what the command parses; its ``grammar`` lists
-the ``_Parser`` production that reads each field, in order; its
-``__post_init__`` makes the semantic checks that involve several fields; and
+word.  It is a ``values.Value`` whose fields are what the command parses; its
+``grammar`` lists the ``_Parser`` production that reads each field, in order;
+its ``_check`` makes the semantic checks that involve several fields; and
 its ``run(options)`` builds the payload.  ``parse``, ``run`` and the shared
 ``format`` work from these alone, so adding a command touches one class.
 
@@ -50,7 +50,6 @@ import json
 import re
 import shlex
 import sys
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Sequence
 
@@ -72,6 +71,7 @@ from .surface import (
     ramification_points,
     tau,
 )
+from .values import Value
 
 FAMILIES = ("dec", "ind0", "indm1")
 #: The largest N of ``table N`` and E of ``nagata target E``: a table has
@@ -306,33 +306,34 @@ class _Parser:
 # Commands
 
 
-@dataclass(frozen=True)
-class Options:
-    group: CurveGroup = field(default_factory=default_group)
-    json: bool = False
-    seed: int = 0
-    verify: bool = False
+class Options(Value):
+    __slots__ = ("group", "json", "seed", "verify")
+
+    def __init__(self, group=None, json=False, seed=0, verify=False) -> None:
+        self._setters[0](self, default_group() if group is None else group)
+        self._setters[1](self, json)
+        self._setters[2](self, seed)
+        self._setters[3](self, verify)
 
 
 def _family_dict(model: SurfaceModel) -> dict:
     return {"family": model.family(), "e_class": str(model.e_class)}
 
 
-class _Command:
-    """A command: a frozen dataclass with ``word``, ``grammar`` and ``run``."""
+class _Command(Value):
+    """A command: an immutable value with ``word``, ``grammar`` and ``run``."""
 
+    __slots__ = ()
     word: ClassVar[str]
     grammar: ClassVar[tuple[Callable[[_Parser], object], ...]]
 
     def format(self) -> str:
-        words = (format_field(getattr(self, f.name)) for f in fields(self))
+        words = map(format_field, self._key(self))
         return " ".join(w for w in (self.word, *words) if w)
 
 
-@dataclass(frozen=True)
 class Analyze(_Command):
-    surface: SurfaceModel
-    system: SurfaceDivisorClass
+    __slots__ = ("surface", "system")
 
     word = "analyze"
     grammar = (_Parser.surface, _Parser.system)
@@ -343,15 +344,13 @@ class Analyze(_Command):
         return {"surface": _family_dict(s), "system": str(H), **analysis.to_dict()}
 
 
-@dataclass(frozen=True)
 class Classify(_Command):
-    surface: SurfaceModel
-    system: SurfaceDivisorClass
+    __slots__ = ("surface", "system")
 
     word = "classify"
     grammar = (_Parser.surface, _Parser.system)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.system.m != 1:
             raise SemanticError("classify needs a fiber-degree-1 system (1X0+...)")
 
@@ -359,15 +358,13 @@ class Classify(_Command):
         return classify_mod.classify_scroll(self.surface, self.system.b).to_dict()
 
 
-@dataclass(frozen=True)
 class Elm(_Command):
-    surface: SurfaceModel
-    spec: PointSpec
+    __slots__ = ("surface", "spec")
 
     word = "elm"
     grammar = (_Parser.surface, _Parser.pointspec)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         try:
             check_point_kind(self.surface, self.spec)
         except InvalidPointSpec as exc:
@@ -382,10 +379,8 @@ class Elm(_Command):
         }
 
 
-@dataclass(frozen=True)
 class Walk(_Command):
-    surface: SurfaceModel
-    steps: tuple  # templates (str) and/or concrete PointSpecs
+    __slots__ = ("surface", "steps")  # steps: templates (str) and/or concrete PointSpecs
 
     word = "walk"
     grammar = (_Parser.surface, _Parser.steps)
@@ -400,14 +395,13 @@ class Walk(_Command):
         }
 
 
-@dataclass(frozen=True)
 class Table(_Command):
-    n: int
+    __slots__ = ("n",)
 
     word = "table"
     grammar = (_Parser.expect_int,)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n < 3:
             raise SemanticError("table requires an ambient dimension N >= 3")
         if self.n > SIZE_CAP:
@@ -420,19 +414,19 @@ class Table(_Command):
         return classify_mod.render_table(self.n, rows)
 
 
-@dataclass(frozen=True)
 class Nagata(_Command):
-    target: str
-    e: int | None = None
+    __slots__ = ("target", "e")
 
     word = "nagata"
     grammar = (_Parser.family, _Parser.optional_int)
 
-    def __post_init__(self) -> None:
-        if self.target == "dec" and self.e is None:
+    def __init__(self, target: str, e: int | None = None) -> None:
+        if target == "dec" and e is None:
             raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
-        if self.e is not None and self.e > SIZE_CAP:
+        if e is not None and e > SIZE_CAP:
             raise SemanticError(f"nagata takes an invariant e <= {SIZE_CAP}")
+        self._setters[0](self, target)
+        self._setters[1](self, e)
 
     def run(self, options: Options) -> dict:
         plan = classify_mod.nagata_plan(self.target, self.e, options.group)
@@ -452,15 +446,13 @@ class Nagata(_Command):
         return payload
 
 
-@dataclass(frozen=True)
 class MinCurves(_Command):
-    surface: IndecMinus1
-    pair: Pair
+    __slots__ = ("surface", "pair")
 
     word = "mincurves"
     grammar = (_Parser.surface, _Parser.pointspec)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.surface, IndecMinus1) or not isinstance(self.pair, Pair):
             raise SemanticError("mincurves needs an indm1 surface and a pair{...}")
 
@@ -484,10 +476,8 @@ def _ram_surface(parser: _Parser) -> IndecMinus1:
     return surface
 
 
-@dataclass(frozen=True)
 class Ram(_Command):
-    surface: IndecMinus1
-    t: GroupElement
+    __slots__ = ("surface", "t")
 
     word = "ram"
     grammar = (_ram_surface, _Parser.point)
@@ -504,10 +494,8 @@ COMMANDS: dict[str, type[_Command]] = {
 }
 
 
-@dataclass(frozen=True)
-class Command:
-    variant: _Command
-    options: Options
+class Command(Value):
+    __slots__ = ("variant", "options")
 
     def format(self) -> str:
         out = self.variant.format()

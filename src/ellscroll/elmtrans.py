@@ -25,55 +25,57 @@ draws from it, and the minimality search enumerates it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DegenerateModel, InvalidPointSpec, InvalidSurface
 from .groups import GroupElement, check_same_group
 from .picard import DivisorClass
 from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
 # Point descriptors
 
 
-@dataclass(frozen=True, slots=True)
-class OnX0:
+class _OnFiber(Value):
+    # A point on the fiber over P; each subclass is one kind of point.
+    __slots__ = ("P",)
+
+    def __init__(self, P: GroupElement) -> None:
+        self._setters[0](self, P)
+
+
+class OnX0(_OnFiber):
     """A point of the minimum section, on the fiber over P."""
 
-    P: GroupElement
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class OnX1:
+class OnX1(_OnFiber):
     """A point of the second split section (decomposable surfaces only)."""
 
-    P: GroupElement
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Generic:
+class Generic(_OnFiber):
     """A point on the fiber over P, off the distinguished sections."""
 
-    P: GroupElement
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
+class Pair(Value):
     """Unordered pair descriptor for a point of the e = -1 surface."""
 
-    q: GroupElement
-    r: GroupElement
+    __slots__ = ("q", "r")
 
-    def __post_init__(self) -> None:
+    def __init__(self, q: GroupElement, r: GroupElement) -> None:
         # Normalize so that {q, r} == {r, q}.
         try:
-            if self.q.sort_key() > self.r.sort_key():
-                q, r = self.q, self.r
-                object.__setattr__(self, "q", r)
-                object.__setattr__(self, "r", q)
+            swap = q.sort_key() > r.sort_key()
         except AttributeError:
-            raise InvalidPointSpec(f"{self!r} is not a point descriptor") from None
+            raise InvalidPointSpec(f"Pair(q={q!r}, r={r!r}) is not a point descriptor") from None
+        self._setters[0](self, r if swap else q)
+        self._setters[1](self, q if swap else r)
 
 
 PointSpec = OnX0 | OnX1 | Generic | Pair
@@ -104,15 +106,16 @@ def check_point_kind(s: SurfaceModel, x: PointSpec) -> None:
 # Transformation result
 
 
-@dataclass(frozen=True, slots=True)
-class ElmResult:
-    """Outcome of one elementary transformation."""
+class ElmResult(Value):
+    """Outcome of one elementary transformation: the new model, the source curve
+    that became its minimum section (``y0_note``), and the rule that fired."""
 
-    model: SurfaceModel
-    #: Which curve of the source became the new minimum section.
-    y0_note: str  # "X0prime" | "X1prime" | "DRprime"
-    #: Identifier of the rule branch that fired (13 branches in total).
-    rule: str
+    __slots__ = ("model", "y0_note", "rule")
+
+    def __init__(self, model: SurfaceModel, y0_note: str, rule: str) -> None:
+        self._setters[0](self, model)
+        self._setters[1](self, y0_note)
+        self._setters[2](self, rule)
 
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
@@ -186,10 +189,8 @@ ALL_RULES = (
 # Walks
 
 
-@dataclass(frozen=True, slots=True)
-class WalkResult:
-    trajectory: tuple[SurfaceModel, ...]
-    steps: tuple[ElmResult, ...]
+class WalkResult(Value):
+    __slots__ = ("trajectory", "steps")
 
 
 #: The point kind each template word names; ``"random"`` draws from ``POINT_KINDS``.

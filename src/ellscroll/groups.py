@@ -28,10 +28,10 @@ Weierstrass model still enumerate it and need p < 5000.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GroupTooLarge, MixedGroups
+from .values import Value
 
 #: Largest group order that ``elements()`` will enumerate.
 ENUMERATION_CAP = 10_000
@@ -44,8 +44,7 @@ PRIME_CAP = 10**12
 _MR_BASES = (2, 3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(Value):
     """An element of a :class:`TorusGroup` or :class:`WeierstrassGroup`.
 
     ``coords`` is ``(i, j)`` for the torus model, ``(x, y)`` for an affine
@@ -53,8 +52,11 @@ class GroupElement:
     the token ``"O"``).
     """
 
-    group: "TorusGroup | WeierstrassGroup"
-    coords: tuple[int, int] | None
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: CurveGroup, coords: tuple[int, int] | None) -> None:
+        self._setters[0](self, group)
+        self._setters[1](self, coords)
 
     # Equal elements have equal coords, so hashing the coords alone keeps
     # the hash contract and skips hashing the group on every set lookup.
@@ -107,16 +109,14 @@ def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
         raise MixedGroups(f"elements of {a} and {b} cannot be combined")
 
 
-@dataclass(frozen=True, slots=True)
-class TorusGroup:
+class TorusGroup(Value):
     """The group Z/m x Z/n with componentwise addition."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
     ZERO_COORDS = (0, 0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("torus moduli must be positive")
 
@@ -152,7 +152,7 @@ class TorusGroup:
 
     def nth(self, k: int) -> GroupElement:
         """The k-th element of ``elements()``, without enumerating."""
-        if not 0 <= k < self.order():
+        if not 0 <= k < self.m * self.n:
             raise IndexError(f"{self} has no element number {k}")
         return GroupElement(self, divmod(k, self.n))
 
@@ -190,17 +190,14 @@ def _half_residues(a: int, m: int) -> list[int]:
     return [a // 2, a // 2 + m // 2]
 
 
-@dataclass(frozen=True, slots=True)
-class WeierstrassGroup:
+class WeierstrassGroup(Value):
     """Rational points of y^2 = x^3 + ax + b over F_p, p an odd prime."""
 
-    p: int
-    a: int
-    b: int
+    __slots__ = ("p", "a", "b")
 
     ZERO_COORDS = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         p, a, b = self.p, self.a, self.b
         if p > PRIME_CAP:
             raise ValueError(f"field size {p} exceeds cap {PRIME_CAP}")
@@ -487,6 +484,7 @@ GROUP_MODELS = (TorusGroup, WeierstrassGroup)
 CurveGroup = TorusGroup | WeierstrassGroup
 
 
+@lru_cache(maxsize=None)
 def default_group() -> TorusGroup:
-    """The desk-scale default model."""
+    """The desk-scale default model; one value, built on the first call."""
     return TorusGroup(12, 12)

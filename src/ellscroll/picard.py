@@ -13,14 +13,12 @@ identity ``h0 - h1 = degree`` holds for every class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MixedGroups
 from .groups import CurveGroup, GroupElement
+from .values import Value
 
 
-@dataclass(frozen=True, slots=True)
-class Divisor:
+class Divisor(Value):
     """A formal sum of points with nonzero integer multiplicities.
 
     The CLI's text form of a class: it parses each signed sum into this type
@@ -29,8 +27,7 @@ class Divisor:
     engine predicates work on :class:`DivisorClass`.
     """
 
-    group: CurveGroup
-    terms: tuple[tuple[GroupElement, int], ...]
+    __slots__ = ("group", "terms")
 
     @staticmethod
     def of(group: CurveGroup, *terms: tuple[GroupElement, int]) -> "Divisor":
@@ -51,12 +48,14 @@ class Divisor:
         return sum(m for _, m in self.terms)
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+class DivisorClass(Value):
     """A linear-equivalence class, canonicalized as (degree, group sum)."""
 
-    degree: int
-    abel: GroupElement
+    __slots__ = ("degree", "abel")
+
+    def __init__(self, degree: int, abel: GroupElement) -> None:
+        self._setters[0](self, degree)
+        self._setters[1](self, abel)
 
     @property
     def group(self) -> CurveGroup:

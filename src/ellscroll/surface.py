@@ -20,8 +20,6 @@ symmetric-square parameterization), the pair lying on the fiber over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegenerateModel,
     InvalidPointSpec,
@@ -31,19 +29,20 @@ from .errors import (
 )
 from .groups import GROUP_MODELS, CurveGroup, GroupElement
 from .picard import DivisorClass, point_class, trivial_class
+from .values import Value
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposable:
+class Decomposable(Value):
     """Split bundle; ``e_class`` must be normalized (degree <= 0)."""
 
-    e_class: DivisorClass
+    __slots__ = ("e_class",)
 
-    def __post_init__(self) -> None:
-        if self.e_class.degree > 0:
+    def __init__(self, e_class: DivisorClass) -> None:
+        if e_class.degree > 0:
             raise NonNormalizedInput(
                 "decomposable model requires an invariant class of degree <= 0"
             )
+        self._setters[0](self, e_class)
 
     @property
     def group(self) -> CurveGroup:
@@ -57,18 +56,18 @@ class Decomposable:
         return "dec"
 
 
-@dataclass(frozen=True, slots=True)
-class Indec0:
+class Indec0(Value):
     """Non-split bundle with trivial invariant class."""
 
-    base: CurveGroup
+    __slots__ = ("base",)
 
     #: The degree of ``e_class``, read without building the class.
     deg_e = 0
 
-    def __post_init__(self) -> None:
-        if self.base.__class__ not in GROUP_MODELS:
-            raise InvalidSurface(f"{self.base!r} is not a group model")
+    def __init__(self, base: CurveGroup) -> None:
+        if base.__class__ not in GROUP_MODELS:
+            raise InvalidSurface(f"{base!r} is not a group model")
+        self._setters[0](self, base)
 
     @property
     def group(self) -> CurveGroup:
@@ -82,17 +81,17 @@ class Indec0:
         return "ind0"
 
 
-@dataclass(frozen=True, slots=True)
-class IndecMinus1:
+class IndecMinus1(Value):
     """Non-split bundle whose invariant class is the point ``p0``."""
 
-    p0: GroupElement
+    __slots__ = ("p0",)
 
     deg_e = 1
 
-    def __post_init__(self) -> None:
-        if self.p0.__class__ is not GroupElement:
-            raise InvalidSurface(f"{self.p0!r} is not a group element")
+    def __init__(self, p0: GroupElement) -> None:
+        if p0.__class__ is not GroupElement:
+            raise InvalidSurface(f"{p0!r} is not a group element")
+        self._setters[0](self, p0)
 
     @property
     def group(self) -> CurveGroup:
@@ -114,12 +113,14 @@ def invariant_e(s: SurfaceModel) -> int:
     return -s.deg_e
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceDivisorClass:
+class SurfaceDivisorClass(Value):
     """The class m*X0 + b*f on a surface."""
 
-    m: int
-    b: DivisorClass
+    __slots__ = ("m", "b")
+
+    def __init__(self, m: int, b: DivisorClass) -> None:
+        self._setters[0](self, m)
+        self._setters[1](self, b)
 
     def __str__(self) -> str:
         return f"{self.m}X0+({self.b})f"
@@ -145,19 +146,20 @@ def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
     return 1 + twice // 2
 
 
-@dataclass(frozen=True, slots=True)
-class MinCurve:
+class MinCurve(Value):
     """A minimum self-intersection curve D_q on the e = -1 surface.
 
     ``D_q`` is the unique curve in the system ``X0 + (q - p0)*f``; any two
     such curves meet in exactly one point.
     """
 
-    q: GroupElement
+    __slots__ = ("q",)
+
+    def __init__(self, q: GroupElement) -> None:
+        self._setters[0](self, q)
 
 
-@dataclass(frozen=True, slots=True)
-class SurfacePointDescriptor:
+class SurfacePointDescriptor(Value):
     """A point of the e = -1 surface, as an unordered base-point pair.
 
     The pair {q, r} names the intersection D_q with D_r, which lies on the
@@ -165,9 +167,12 @@ class SurfacePointDescriptor:
     of the focal curve.
     """
 
-    q: GroupElement
-    r: GroupElement
-    t: GroupElement
+    __slots__ = ("q", "r", "t")
+
+    def __init__(self, q: GroupElement, r: GroupElement, t: GroupElement) -> None:
+        self._setters[0](self, q)
+        self._setters[1](self, r)
+        self._setters[2](self, t)
 
     def is_focal(self) -> bool:
         return self.q == self.r

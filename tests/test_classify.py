@@ -1,6 +1,5 @@
 """Scroll classification, table fixtures, and construction plans."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -566,8 +565,8 @@ def test_search_refuses_a_rule_that_moves_e_by_more_than_one(monkeypatch):
         calls.append(x)
         if len(calls) == 1:
             # e = 0 -> 3 in one step.
-            return dataclasses.replace(
-                result, model=Decomposable(DivisorClass(-3, group.zero()))
+            return elmtrans.ElmResult(
+                Decomposable(DivisorClass(-3, group.zero())), result.y0_note, result.rule
             )
         return result
 

@@ -1,0 +1,340 @@
+"""The engine's value classes against their frozen-dataclass twins.
+
+Each value class is checked against a ``@dataclass(frozen=True, slots=True)``
+twin with the same name and fields, defined here from a literal field list
+(``GroupElement``'s twin carries its own ``__eq__`` and ``__hash__``).  On
+drawn values, the ``repr``, the hash and equality, within a class and across
+classes, must be the twin's; values are immutable, have no ``__dict__``, and
+survive ``copy``, ``deepcopy`` and ``pickle``.  The tier-1 run replays a
+fixed sample; ``ELLSCROLL_FUZZ=1`` runs the sweep on fresh examples.
+"""
+
+import copy
+import os
+import pickle
+import sys
+from dataclasses import make_dataclass
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ellscroll import cli
+from ellscroll.classify import NagataPlan
+from ellscroll.elmtrans import (
+    ALL_RULES, WALK_TEMPLATES, ElmResult, Generic, OnX0, OnX1, Pair, WalkResult,
+)
+from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup
+from ellscroll.picard import Divisor, DivisorClass
+from ellscroll.surface import (
+    Decomposable,
+    Indec0,
+    IndecMinus1,
+    MinCurve,
+    SurfaceDivisorClass,
+    SurfacePointDescriptor,
+    tau,
+)
+from ellscroll.values import Value
+
+FUZZ_FRESH = os.environ.get("ELLSCROLL_FUZZ") == "1"
+
+#: The fields of every value class, in order.
+FIELDS = {
+    GroupElement: ("group", "coords"),
+    TorusGroup: ("m", "n"),
+    WeierstrassGroup: ("p", "a", "b"),
+    Divisor: ("group", "terms"),
+    DivisorClass: ("degree", "abel"),
+    Decomposable: ("e_class",),
+    Indec0: ("base",),
+    IndecMinus1: ("p0",),
+    SurfaceDivisorClass: ("m", "b"),
+    MinCurve: ("q",),
+    SurfacePointDescriptor: ("q", "r", "t"),
+    OnX0: ("P",),
+    OnX1: ("P",),
+    Generic: ("P",),
+    Pair: ("q", "r"),
+    ElmResult: ("model", "y0_note", "rule"),
+    WalkResult: ("trajectory", "steps"),
+    NagataPlan: ("target", "target_e", "steps", "length"),
+    cli.Options: ("group", "json", "seed", "verify"),
+    cli.Analyze: ("surface", "system"),
+    cli.Classify: ("surface", "system"),
+    cli.Elm: ("surface", "spec"),
+    cli.Walk: ("surface", "steps"),
+    cli.Table: ("n",),
+    cli.Nagata: ("target", "e"),
+    cli.MinCurves: ("surface", "pair"),
+    cli.Ram: ("surface", "t"),
+    cli.Command: ("variant", "options"),
+}
+
+
+def _element_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self.coords == other.coords and self.group == other.group
+
+
+def _element_hash(self):
+    return hash(self.coords)
+
+
+TWINS = {
+    cls: make_dataclass(
+        cls.__name__,
+        names,
+        frozen=True,
+        slots=True,
+        namespace={"__eq__": _element_eq, "__hash__": _element_hash}
+        if cls is GroupElement
+        else None,
+    )
+    for cls, names in FIELDS.items()
+}
+
+
+def twin(value):
+    """The value rebuilt, all the way down, from the dataclass twins."""
+    if value.__class__ in TWINS:
+        fields = (twin(getattr(value, name)) for name in FIELDS[value.__class__])
+        return TWINS[value.__class__](*fields)
+    if value.__class__ is tuple:
+        return tuple(map(twin, value))
+    return value
+
+
+# -- drawn values -------------------------------------------------------------
+
+
+@st.composite
+def groups(draw):
+    # Fresh torus models, equal but not identical, and two fixed models.
+    return draw(st.one_of(
+        st.builds(TorusGroup, st.integers(1, 3), st.integers(1, 3)),
+        st.sampled_from([TorusGroup(12, 12), WeierstrassGroup(11, -1, 0)]),
+    ))
+
+
+@st.composite
+def elements(draw, group=None):
+    group = group if group is not None else draw(groups())
+    return group.nth(draw(st.integers(0, group.order() - 1)))
+
+
+@st.composite
+def classes(draw, group, degrees=st.integers(-3, 3)):
+    return DivisorClass(draw(degrees), draw(elements(group)))
+
+
+@st.composite
+def models(draw, group):
+    kind = draw(st.sampled_from([Decomposable, Indec0, IndecMinus1]))
+    if kind is Decomposable:
+        return Decomposable(draw(classes(group, st.integers(-3, 0))))
+    if kind is Indec0:
+        return Indec0(group)
+    return IndecMinus1(draw(elements(group)))
+
+
+@st.composite
+def specs(draw, group, model=None):
+    """A point spec, of a kind that ``model``'s family has if one is given."""
+    kinds = [OnX0, OnX1, Generic, Pair]
+    if model is not None:
+        kinds = {Decomposable: kinds[:3], Indec0: kinds[:1] + kinds[2:3]}.get(
+            model.__class__, [Pair]
+        )
+    kind = draw(st.sampled_from(kinds))
+    if kind is Pair:
+        return Pair(draw(elements(group)), draw(elements(group)))
+    return kind(draw(elements(group)))
+
+
+@st.composite
+def values(draw):
+    group = draw(groups())
+    point = elements(group)
+    model = draw(models(group))
+    m1 = IndecMinus1(draw(point))
+    system = SurfaceDivisorClass(draw(st.integers(0, 3)), draw(classes(group)))
+    kind = draw(st.sampled_from(sorted(FIELDS, key=lambda cls: cls.__name__)))
+    options = cli.Options(
+        group, draw(st.booleans()), draw(st.integers(0, 9)), draw(st.booleans())
+    )
+    build = {
+        GroupElement: lambda: draw(point),
+        TorusGroup: lambda: TorusGroup(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        WeierstrassGroup: lambda: draw(st.sampled_from(
+            [WeierstrassGroup(11, -1, 0), WeierstrassGroup(5, 1, 1)]
+        )),
+        Divisor: lambda: Divisor.of(
+            group, *draw(st.lists(st.tuples(point, st.integers(-2, 2)), max_size=3))
+        ),
+        DivisorClass: lambda: draw(classes(group)),
+        Decomposable: lambda: Decomposable(draw(classes(group, st.integers(-3, 0)))),
+        Indec0: lambda: Indec0(group),
+        IndecMinus1: lambda: m1,
+        SurfaceDivisorClass: lambda: system,
+        MinCurve: lambda: MinCurve(draw(point)),
+        SurfacePointDescriptor: lambda: tau(m1, draw(point), draw(point)),
+        OnX0: lambda: OnX0(draw(point)),
+        OnX1: lambda: OnX1(draw(point)),
+        Generic: lambda: Generic(draw(point)),
+        Pair: lambda: Pair(draw(point), draw(point)),
+        ElmResult: lambda: ElmResult(
+            model, draw(st.sampled_from(["X0prime", "DRprime"])),
+            draw(st.sampled_from(ALL_RULES[:2])),
+        ),
+        WalkResult: lambda: WalkResult(
+            (model, draw(models(group))), (ElmResult(model, "X0prime", ALL_RULES[0]),)
+        ),
+        NagataPlan: lambda: NagataPlan(
+            "dec", draw(st.integers(0, 2)), (OnX0(draw(point)),), draw(st.integers(0, 2))
+        ),
+        cli.Options: lambda: options,
+        cli.Analyze: lambda: cli.Analyze(model, system),
+        cli.Classify: lambda: cli.Classify(model, SurfaceDivisorClass(1, system.b)),
+        cli.Elm: lambda: cli.Elm(model, draw(specs(group, model))),
+        cli.Walk: lambda: cli.Walk(model, tuple(draw(st.lists(
+            st.one_of(st.sampled_from(WALK_TEMPLATES), specs(group)), max_size=3
+        )))),
+        cli.Table: lambda: cli.Table(draw(st.integers(3, 5))),
+        cli.Nagata: lambda: cli.Nagata(*draw(st.sampled_from(
+            [("dec", 0), ("dec", 2), ("ind0",), ("indm1", None)]
+        ))),
+        cli.MinCurves: lambda: cli.MinCurves(m1, draw(specs(group, m1))),
+        cli.Ram: lambda: cli.Ram(m1, draw(point)),
+        cli.Command: lambda: cli.Command(cli.Table(draw(st.integers(3, 4))), options),
+    }
+    return build[kind]()
+
+
+#: Classes built from the same fields: a value and its sibling are unequal.
+SIBLINGS = ((OnX0, OnX1, Generic, MinCurve, IndecMinus1), (cli.Analyze, cli.Classify))
+
+
+@st.composite
+def pairs(draw):
+    """A value and another: a drawn one, the same one rebuilt, or a sibling."""
+    x = draw(values())
+    how = draw(st.sampled_from(["drawn", "rebuilt", "sibling"]))
+    fields = [getattr(x, name) for name in FIELDS[x.__class__]]
+    if how == "drawn":
+        return x, draw(values())
+    cls = x.__class__
+    if how == "sibling":
+        for family in SIBLINGS:
+            if cls in family and (cls is not cli.Analyze or x.system.m == 1):
+                cls = draw(st.sampled_from(family))
+                break
+    return x, cls(*fields)
+
+
+# -- the checks -----------------------------------------------------------------
+
+
+def _assert_like_the_twins(pair):
+    x, y = pair
+    tx, ty = twin(x), twin(y)
+    assert repr(x) == repr(tx)
+    assert hash(x) == hash(tx)
+    assert (x == y) == (tx == ty) and (y == x) == (ty == tx)
+    assert (x != y) == (tx != ty)
+    assert x == x and not x != x
+
+
+def _assert_frozen_and_copyable(x):
+    assert not hasattr(x, "__dict__")
+    for name in (*FIELDS[x.__class__], "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone.__class__ is x.__class__ and clone == x and repr(clone) == repr(x)
+    # Every field can be given by keyword.
+    fields = {name: getattr(x, name) for name in FIELDS[x.__class__]}
+    assert x.__class__(**fields) == x
+
+
+@settings(max_examples=200, deadline=None, derandomize=not FUZZ_FRESH, print_blob=True)
+@given(pairs())
+def test_values_behave_like_their_dataclass_twins(pair):
+    _assert_like_the_twins(pair)
+    _assert_frozen_and_copyable(pair[0])
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="fresh examples; set ELLSCROLL_FUZZ=1")
+@settings(max_examples=3000, deadline=None, print_blob=True)
+@given(pairs())
+def test_values_behave_like_their_dataclass_twins_sweep(pair):
+    _assert_like_the_twins(pair)
+    _assert_frozen_and_copyable(pair[0])
+
+
+def test_every_value_class_has_a_twin():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    concrete = {cls for cls in subclasses(Value) if not cls.__name__.startswith("_")}
+    assert concrete == set(FIELDS)
+    for cls, names in FIELDS.items():
+        assert cls._fields == names
+
+
+def test_literal_reprs():
+    G = TorusGroup(12, 12)
+    P = G.element(1, 0)
+    W = WeierstrassGroup(11, -1, 0)
+    assert repr(Decomposable(DivisorClass(-1, P))) == (
+        "Decomposable(e_class=DivisorClass(degree=-1, abel=GroupElement("
+        "group=TorusGroup(m=12, n=12), coords=(1, 0))))"
+    )
+    assert repr(OnX1(W.zero())) == (
+        "OnX1(P=GroupElement(group=WeierstrassGroup(p=11, a=-1, b=0), coords=None))"
+    )
+    assert repr(Pair(G.element(0, 1), G.zero())) == (
+        "Pair(q=GroupElement(group=TorusGroup(m=12, n=12), coords=(0, 0)), "
+        "r=GroupElement(group=TorusGroup(m=12, n=12), coords=(0, 1)))"
+    )
+    assert repr(cli.parse("nagata ind0 --json").variant) == "Nagata(target='ind0', e=None)"
+    assert repr(cli.Options()) == (
+        "Options(group=TorusGroup(m=12, n=12), json=False, seed=0, verify=False)"
+    )
+
+
+def test_equality_is_class_strict():
+    P = TorusGroup(2, 2).zero()
+    assert OnX0(P) != OnX1(P) and OnX0(P) != Generic(P)
+    assert Indec0(P.group) != Decomposable(DivisorClass(0, P))
+    assert OnX0(P).__eq__(OnX1(P)) is NotImplemented
+    assert OnX0(P) == OnX0(TorusGroup(2, 2).zero())
+
+
+def test_constructor_defaults():
+    assert cli.Options() == cli.Options(TorusGroup(12, 12), False, 0, False)
+    assert cli.Options(json=True).json and cli.Options(seed=5).seed == 5
+    assert cli.Nagata("ind0") == cli.Nagata(target="ind0", e=None)
+    with pytest.raises(TypeError):
+        DivisorClass(0)
+    with pytest.raises(TypeError):
+        TorusGroup(2, 2, 2)
+    with pytest.raises(TypeError):
+        TorusGroup(2, m=2)
+
+
+def test_only_the_system_analysis_is_a_dataclass():
+    # ``cli`` imports every module of the package.
+    dataclasses = {
+        f"{name}.{cls.__name__}"
+        for name, module in list(sys.modules.items())
+        if name == "ellscroll" or name.startswith("ellscroll.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and "__dataclass_fields__" in cls.__dict__
+    }
+    assert dataclasses == {"ellscroll.linsys.SystemAnalysis"}
