@@ -31,7 +31,7 @@ from .errors import (
     NotBasePointFree,
     UnreachableTarget,
 )
-from .groups import CurveGroup, TorusGroup, default_group
+from .groups import GROUP_MODELS, CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
 from .surface import (
     Decomposable,
@@ -196,6 +196,15 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
 # Tables
 
 
+def _group(group: CurveGroup | None, default: CurveGroup) -> CurveGroup:
+    """``group``, or ``default`` for None; refuses what is not a group model."""
+    if group is None:
+        return default
+    if group.__class__ not in GROUP_MODELS:
+        raise InvalidArgument(f"{group!r} is not a group model")
+    return group
+
+
 def _order_at_least(group: CurveGroup, at_least: int) -> int:
     """The group's order, refusing a model with fewer than ``at_least`` elements."""
     order = group.order()
@@ -214,8 +223,7 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     """
     if N < 3:
         raise InvalidArgument("tables are emitted for N >= 3")
-    if group is None:
-        group = default_group()
+    group = _group(group, default_group())
     # Every class of the table sums to the identity but one, so the
     # identity is built once per table.  Each row has deg b = (N + 1 + e) // 2.
     zero = group.zero()
@@ -337,8 +345,7 @@ def nagata_plan(
     generic points).
     """
     e = _target_e(target, e)
-    if group is None:
-        group = default_group()
+    group = _group(group, default_group())
     order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
@@ -356,9 +363,7 @@ def nagata_plan(
 
 def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:
     """Execute the plan from the product surface and check the target family."""
-    if group is None:
-        group = default_group()
-    result = walk(product_surface(group), plan.steps)
+    result = walk(product_surface(_group(group, default_group())), plan.steps)
     return matches_target(result.trajectory[-1], plan.target, plan.target_e)
 
 
@@ -403,9 +408,8 @@ def minimality_check(
     """
     if max_len > 4:
         raise InvalidArgument("exhaustive search is desk-scale: max_len <= 4")
-    if group is None:
-        group = TorusGroup(4, 4)
     target_e = _target_e(target, e)
+    group = _group(group, TorusGroup(4, 4))
     start = product_surface(group)
     if matches_target(start, target, target_e):
         return 0

@@ -19,15 +19,18 @@ one group operation on that sum and the point.
 
 ``POINT_KINDS`` lists the point kinds of each family.  ``elm`` and the CLI
 refuse a kind the family lacks with ``check_point_kind``, a walk template
-draws from it, and the minimality search enumerates it.
+draws from it, and the minimality search enumerates it.  A walk binds its
+group, order and random source once, to one resolver for all its steps.  The
+resolver makes the ``getrandbits`` calls of ``rng.choice`` and
+``rng.randrange``, so a seed gives the walk they would give.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import DegenerateModel, InvalidPointSpec, InvalidSurface
-from .groups import GroupElement, check_same_group
+from .errors import DegenerateModel, InvalidArgument, InvalidPointSpec, InvalidSurface
+from .groups import CurveGroup, GroupElement, check_same_group
 from .picard import DivisorClass
 from .surface import Decomposable, Indec0, IndecMinus1, SurfaceModel
 from .values import Value
@@ -120,7 +123,8 @@ class ElmResult(Value):
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     """Apply one elementary transformation at the described point."""
-    check_point_kind(s, x)
+    if x.__class__ not in POINT_KINDS.get(s.__class__, ()):
+        check_point_kind(s, x)
     # Several rules build the result from the point alone, and would answer
     # on the point's group.  A pair's second point is checked by its rule:
     # one from another group never equals the first, and the split rule
@@ -197,59 +201,91 @@ class WalkResult(Value):
 TEMPLATE_KINDS = {"generic": Generic, "onX0": OnX0, "onX1": OnX1}
 WALK_TEMPLATES = (*TEMPLATE_KINDS, "random")
 
+#: Each word's draw on each family but e = -1: the kinds, their number n and
+#: n.bit_length().  ``rng.choice`` draws even from one kind.
+_KIND_DRAWS = {
+    (family, word): (drawn, len(drawn), len(drawn).bit_length())
+    for family, kinds in POINT_KINDS.items() if family is not IndecMinus1
+    for word, drawn in zip(WALK_TEMPLATES, [*((k,) for k in TEMPLATE_KINDS.values()), kinds])
+    if set(drawn) <= set(kinds)
+}
+
+
+def _resolver(group: CurveGroup, rng: random.Random):
+    """The function that turns a word into a point on a model of ``group``."""
+    order, nth, getrandbits, randrange = group.order(), group.nth, rng.getrandbits, rng.randrange
+    bits = order.bit_length()
+
+    def resolve(word: str, model: SurfaceModel) -> PointSpec:
+        draw = _KIND_DRAWS.get((model.__class__, word))
+        if draw is not None:  # The loop of ``randrange``, inlined for a kind and a point.
+            kinds, n, k = draw
+            kind = getrandbits(k)
+            while kind >= n:
+                kind = getrandbits(k)
+            i = getrandbits(bits)
+            while i >= order:
+                i = getrandbits(bits)
+            return kinds[kind](nth(i))
+        if model.__class__ is not IndecMinus1:
+            raise InvalidPointSpec(f"template {word!r} on family {model.family()}")
+        if word == "random":
+            return Pair(nth(randrange(order)), nth(randrange(order)))
+        if word != "generic":
+            raise InvalidPointSpec(f"template {word!r} on the e=-1 surface")
+        if order < 2:
+            raise DegenerateModel(f"group {group} has no two distinct points")
+        q = r = nth(randrange(order))
+        while r == q:
+            r = nth(randrange(order))
+        return Pair(q, r)
+
+    return resolve
+
 
 def resolve_template(template, model: SurfaceModel, rng: random.Random) -> PointSpec:
     """Turn a walk-step template into a concrete point on ``model``.
 
     A template is either a concrete :class:`PointSpec` (validated against
-    the family by ``elm`` itself) or a word of ``WALK_TEMPLATES``.
+    the family by ``elm`` itself) or a word of ``WALK_TEMPLATES``, resolved by
+    the resolver ``walk`` binds, here for one step.  ``rng.choice`` of n kinds
+    and ``rng.randrange(n)`` call ``rng.getrandbits(n.bit_length())`` until it
+    is below n; the resolver makes the same calls, so a seed gives the same point.
     """
     if not isinstance(template, str):
         return template
-    try:
-        kinds = POINT_KINDS[model.__class__]
-    except KeyError:
-        raise InvalidSurface(f"{model!r} is not a surface model") from None
-    group = model.group
-    # Each point costs one draw below the order, the draw ``rng.choice``
-    # over ``elements()`` makes, so a seed gives the same walk either way.
-    order, nth = group.order(), group.nth
-    if model.__class__ is IndecMinus1:
-        if template == "generic":
-            if order < 2:
-                raise DegenerateModel(f"group {group} has no two distinct points")
-            q = r = nth(rng.randrange(order))
-            while r == q:
-                r = nth(rng.randrange(order))
-            return Pair(q, r)
-        if template == "random":
-            return Pair(nth(rng.randrange(order)), nth(rng.randrange(order)))
-        raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
-    if template != "random":
-        kind = TEMPLATE_KINDS.get(template)
-        if kind not in kinds:
-            raise InvalidPointSpec(f"template {template!r} on family {model.family()}")
-        kinds = (kind,)
-    # ``rng.choice`` draws even from one kind, and the walk streams keep
-    # that draw.
-    return rng.choice(kinds)(nth(rng.randrange(order)))
+    if model.__class__ not in POINT_KINDS:
+        raise InvalidSurface(f"{model!r} is not a surface model")
+    return _resolver(model.group, rng)(template, model)
 
 
 def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
-    """Apply a sequence of transformations; deterministic for a fixed seed."""
+    """Apply a sequence of transformations; deterministic for a fixed seed.
+
+    The first word binds one resolver for the whole walk, to ``s0``'s group
+    and ``random.Random(rng_seed)``: ``elm`` refuses a point of another group,
+    so every model lies on it.  It draws as ``resolve_template`` does.
+    """
     if s0.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{s0!r} is not a surface model")
+    if isinstance(templates, (str, bytes)):
+        raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps")
     try:
         templates = iter(templates)
     except TypeError:
         raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps") from None
-    rng = random.Random(rng_seed)
+    if not isinstance(rng_seed, int):
+        raise InvalidArgument(f"rng_seed {rng_seed!r} is not an int")
     trajectory = [s0]
     steps = []
     model = s0
+    resolve = None
     for template in templates:
-        spec = resolve_template(template, model, rng)
-        result = elm(model, spec)
+        if isinstance(template, str):
+            if resolve is None:
+                resolve = _resolver(s0.group, random.Random(rng_seed))
+            template = resolve(template, model)
+        result = elm(model, template)
         steps.append(result)
         model = result.model
         trajectory.append(model)

@@ -197,6 +197,11 @@ class WeierstrassGroup(Value):
 
     ZERO_COORDS = None
 
+    # The hash of ``Value``, without its ``attrgetter``: each draw of a
+    # Weierstrass walk looks its points up by the group.
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.b))
+
     def _check(self) -> None:
         p, a, b = self.p, self.a, self.b
         if p > PRIME_CAP:

@@ -46,7 +46,7 @@ class Decomposable(Value):
 
     @property
     def group(self) -> CurveGroup:
-        return self.e_class.group
+        return self.e_class.abel.group
 
     @property
     def deg_e(self) -> int:

@@ -421,6 +421,27 @@ def test_argument_bounds_raise_a_coded_error():
         assert isinstance(info.value, EngineError) and isinstance(info.value, ValueError)
 
 
+def test_a_group_argument_that_is_not_a_group_model_is_refused():
+    plan = nagata_plan("ind0")
+    calls = [
+        lambda group: emit_table(5, group),
+        lambda group: nagata_plan("ind0", None, group),
+        lambda group: verify_plan(plan, group),
+        lambda group: minimality_check("ind0", group=group),
+    ]
+    for call in calls:
+        for group in ("x", 12, TorusGroup):
+            with pytest.raises(InvalidArgument, match="is not a group model"):
+                call(group)
+    # The checks on the other arguments still come first.
+    with pytest.raises(InvalidArgument, match="N >= 3"):
+        emit_table(2, "x")
+    with pytest.raises(UnreachableTarget, match="unknown target"):
+        nagata_plan("bogus", None, "x")
+    with pytest.raises(UnreachableTarget, match="unknown target"):
+        minimality_check("bogus", group="x")
+
+
 def test_minimality_unreachable_within_budget():
     with pytest.raises(UnreachableTarget):
         minimality_check("dec", 5, max_len=3)

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from ellscroll.elmtrans import (
     ALL_RULES,
+    POINT_KINDS,
+    TEMPLATE_KINDS,
+    WALK_TEMPLATES,
     Generic,
     OnX0,
     OnX1,
@@ -20,7 +23,15 @@ from ellscroll.elmtrans import (
 )
 from ellscroll.classify import _all_specs
 from ellscroll.cli import Elm, parse
-from ellscroll.errors import InvalidPointSpec, InvalidSurface, MixedGroups, SemanticError
+from ellscroll.errors import (
+    DegenerateModel,
+    EngineError,
+    InvalidArgument,
+    InvalidPointSpec,
+    InvalidSurface,
+    MixedGroups,
+    SemanticError,
+)
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
@@ -223,10 +234,24 @@ def test_elm_refuses_what_is_not_a_surface_model(s):
         assert info.value.code == "InvalidSurface"
 
 
-@pytest.mark.parametrize("templates", [None, 5, OnX0(O)], ids=["None", "int", "point"])
-def test_walk_refuses_steps_that_are_not_a_sequence(templates):
-    with pytest.raises(InvalidPointSpec, match="is not a sequence of walk steps"):
-        walk(Indec0(G), templates)
+@pytest.mark.parametrize(
+    "templates, rng_seed",
+    [
+        (None, 0), (5, 0), (OnX0(O), 0), ("random", 0), (b"random", 0),
+        (["bogus"], [1]), (["bogus"], None), (["bogus"], 1.0), (["bogus"], "1"),
+    ],
+    ids=["None", "int", "point", "str", "bytes", "seed-list", "seed-None", "seed-float",
+         "seed-str"],
+)
+def test_walk_refuses_steps_that_are_not_a_sequence(templates, rng_seed):
+    # Refused before any step: the step "bogus" would raise another message.
+    error, message = (
+        (InvalidArgument, "is not an int") if isinstance(templates, list)
+        else (InvalidPointSpec, "is not a sequence of walk steps")
+    )
+    with pytest.raises(error, match=message) as info:
+        walk(Indec0(G), templates, rng_seed=rng_seed)
+    assert info.value.code == error.__name__
 
 
 @pytest.mark.parametrize(
@@ -467,6 +492,116 @@ def test_random_walk_streams_match_their_digest():
     assert digest.hexdigest() == (
         "c76d93b6a32287f4dadb1a722e695f094026a8bb12b241b113ff7a99b8c83f72"
     )
+
+
+# -- every template word against rng.choice and rng.randrange -------------------
+
+#: Torus(1,1) has one point, so its e = -1 surface has no generic pair.
+STREAM_GROUPS = [
+    TorusGroup(12, 12), TorusGroup(2, 6), TorusGroup(1, 1), WeierstrassGroup(23, -1, 0)
+]
+
+
+def _reference_resolve(template, model, rng):
+    """A template resolved as each step drew it before walks bound one
+    resolver: kinds by ``rng.choice``, points by ``rng.randrange`` over
+    ``elements()`` of the model's own group."""
+    if not isinstance(template, str):
+        return template
+    elements = model.group.elements()
+    pick = lambda: elements[rng.randrange(len(elements))]
+    if isinstance(model, IndecMinus1):
+        if template == "generic":
+            if len(elements) < 2:
+                raise DegenerateModel(f"group {model.group} has no two distinct points")
+            q = r = pick()
+            while r == q:
+                r = pick()
+            return Pair(q, r)
+        if template == "random":
+            return Pair(pick(), pick())
+        raise InvalidPointSpec(f"template {template!r} on the e=-1 surface")
+    kinds = POINT_KINDS[type(model)]
+    if template != "random":
+        if TEMPLATE_KINDS.get(template) not in kinds:
+            raise InvalidPointSpec(f"template {template!r} on family {model.family()}")
+        kinds = (TEMPLATE_KINDS[template],)
+    return rng.choice(kinds)(pick())
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except EngineError as error:
+        return type(error), str(error)
+
+
+def _reference_walk(s0, templates, seed, seen):
+    """The steps of ``walk``, each template resolved by ``_reference_resolve``;
+    adds each (family, word) it resolves to ``seen``."""
+    rng, model, steps = random.Random(seed), s0, []
+    for template in templates:
+        if isinstance(template, str):
+            seen.add((model.family(), template))
+        steps.append(elm(model, _reference_resolve(template, model, rng)))
+        model = steps[-1].model
+    return tuple(steps)
+
+
+def _stream_starts(group):
+    n = group.order()
+    return [
+        Decomposable(DivisorClass(-e, group.nth(k % n)))
+        for e, k in ((0, 0), (0, 1), (1, 0), (2, n - 1))
+    ] + [Indec0(group), IndecMinus1(group.nth(n // 2))]
+
+
+def _template_stream(group, rng, length):
+    """Words, with one step in five a concrete point of any kind."""
+    out = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            p, q = rng.choice(group.elements()), rng.choice(group.elements())
+            out.append(rng.choice((Generic(p), OnX0(p), OnX1(p), Pair(p, q))))
+        else:
+            out.append(rng.choice(WALK_TEMPLATES))
+    return out
+
+
+def _assert_template_streams_match(group, seeds):
+    seen = set()
+    for seed in seeds:
+        stream = random.Random(f"templates:{seed}")
+        for s0 in _stream_starts(group):
+            templates = _template_stream(group, stream, 16)
+            steps = _outcome(lambda: walk(s0, templates, rng_seed=seed).steps)
+            reference = _outcome(_reference_walk, s0, templates, seed, seen)
+            assert steps == reference, (s0, templates, seed)
+    return seen
+
+
+@pytest.mark.parametrize("group", STREAM_GROUPS, ids=str)
+def test_every_template_word_draws_as_choice_and_randrange(group):
+    seen = _assert_template_streams_match(group, range(30))
+    assert seen == {(f, word) for f in ("dec", "ind0", "indm1") for word in WALK_TEMPLATES}
+    for model in _stream_starts(group):
+        for word in WALK_TEMPLATES:
+            for seed in range(4):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert _outcome(resolve_template, word, model, rng) == _outcome(
+                    _reference_resolve, word, model, ref
+                ), (model, word, seed)
+                assert rng.getstate() == ref.getstate()
+    if group.order() == 1:
+        with pytest.raises(DegenerateModel, match="no two distinct points"):
+            walk(IndecMinus1(group.zero()), ["generic"])
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="fresh seeds run with ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize("group", STREAM_GROUPS, ids=str)
+def test_every_template_word_draws_as_choice_and_randrange_sweep(group):
+    seeds = [random.getrandbits(32) for _ in range(150)]
+    _assert_template_streams_match(group, seeds)
 
 
 # -- reversibility (Hartshorne V.5.7.1) ----------------------------------------
