@@ -28,6 +28,7 @@ resolver makes the ``getrandbits`` calls of ``rng.choice`` and
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Set
 
 from .errors import DegenerateModel, InvalidArgument, InvalidPointSpec, InvalidSurface
 from .groups import CurveGroup, GroupElement, check_same_group
@@ -268,7 +269,8 @@ def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
     """
     if s0.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{s0!r} is not a surface model")
-    if isinstance(templates, (str, bytes)):
+    # A set or mapping would walk in hash order, which changes between processes.
+    if isinstance(templates, (str, bytes, Set, Mapping)):
         raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps")
     try:
         templates = iter(templates)

@@ -19,10 +19,14 @@ the whole enumeration as a tuple that is built once per group and cached.
 so callers that need a few elements, or one drawn at random, never
 enumerate the group; a Weierstrass model indexes its cached tuple.
 
-Halvings never enumerate.  The torus halves each coordinate; a Weierstrass
-model finds the x-coordinates of the halves of S as the roots in F_p of the
-halving quartic (x(2R) = x(S), Silverman III.2), so halvings answer for any
-prime up to ``PRIME_CAP``.  The order, the elements and ``nth`` of a
+Halvings never enumerate.  The torus halves each coordinate.  A Weierstrass
+model whose cubic has three roots e1, e2, e3 in F_p (2-torsion of order 4,
+the only models that have ramification points) halves by 2-descent: three
+square roots of x(S) - ei and a few products (Knapp, *Elliptic Curves*, IV;
+Husemoller, *Elliptic Curves*, 1.4).  A model with 2-torsion of order 1 or 2
+finds the x-coordinates of the halves of S as the roots in F_p of the
+halving quartic (x(2R) = x(S), Silverman III.2).  Either way halvings answer
+for any prime up to ``PRIME_CAP``.  The order, the elements and ``nth`` of a
 Weierstrass model still enumerate it and need p < 5000.
 """
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GroupTooLarge, MixedGroups
+from .errors import GroupTooLarge, InvalidPointSpec, MixedGroups
 from .values import Value
 
 #: Largest group order that ``elements()`` will enumerate.
@@ -158,6 +162,8 @@ class TorusGroup(Value):
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
         """All elements r with r + r = s (possibly empty)."""
+        if s.__class__ is not GroupElement:
+            raise InvalidPointSpec(f"{s!r} is not a group element")
         check_same_group(s.group, self)
         out = []
         for i in _half_residues(s.coords[0], self.m):
@@ -275,32 +281,39 @@ class WeierstrassGroup(Value):
         return points[k]
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
-        """All points r with r + r = s, from the roots of the halving quartic."""
+        """All points r with r + r = s.
+
+        With three rational roots e1, e2, e3 of the cubic, by 2-descent:
+        S = (x0, y0) has a half exactly when every x0 - ei is a square.  For
+        roots ri of them with r1 r2 r3 = y0, the halves are the sign patterns
+        (u1, u2, u3) of (r1, r2, r3) with an even number of flips, at
+        x = x0 + u1 u2 + u1 u3 + u2 u3, y = (u1 + u2)(u1 + u3)(u2 + u3).
+        Other curves take the roots of the halving quartic.
+        """
+        if s.__class__ is not GroupElement:
+            raise InvalidPointSpec(f"{s!r} is not a group element")
         check_same_group(s.group, self)
+        torsion = _two_torsion(self)
+        if len(torsion) < 4:
+            return _quartic_halvings(self, s)
         if s.coords is None:
-            return frozenset(_two_torsion(self))
-        p, a, b = self.p, self.a, self.b
-        xs, ys = s.coords
-        out = []
-        # x(2R) = (x^4 - 2ax^2 - 8bx + a^2) / (4(x^3 + ax + b)); equating it
-        # with x(S) gives the monic quartic whose roots are the x(R), 2R = +-S.
-        quartic = (
-            (a * a - 4 * b * xs) % p, (-8 * b - 4 * a * xs) % p, -2 * a % p, -4 * xs % p
+            return frozenset(torsion)
+        p = self.p
+        x0, y0 = s.coords
+        roots = []
+        for e in torsion[1:]:
+            r = _sqrt((x0 - e.coords[0]) % p, p)
+            if r is None:
+                return frozenset()
+            roots.append(r)
+        r1, r2, r3 = roots
+        if r1 * r2 * r3 % p != y0:  # The product is +-y0: y0^2 = (x0 - e1)(x0 - e2)(x0 - e3).
+            r3 = -r3
+        return frozenset(
+            GroupElement(self, ((x0 + u1 * u2 + u1 * u3 + u2 * u3) % p,
+                                (u1 + u2) * (u1 + u3) * (u2 + u3) % p))
+            for u1, u2, u3 in ((r1, r2, r3), (r1, -r2, -r3), (-r1, r2, -r3), (-r1, -r2, r3))
         )
-        for x in _roots(quartic, p):
-            y = _sqrt((x * x * x + a * x + b) % p, p)
-            if not y:
-                # Not a square, or a point of order 2, which doubles to O.
-                continue
-            # The tangent at R = (x, y) gives y(2R); the sign of y picks +-S.
-            lam = (3 * x * x + a) * pow(2 * y, -1, p) % p
-            if (lam * (x - xs) - y) % p == ys:
-                out.append(GroupElement(self, (x, y)))
-                if ys == 0:
-                    out.append(GroupElement(self, (x, p - y)))
-            else:
-                out.append(GroupElement(self, (x, p - y)))
-        return frozenset(out)
 
     def two_torsion_order(self) -> int:
         """``len(halvings(zero()))``, computed once per curve."""
@@ -336,6 +349,34 @@ def _two_torsion(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
     return (group.zero(),) + tuple(
         GroupElement(group, (x, 0)) for x in roots if x or b % p == 0
     )
+
+
+def _quartic_halvings(group: WeierstrassGroup, s: GroupElement) -> frozenset[GroupElement]:
+    """``group.halvings(s)`` from the roots of the halving quartic, on any curve."""
+    if s.coords is None:
+        return frozenset(_two_torsion(group))
+    p, a, b = group.p, group.a, group.b
+    xs, ys = s.coords
+    out = []
+    # x(2R) = (x^4 - 2ax^2 - 8bx + a^2) / (4(x^3 + ax + b)); equating it
+    # with x(S) gives the monic quartic whose roots are the x(R), 2R = +-S.
+    quartic = (
+        (a * a - 4 * b * xs) % p, (-8 * b - 4 * a * xs) % p, -2 * a % p, -4 * xs % p
+    )
+    for x in _roots(quartic, p):
+        y = _sqrt((x * x * x + a * x + b) % p, p)
+        if not y:
+            # Not a square, or a point of order 2, which doubles to O.
+            continue
+        # The tangent at R = (x, y) gives y(2R); the sign of y picks +-S.
+        lam = (3 * x * x + a) * pow(2 * y, -1, p) % p
+        if (lam * (x - xs) - y) % p == ys:
+            out.append(GroupElement(group, (x, y)))
+            if ys == 0:
+                out.append(GroupElement(group, (x, p - y)))
+        else:
+            out.append(GroupElement(group, (x, p - y)))
+    return frozenset(out)
 
 
 def _is_prime(n: int) -> bool:

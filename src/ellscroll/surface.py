@@ -186,6 +186,8 @@ def tau(s: IndecMinus1, q: GroupElement, r: GroupElement) -> SurfacePointDescrip
     """
     if not isinstance(s, IndecMinus1):
         raise InvalidPointSpec("pair descriptors only exist on the e=-1 surface")
+    if q.__class__ is not GroupElement or r.__class__ is not GroupElement:
+        raise InvalidPointSpec(f"pair {{{q!r}, {r!r}}} is not two group elements")
     if q.sort_key() > r.sort_key():
         q, r = r, q
     return SurfacePointDescriptor(q, r, q + r - s.p0)
@@ -206,6 +208,10 @@ def ramification_points(s: IndecMinus1, t: GroupElement) -> frozenset[GroupEleme
     No finite group is 2-divisible with nontrivial 2-torsion, so "four on
     every fiber" is realized as "four whenever nonempty".
     """
+    if s.__class__ is not IndecMinus1:
+        raise InvalidSurface(f"ramification points only exist on the e=-1 surface, not {s!r}")
+    if t.__class__ is not GroupElement:
+        raise InvalidPointSpec(f"fiber {t!r} is not a group element")
     order = s.group.two_torsion_order()
     if order != 4:
         raise DegenerateModel(

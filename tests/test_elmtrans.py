@@ -255,6 +255,27 @@ def test_walk_refuses_steps_that_are_not_a_sequence(templates, rng_seed):
 
 
 @pytest.mark.parametrize(
+    "templates",
+    [{"bogus", "random"}, frozenset({"bogus"}), {"bogus": 1}, {"bogus": 1}.keys(), set()],
+    ids=["set", "frozenset", "dict", "keys", "empty-set"],
+)
+def test_walk_refuses_steps_in_hash_order(templates):
+    # A set or mapping iterates in the hash order of its strings, which
+    # changes with PYTHONHASHSEED; it is refused before any step.
+    with pytest.raises(InvalidPointSpec, match="is not a sequence of walk steps") as info:
+        walk(Indec0(G), templates, rng_seed=1)
+    assert info.value.code == "InvalidPointSpec"
+
+
+def test_walk_takes_steps_from_lists_tuples_and_generators():
+    steps = ["random", "generic", OnX0(P), "onX0", "random"]
+    expected = walk(Indec0(G), steps, rng_seed=5)
+    assert walk(Indec0(G), tuple(steps), rng_seed=5) == expected
+    assert walk(Indec0(G), iter(steps), rng_seed=5) == expected
+    assert walk(Indec0(G), (step for step in steps), rng_seed=5) == expected
+
+
+@pytest.mark.parametrize(
     "q, r", [((1, 0), (0, 1)), (P, None), (point_class(P), Q)], ids=["tuples", "None", "class"]
 )
 def test_pair_refuses_what_is_not_a_point(q, r):

@@ -7,15 +7,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ellscroll.errors import GroupTooLarge, MixedGroups
+from ellscroll import groups
+from ellscroll.errors import GroupTooLarge, InvalidPointSpec, MixedGroups
 from ellscroll.groups import (
     PRIME_CAP,
     TorusGroup,
     WeierstrassGroup,
     _half_residues,
     _is_prime,
+    _quartic_halvings,
     _sqrt,
     _torus_elements,
+    _two_torsion,
     _weierstrass_points,
     default_group,
 )
@@ -297,6 +300,93 @@ def test_weierstrass_halvings_on_a_prime_near_the_cap():
     assert len(halves) == 4 and P in halves
     assert all(r + r == S for r in halves)
     assert big.two_torsion_order() == 4
+
+
+def full_two_torsion_curves(p):
+    """(a, b) of every curve over F_p whose cubic has three roots in F_p, up
+    to isomorphism: (x - e1)(x - e2)(x - e3) with e1 + e2 + e3 = 0, one triple
+    per curve, and one curve of each class (a, b) ~ (c^2 a, c^3 b), c a nonzero
+    square (the isomorphisms (x, y) -> (u^2 x, u^3 y) with c = u^2)."""
+    squares = {u * u % p for u in range(1, p)}
+    seen = set()
+    for e1 in range(p):
+        for e2 in range(e1 + 1, p):
+            e3 = -(e1 + e2) % p
+            if e3 > e2:
+                a, b = (e1 * e2 + e1 * e3 + e2 * e3) % p, -e1 * e2 * e3 % p
+                if (a, b) not in seen:
+                    seen.update((c * c * a % p, c * c * c * b % p) for c in squares)
+                    yield a, b
+
+
+@pytest.mark.parametrize(
+    "group",
+    [WeierstrassGroup(13, -1, 0), WeierstrassGroup(17, -7, 6), WeierstrassGroup(101, -1, 0),
+     WeierstrassGroup(19, -7, 6), WeierstrassGroup(23, -1, 0), WeierstrassGroup(103, -1, 0)],
+    ids=str,
+)
+def test_weierstrass_descent_matches_the_quartic_and_the_scan(group):
+    # p = 1 and p = 3 mod 4, on y^2 = x^3 - x and on the roots 1, 2, -3.
+    assert group.two_torsion_order() == 4
+    table = scan_halvings(group)
+    order_two = [s for s in table if s.coords is not None and s.coords[1] == 0]
+    assert len(order_two) == 3 and group.zero() in table
+    for s in table:
+        assert group.halvings(s) == _quartic_halvings(group, s) == table[s], s
+    assert sum(len(halves) == 4 for halves in table.values()) == len(table) // 4
+
+
+def test_weierstrass_descent_finds_no_polynomial_roots(monkeypatch):
+    group = WeierstrassGroup(103, -1, 0)
+    assert len(_two_torsion(group)) == 4
+    table = scan_halvings(group)
+
+    def refuse(*args):
+        raise AssertionError("the descent does not find polynomial roots")
+
+    monkeypatch.setattr(groups, "_roots", refuse)
+    for s in table:
+        assert group.halvings(s) == table[s]
+
+
+def test_weierstrass_descent_on_a_prime_near_the_cap():
+    p = 999_999_999_989  # p = 1 mod 4: square roots by Tonelli-Shanks
+    big = WeierstrassGroup(p, -1, 0)
+    rng = random.Random(p)
+    points = [big.zero(), big.point(0, 0), big.point(1, 0), big.point(-1, 0)]
+    while len(points) < 40:
+        x = rng.randrange(p)
+        y = _sqrt((x**3 - x) % p, p)
+        if y is not None:
+            points += [big.point(x, y), big.point(x, y) * 2]
+    halved = 0
+    for s in points:
+        halves = big.halvings(s)
+        assert len(halves) in (0, 4) and all(r + r == s for r in halves)
+        assert halves == _quartic_halvings(big, s)
+        halved += bool(halves)
+    assert halved >= 19  # O and the 18 doubles, at least
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+def test_weierstrass_descent_sweep_every_full_two_torsion_curve_below_200():
+    # Up to isomorphism: every curve and every point over p < 200 takes the
+    # quartic about ten minutes.
+    for p in filter(_is_prime, range(3, 200)):
+        for a, b in full_two_torsion_curves(p):
+            group = WeierstrassGroup(p, a, b)
+            assert group.two_torsion_order() == 4, group
+            # The enumeration without its cache, which would keep every curve.
+            for s in _weierstrass_points.__wrapped__(group):
+                assert group.halvings(s) == _quartic_halvings(group, s), (group, s)
+
+
+@pytest.mark.parametrize("group", [G, W, WeierstrassGroup(23, -1, 0)], ids=str)
+@pytest.mark.parametrize("value", [None, (0, 0), "O"], ids=repr)
+def test_halvings_refuse_what_is_not_a_group_element(group, value):
+    with pytest.raises(InvalidPointSpec, match="is not a group element") as info:
+        group.halvings(value)
+    assert info.value.code == "InvalidPointSpec"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ellscroll.errors import (
     DegenerateModel,
+    InvalidPointSpec,
     InvalidSecancy,
     InvalidSurface,
     NonNormalizedInput,
@@ -157,3 +158,35 @@ def test_ramification_rejects_every_fiber_of_a_torsion_poor_model(group, order):
     for t in group.elements():
         with pytest.raises(DegenerateModel, match=f"of order {order}; need 4"):
             ramification_points(s, t)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Indec0(G), Decomposable(trivial_class(G)), None, G.zero()],
+    ids=["ind0", "dec", "None", "point"],
+)
+def test_ramification_points_refuse_what_is_not_the_e_minus_1_surface(s):
+    with pytest.raises(InvalidSurface, match="only exist on the e=-1 surface") as info:
+        ramification_points(s, G.zero())
+    assert info.value.code == "InvalidSurface"
+
+
+@pytest.mark.parametrize(
+    "group", [G, TorusGroup(3, 9), WeierstrassGroup(23, -1, 0)], ids=str
+)
+@pytest.mark.parametrize("t", [None, (0, 0), "O"], ids=repr)
+def test_ramification_points_refuse_a_fiber_that_is_not_a_point(group, t):
+    # Refused before the torsion check, so also on a torsion-poor model.
+    with pytest.raises(InvalidPointSpec, match="is not a group element") as info:
+        ramification_points(IndecMinus1(group.zero()), t)
+    assert info.value.code == "InvalidPointSpec"
+
+
+@pytest.mark.parametrize(
+    "value", [None, (0, 0), point_class(G.zero())], ids=["None", "tuple", "class"]
+)
+def test_tau_refuses_what_is_not_a_group_element(value):
+    for q, r in ((value, G.zero()), (G.zero(), value)):
+        with pytest.raises(InvalidPointSpec, match="is not two group elements") as info:
+            tau(S, q, r)
+        assert info.value.code == "InvalidPointSpec"
