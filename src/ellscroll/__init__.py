@@ -41,7 +41,6 @@ from .surface import (
     SurfacePointDescriptor,
     genus_adjunction,
     intersect,
-    invariant_e,
     min_curves_through,
     ramification_points,
     tau,

@@ -34,13 +34,13 @@ from .errors import (
 from .groups import GROUP_MODELS, CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
 from .surface import (
+    FAMILIES,
     Decomposable,
     Indec0,
     IndecMinus1,
     SurfaceDivisorClass,
     SurfaceModel,
     intersect,
-    invariant_e,
 )
 from .values import Value
 
@@ -135,11 +135,13 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     The system's row refuses a value that is not a surface model, so the
     last branch below is the e = -1 surface.
     """
+    if b.__class__ is not DivisorClass:
+        raise InvalidArgument(f"{b!r} is not a divisor class")
     H = SurfaceDivisorClass(1, b)
     h0, h1, bpf, _, _ = linsys._row(s, H)
     if not bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
-    e, deg_b, degree = -s.deg_e, b.degree, intersect(s, H, H)
+    e, deg_b, degree = s.e, b.degree, intersect(s, H, H)
     note, trivial, map_degree, ln_max, ln_exact = None, False, 1, h0, None
     singular, generation, curves = "Empty", None, ()
     if s.__class__ is Decomposable:
@@ -221,6 +223,8 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     nonspecial hyperplane class satisfy e = N+1 (mod 2); the cone row
     (speciality 1) always closes the table.
     """
+    if not isinstance(N, int):
+        raise InvalidArgument(f"N {N!r} is not an int")
     if N < 3:
         raise InvalidArgument("tables are emitted for N >= 3")
     group = _group(group, default_group())
@@ -297,7 +301,7 @@ def render_table(N: int, rows: list[ScrollModel]) -> str:
 class NagataPlan(Value):
     """A sequence of transformations building a target from the product surface."""
 
-    __slots__ = ("target", "target_e", "steps", "length")  # target: "dec" | "ind0" | "indm1"
+    __slots__ = ("target", "target_e", "steps", "length")  # target: a word of FAMILIES
 
     def to_dict(self) -> dict:
         return {
@@ -313,21 +317,19 @@ def product_surface(group: CurveGroup) -> Decomposable:
     return Decomposable(trivial_class(group))
 
 
-#: The invariant e of each non-split target.
-_OWN_E = {"ind0": 0, "indm1": -1}
-
-
 def _target_e(target: str, e: int | None) -> int:
-    """The invariant e of a plan target; refuses an unknown target, a
-    non-split one with an e not its own, and a split one without an
-    invariant e >= 0."""
-    own = _OWN_E.get(target)
-    if own is not None:
-        if e not in (None, own):
-            raise UnreachableTarget(f"{target} has the invariant e = {own}, not {e}")
-        return own
-    if target != "dec":
+    """The invariant e of a plan target; refuses an e that is not an int, an
+    unknown target, a non-split one with an e not its own, and a split one
+    without an invariant e >= 0."""
+    if e is not None and not isinstance(e, int):
+        raise InvalidArgument(f"e {e!r} is not an int")
+    family = FAMILIES.get(target)
+    if family is None:
         raise UnreachableTarget(f"unknown target {target!r}")
+    if family is not Decomposable:
+        if e not in (None, family.e):
+            raise UnreachableTarget(f"{target} has the invariant e = {family.e}, not {e}")
+        return family.e
     if e is None or e < 0:
         raise UnreachableTarget("a split target needs an invariant e >= 0")
     return e
@@ -349,16 +351,18 @@ def nagata_plan(
     order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
-    if target == "ind0":
-        return NagataPlan("ind0", 0, (Generic(p1), Generic(p1)), 2)
-    if target == "indm1":
-        return NagataPlan("indm1", -1, (Generic(p1), Generic(p2), Generic(p3)), 3)
-    if e == 0:
-        return NagataPlan("dec", 0, (Generic(p1), Generic(p2)), 2)
-    if e == 1:
-        return NagataPlan("dec", 1, (Generic(p1),), 1)
-    points = (group.nth(k % order) for k in range(1, e + 1))
-    return NagataPlan("dec", e, tuple(OnX0(p) for p in points), e)
+    family = FAMILIES[target]
+    if family is Indec0:
+        steps = Generic(p1), Generic(p1)
+    elif family is IndecMinus1:
+        steps = Generic(p1), Generic(p2), Generic(p3)
+    elif e == 0:
+        steps = Generic(p1), Generic(p2)
+    elif e == 1:
+        steps = (Generic(p1),)
+    else:
+        steps = tuple(OnX0(group.nth(k % order)) for k in range(1, e + 1))
+    return NagataPlan(target, e, steps, len(steps))
 
 
 def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:
@@ -371,8 +375,8 @@ def matches_target(model: SurfaceModel, target: str, e: int) -> bool:
     """Whether ``model`` is in a plan's target family; the product surface is not."""
     return (
         model.family() == target
-        and invariant_e(model) == e
-        and not (target == "dec" and model.e_class.is_trivial())
+        and model.e == e
+        and not (model.__class__ is Decomposable and model.e_class.is_trivial())
     )
 
 
@@ -406,6 +410,8 @@ def minimality_check(
     checks the premise on every transformation it makes and raises
     ``EngineError`` when a rule breaks it.  Nothing is kept between calls.
     """
+    if not isinstance(max_len, int):
+        raise InvalidArgument(f"max_len {max_len!r} is not an int")
     if max_len > 4:
         raise InvalidArgument("exhaustive search is desk-scale: max_len <= 4")
     target_e = _target_e(target, e)
@@ -428,7 +434,7 @@ def minimality_check(
         left = budget - 1
         for spec in specs[family]:
             out = elm(model, spec).model
-            e_out = invariant_e(out)
+            e_out = out.e
             if abs(e_out - e_model) != 1:
                 raise EngineError(
                     f"{spec} moves e from {e_model} to {e_out} on {model}"
@@ -445,7 +451,7 @@ def minimality_check(
 
     # Lengths of the other parity cannot end at target_e; a zero distance
     # starts at 2, since the start itself is not the target.
-    e_start = invariant_e(start)
+    e_start = start.e
     for length in range(abs(e_start - target_e) or 2, max_len + 1, 2):
         seen.clear()
         seen[start] = length

@@ -62,6 +62,7 @@ from .errors import EngineError, InvalidPointSpec, ParseError, SemanticError
 from .groups import CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group
 from .picard import Divisor, DivisorClass, class_of
 from .surface import (
+    FAMILIES,
     Decomposable,
     Indec0,
     IndecMinus1,
@@ -73,7 +74,6 @@ from .surface import (
 )
 from .values import Value
 
-FAMILIES = ("dec", "ind0", "indm1")
 #: The largest N of ``table N`` and E of ``nagata target E``: a table has
 #: about N/2 rows and a split plan E steps.
 SIZE_CAP = 10_000
@@ -130,11 +130,11 @@ def format_field(value) -> str:
     if isinstance(value, SurfaceDivisorClass):
         return f"{value.m}X0+({format_class(value.b)})f"
     if isinstance(value, Decomposable):
-        return f"dec({format_class(value.e_class)})"
+        return f"{value.family()}({format_class(value.e_class)})"
     if isinstance(value, Indec0):
-        return "ind0"
+        return value.family()
     if isinstance(value, IndecMinus1):
-        return f"indm1({value.p0})"
+        return f"{value.family()}({value.p0})"
     if isinstance(value, Pair):
         return f"pair{{{value.q},{value.r}}}"
     if isinstance(value, PointSpec):
@@ -245,11 +245,11 @@ class _Parser:
             sign = 1 if self.next() == "+" else -1
 
     def surface(self) -> SurfaceModel:
-        name = self.family()
-        if name == "ind0":
+        family = FAMILIES[self.family()]
+        if family is Indec0:
             return Indec0(self.group)
         self.expect_sym("(")
-        if name == "dec":
+        if family is Decomposable:
             div = self.divisor()
             self.expect_sym(")")
             cls = class_of(div)
@@ -421,7 +421,7 @@ class Nagata(_Command):
     grammar = (_Parser.family, _Parser.optional_int)
 
     def __init__(self, target: str, e: int | None = None) -> None:
-        if target == "dec" and e is None:
+        if FAMILIES.get(target) is Decomposable and e is None:
             raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
         if e is not None and e > SIZE_CAP:
             raise SemanticError(f"nagata takes an invariant e <= {SIZE_CAP}")

@@ -440,8 +440,8 @@ def _power_mod(delta: int, e: int, neg: tuple, p: int) -> tuple[int, int, int, i
     """(x + delta)^e modulo the monic quartic f, as (r0, r1, r2, r3).
 
     ``neg`` holds the coefficients of x^4 = n0 + n1 x + n2 x^2 + n3 x^3
-    modulo f.  Residues stay 4-tuples and the squaring is unrolled: this is
-    the inner loop of every halving.
+    modulo f.  Residues stay 4-tuples and the squaring is unrolled.  It runs
+    once per curve in ``_two_torsion``, and otherwise only on the quartic path.
     """
     n0, n1, n2, n3 = neg
     r0, r1, r2, r3 = delta % p, 1, 0, 0

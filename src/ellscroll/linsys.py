@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import picard
-from .errors import InvalidSecancy, InvalidSurface, UnsupportedSecancy
+from .errors import InvalidArgument, InvalidSecancy, InvalidSurface, UnsupportedSecancy
 from .groups import check_same_group
 from .picard import point_class
 from .surface import (
+    FAMILIES,
     Decomposable,
     Indec0,
     IndecMinus1,
@@ -40,7 +41,7 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """
     if H.m < 0:
         raise InvalidSecancy("negative fiber degree")
-    total, b, degree, deg_e = 0, H.b, H.b.degree, s.deg_e
+    total, b, degree, e = 0, H.b, H.b.degree, s.e
     for k in range(H.m + 1):
         # A class of positive degree d has d sections and one of negative
         # degree none; only a class of degree 0 is built, to test whether
@@ -49,15 +50,17 @@ def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
             total += degree
         elif not degree:
             total += picard.h0(b + k * s.e_class)
-        degree += deg_e
+        degree -= e
     return total
 
 
 def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """Exact section count of the complete system ``|m*X0 + b*f|``."""
     cls = s.__class__
-    if cls is not Decomposable and cls is not Indec0 and cls is not IndecMinus1:
+    if cls not in FAMILIES.values():
         raise InvalidSurface(f"{s!r} is not a surface model")
+    if H.__class__ is not SurfaceDivisorClass:
+        raise InvalidArgument(f"{H!r} is not a surface divisor class")
     check_same_group(s.group, H.b.group)
     if H.m == 0:
         return picard.h0(H.b)
@@ -70,8 +73,8 @@ def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
 
 def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
     """chi of the system's sheaf (Riemann-Roch on the surface, chi(O) = 0)."""
-    m, deg_b, deg_e = H.m, H.b.degree, s.deg_e
-    return m * (m + 1) * deg_e // 2 + (m + 1) * deg_b
+    m = H.m
+    return (m + 1) * (2 * H.b.degree - m * s.e) // 2
 
 
 def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool, bool]:
@@ -96,7 +99,7 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
             check_same_group(E.abel.group, group)
         if m > 2:
             raise UnsupportedSecancy(f"no closed form for the predicates at m={m}")
-        e = -E.degree  # -s.deg_e, without the property call
+        e = -E.degree  # s.e, without the property call
         h0 = h0_bound(s, H)
         if m == 1 and not e and E.is_trivial():
             bpf = irreducible = deg_b >= 2 or b.is_trivial()
@@ -119,7 +122,7 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
             check_same_group(s.group, group)
         if m > 2:
             raise UnsupportedSecancy(f"no closed form for m={m} on a non-split surface")
-        e = -s.deg_e
+        e = s.e
         if cls is Indec0:
             h0 = (m + 1) * deg_b if deg_b >= 1 else int(b.is_trivial())
             irreducible = deg_b >= 1 or (m == 1 and b.is_trivial())
@@ -143,6 +146,8 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
 
 def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact base-point-freeness table for m in {1, 2}."""
+    if H.__class__ is not SurfaceDivisorClass:
+        raise InvalidArgument(f"{H!r} is not a surface divisor class")
     _, _, bpf, _, _ = _row(s, H)
     return bpf
 
@@ -172,6 +177,8 @@ def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:
     An irreducible generic member is smooth on these surfaces, so its genus
     is the geometric genus (1 for fiber degree 1).
     """
+    if H.__class__ is not SurfaceDivisorClass:
+        raise InvalidArgument(f"{H!r} is not a surface divisor class")
     h0, h1, bpf, very_ample, irreducible = _row(s, H)
     return SystemAnalysis(
         h0=h0,

@@ -10,6 +10,9 @@ normalization there are three families, distinguished by the invariant class
 * ``IndecMinus1`` -- the non-split bundle with invariant class a single
   point ``p0`` (degree +1, so e = -1).
 
+Each model reads its invariant as ``s.e`` and its family word as
+``s.family()``; ``FAMILIES`` maps each word to its class.
+
 Divisor classes on a surface are written ``m*X0 + b*f``: ``m`` counts
 intersections with a fiber, ``b`` is a divisor class pulled back from the
 base.  The module also carries the special geometry of the e = -1 surface:
@@ -38,6 +41,8 @@ class Decomposable(Value):
     __slots__ = ("e_class",)
 
     def __init__(self, e_class: DivisorClass) -> None:
+        if e_class.__class__ is not DivisorClass:
+            raise InvalidSurface(f"{e_class!r} is not a divisor class")
         if e_class.degree > 0:
             raise NonNormalizedInput(
                 "decomposable model requires an invariant class of degree <= 0"
@@ -49,10 +54,11 @@ class Decomposable(Value):
         return self.e_class.abel.group
 
     @property
-    def deg_e(self) -> int:
-        return self.e_class.degree
+    def e(self) -> int:
+        return -self.e_class.degree
 
-    def family(self) -> str:
+    @staticmethod
+    def family() -> str:
         return "dec"
 
 
@@ -61,8 +67,7 @@ class Indec0(Value):
 
     __slots__ = ("base",)
 
-    #: The degree of ``e_class``, read without building the class.
-    deg_e = 0
+    e = 0
 
     def __init__(self, base: CurveGroup) -> None:
         if base.__class__ not in GROUP_MODELS:
@@ -77,7 +82,8 @@ class Indec0(Value):
     def e_class(self) -> DivisorClass:
         return trivial_class(self.base)
 
-    def family(self) -> str:
+    @staticmethod
+    def family() -> str:
         return "ind0"
 
 
@@ -86,7 +92,7 @@ class IndecMinus1(Value):
 
     __slots__ = ("p0",)
 
-    deg_e = 1
+    e = -1
 
     def __init__(self, p0: GroupElement) -> None:
         if p0.__class__ is not GroupElement:
@@ -101,16 +107,14 @@ class IndecMinus1(Value):
     def e_class(self) -> DivisorClass:
         return point_class(self.p0)
 
-    def family(self) -> str:
+    @staticmethod
+    def family() -> str:
         return "indm1"
 
 
 SurfaceModel = Decomposable | Indec0 | IndecMinus1
-
-
-def invariant_e(s: SurfaceModel) -> int:
-    """The numerical invariant: minus the degree of the invariant class."""
-    return -s.deg_e
+#: The family word of each model class, in the order dec, ind0, indm1.
+FAMILIES = {cls.family(): cls for cls in (Decomposable, Indec0, IndecMinus1)}
 
 
 class SurfaceDivisorClass(Value):
@@ -128,7 +132,7 @@ class SurfaceDivisorClass(Value):
 
 def intersect(s: SurfaceModel, A: SurfaceDivisorClass, B: SurfaceDivisorClass) -> int:
     """Intersection number of two surface classes."""
-    return A.m * B.m * s.deg_e + A.m * B.b.degree + B.m * A.b.degree
+    return A.m * B.b.degree + B.m * A.b.degree - A.m * B.m * s.e
 
 
 def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
@@ -136,14 +140,13 @@ def genus_adjunction(s: SurfaceModel, D: SurfaceDivisorClass) -> int:
 
     The canonical class of the surface is ``-2*X0 + e_class*f`` (the base
     curve has trivial canonical class), which collapses to a closed form in
-    ``m``, ``deg b`` and ``deg e_class``.  Every fiber-degree-1 class has
+    ``m``, ``deg b`` and ``e``.  Every fiber-degree-1 class has
     genus 1; for m = 2 the genus is ``deg(b) - e + 1``.
     """
     if D.m < 1:
         raise InvalidSecancy("genus is computed for classes with m >= 1")
-    m, deg_b, deg_e = D.m, D.b.degree, s.deg_e
-    twice = m * (m - 1) * deg_e + (2 * m - 2) * deg_b
-    return 1 + twice // 2
+    m = D.m
+    return 1 + (m - 1) * (2 * D.b.degree - m * s.e) // 2
 
 
 class MinCurve(Value):
@@ -197,6 +200,8 @@ def min_curves_through(
     s: IndecMinus1, x: SurfacePointDescriptor
 ) -> frozenset[MinCurve]:
     """The minimum curves through a point: two generically, one on the focal curve."""
+    if x.__class__ is not SurfacePointDescriptor:
+        raise InvalidPointSpec(f"{x!r} is not a point descriptor of the e=-1 surface")
     return frozenset({MinCurve(x.q), MinCurve(x.r)})
 
 

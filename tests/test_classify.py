@@ -33,7 +33,6 @@ from ellscroll.surface import (
     IndecMinus1,
     SurfaceDivisorClass,
     intersect,
-    invariant_e,
 )
 
 G = default_group()
@@ -414,6 +413,17 @@ def test_minimality_by_exhaustive_search():
 
 def test_argument_bounds_raise_a_coded_error():
     calls = [lambda: emit_table(2), lambda: minimality_check("dec", 9, max_len=9)]
+    # An N, e or max_len that is not an int; None is the default of e.
+    for value in ("3", 3.0, None):
+        calls += [
+            lambda value=value: emit_table(value),
+            lambda value=value: minimality_check("dec", 1, max_len=value),
+        ]
+        if value is not None:
+            calls += [
+                lambda value=value: nagata_plan("dec", value),
+                lambda value=value: minimality_check("dec", value),
+            ]
     for call in calls:
         with pytest.raises(InvalidArgument) as info:
             call()
@@ -622,7 +632,7 @@ def test_search_expands_a_model_again_when_reached_with_more_budget(monkeypatch)
     }
 
     def graph(s, x):
-        out = edges.get((s, x)) or sink[invariant_e(s)]
+        out = edges.get((s, x)) or sink[s.e]
         return elmtrans.ElmResult(out, "X0prime", "graph")
 
     monkeypatch.setattr(classify, "elm", graph)

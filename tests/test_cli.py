@@ -484,6 +484,16 @@ ERROR_CODES = {
     if isinstance(cls, type) and issubclass(cls, errors.EngineError)
 }
 
+
+def test_error_codes_are_the_fourteen_class_names():
+    # The code is the class name, so renaming a class changes a code.
+    assert ERROR_CODES == {
+        "EngineError", "MixedGroups", "GroupTooLarge", "UnsupportedSecancy",
+        "InvalidSecancy", "NotBasePointFree", "InvalidPointSpec", "InvalidSurface",
+        "InvalidArgument", "NonNormalizedInput", "DegenerateModel", "UnreachableTarget",
+        "SemanticError", "ParseError",
+    }
+
 #: Argument words by kind, and the kinds each command reads, in order.
 ARGUMENTS = {
     "surface": ("dec(0*O)", "dec(-P(1,0))", "dec(-3*O)", "ind0", "indm1(O)", "indm1((1,1))"),

@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from isomorphism import isomorphic
 
 from ellscroll.elmtrans import (
     ALL_RULES,
@@ -38,7 +39,6 @@ from ellscroll.surface import (
     Decomposable,
     Indec0,
     IndecMinus1,
-    invariant_e,
 )
 
 #: The tier-1 run checks Torus(4,4); ``ELLSCROLL_FUZZ=1`` adds the sweeps.
@@ -69,14 +69,14 @@ def test_dec_on_minimum_section_raises_e():
     out = elm(dec(2, P), OnX0(Q))
     assert out.rule == "dec_onX0_epos"
     assert out.model.e_class == DivisorClass(-2, P) - point_class(Q)
-    assert invariant_e(out.model) == 3
+    assert out.model.e == 3
 
 
 def test_dec_e0_on_minimum_section():
     s = Decomposable(DivisorClass(0, P))
     out = elm(s, OnX0(Q))
     assert out.rule == "dec_e0_onX0"
-    assert invariant_e(out.model) == 1
+    assert out.model.e == 1
 
 
 def test_dec_high_e_off_section_lowers_e():
@@ -88,7 +88,7 @@ def test_dec_high_e_off_section_lowers_e():
 def test_dec_e1_off_section_plain():
     out = elm(dec(1, P), OnX1(Q))
     assert out.rule == "dec_e1_offX0_plain"
-    assert invariant_e(out.model) == 0
+    assert out.model.e == 0
 
 
 def test_dec_e1_torsion_branches():
@@ -313,7 +313,7 @@ def test_walks_stay_in_the_three_families(start_index, seed):
         assert isinstance(model, (Decomposable, Indec0, IndecMinus1))
         if isinstance(model, Decomposable):
             assert model.e_class.degree <= 0  # normalized
-        assert abs(invariant_e(model) - invariant_e(before)) == 1
+        assert abs(model.e - before.e) == 1
         assert step.rule in ALL_RULES
 
 
@@ -475,7 +475,7 @@ def test_the_rule_table_names_each_rule():
 def test_elm_answers_as_the_rule_table_on_every_point_of_torus_4_4():
     zero, cases = T4.zero(), 0
     for s in _models(T4):
-        family, e, A = s.family(), invariant_e(s), s.e_class.abel
+        family, e, A = s.family(), s.e, s.e_class.abel
         for x in _points(s):
             P, r = (x.q, x.r) if isinstance(x, Pair) else (x.P, zero)
             holds = {
@@ -627,21 +627,6 @@ def test_every_template_word_draws_as_choice_and_randrange_sweep(group):
 
 # -- reversibility (Hartshorne V.5.7.1) ----------------------------------------
 
-def _isomorphic(a, b, doubles):
-    """Equal models, or models related by one of the two isomorphisms that
-    are not equalities: swapping the two sections of a split model at e = 0,
-    ``Decomposable(A) ~ Decomposable(-A)``, and twisting the e = -1 model by
-    a point t, ``IndecMinus1(p0) ~ IndecMinus1(p0 + 2t)``.  ``doubles`` is
-    the set of all 2t."""
-    if a == b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Decomposable):
-        return a.e_class.degree == b.e_class.degree == 0 and a.e_class.abel == -b.e_class.abel
-    return isinstance(a, IndecMinus1) and a.p0 - b.p0 in doubles
-
-
 def _points_over(model, t):
     """The points of ``model`` on the fiber over t; a pair {q, r} lies over
     q + r - p0."""
@@ -657,7 +642,7 @@ def _assert_every_transformation_is_undone_over_its_fiber(group):
             t = x.q + x.r - s.p0 if isinstance(x, Pair) else x.P
             image = elm(s, x).model
             assert any(
-                _isomorphic(elm(image, y).model, s, doubles) for y in _points_over(image, t)
+                isomorphic(elm(image, y).model, s, doubles) for y in _points_over(image, t)
             ), (s, x)
 
 

@@ -3,12 +3,23 @@ systems and the scroll classification.
 
 A curve isomorphism carries every surface and system to an isomorphic one,
 so ``analyze`` and ``classify_scroll`` must give the same record, or refuse
-with the same error code, on both sides.  Two isomorphisms are checked:
+with the same error code, on both sides.  Two curve isomorphisms are checked:
 
 - Torus(2,12) onto Weierstrass(23,-1,0), through (i, j) -> i*Q + j*P, where
   P has order 12 and Q is a 2-torsion point outside <P>;
 - translation by x on Torus(12,12), which maps a class (d, a) to
   (d, a + d*x) and the e = -1 surface over p0 to the one over p0 + x.
+
+So are the two isomorphisms of surface models that are not equalities, on
+Torus(12,12) (``isomorphism.isomorphic``):
+
+- ``IndecMinus1(p0 + 2t)`` with b onto ``IndecMinus1(p0)`` with b + m*t,
+  where m*t stands for the degree-0 class with group sum m*t;
+- ``Decomposable(-a)`` with b onto ``Decomposable(a)`` with b - m*a, for a
+  class a of degree 0.
+
+Most rows are decided by degrees alone, on both sides of either map; these
+two are drawn on the rows where a torsion condition decides.
 
 Tier-1 replays a seeded sample of each; the whole sweeps run with
 ``ELLSCROLL_FUZZ=1``.
@@ -19,6 +30,7 @@ import os
 import random
 
 import pytest
+from isomorphism import isomorphic
 from test_linsys import all_cases
 
 from ellscroll import linsys
@@ -82,15 +94,20 @@ def classify(s, H):
 
 
 def mismatches(pairs):
-    """The (surface, system, x) triples whose image answers differently, and
-    the number of comparisons made."""
+    """The mismatches of the (s, H, point, x) cases, each carried by
+    ``carry``, and the number of comparisons made."""
+    return image_mismatches((s, H, *carry(s, H, point, x)) for s, H, point, x in pairs)
+
+
+def image_mismatches(cases):
+    """The (surface, system) pairs of the (s, H, image s, image H) cases that
+    answer differently from their image, and the number of comparisons made."""
     bad, compared = [], 0
-    for s, H, point, x in pairs:
-        image = carry(s, H, point, x)
+    for s, H, s_image, H_image in cases:
         for op in (linsys.analyze, classify) if H.m == 1 else (linsys.analyze,):
             compared += 1
-            if outcome(op, s, H) != outcome(op, *image):
-                bad.append((op.__name__, s, str(H), x))
+            if outcome(op, s, H) != outcome(op, s_image, H_image):
+                bad.append((op.__name__, s, str(H), s_image, str(H_image)))
     return bad, compared
 
 
@@ -162,3 +179,61 @@ def test_answers_are_invariant_under_translation_sweep():
     pairs = itertools.product(CASES, T12.elements())
     bad, compared = mismatches((s, H, identity, x) for (s, H), x in pairs)
     assert bad == [] and compared > len(CASES) * T12.order()
+
+
+# -- isomorphic models on Torus(12,12) -----------------------------------------
+
+#: A group sum of order 12, off the torsion conditions drawn here.
+OFF = T12.element(5, 7)
+TWISTED_BASES = (T12.zero(), T12.element(1, 0), T12.element(6, 6), T12.element(3, 4))
+
+
+def twist_cases(pairs):
+    """For each (p0, t): IndecMinus1(p0 + 2t) and IndecMinus1(p0), with the
+    systems of degree -1..1 that the torsion of the e = -1 surface decides:
+    b = -q with 2q = 2*(p0 + 2t) decides |2X0 + b*f| at degree -1."""
+    for p0, t in pairs:
+        source, image = IndecMinus1(p0 + 2 * t), IndecMinus1(p0)
+        abels = {-q for q in T12.halvings(2 * source.p0)} | {T12.zero(), OFF}
+        for m, d, abel in itertools.product((1, 2), (-1, 0, 1), abels):
+            b = DivisorClass(d, abel)
+            shift = DivisorClass(0, m * t)
+            yield source, SurfaceDivisorClass(m, b), image, SurfaceDivisorClass(m, b + shift)
+
+
+def swap_cases(abels):
+    """For each a: Decomposable(-a) and Decomposable(a), with the systems of
+    degree -1..2 whose group sums are the ones a decides by: 0, +-a, +-2a."""
+    for a in abels:
+        A = DivisorClass(0, a)
+        source, image = Decomposable(-A), Decomposable(A)
+        sums = {T12.zero(), a, -a, 2 * a, -2 * a, OFF}
+        for m, d, abel in itertools.product((1, 2), (-1, 0, 1, 2), sums):
+            b = DivisorClass(d, abel)
+            yield source, SurfaceDivisorClass(m, b), image, SurfaceDivisorClass(m, b - m * A)
+
+
+def assert_models_answer_as_their_isomorphic_images(cases):
+    doubles = {t + t for t in T12.elements()}
+    cases = list(cases)
+    for s, _, s_image, _ in cases:
+        assert isomorphic(s, s_image, doubles), (s, s_image)
+    bad, compared = image_mismatches(cases)
+    assert bad == [] and compared > len(cases)
+
+
+def test_isomorphic_models_answer_alike_on_a_sample():
+    rng = random.Random(19)
+    elements = T12.elements()
+    pairs = [(rng.choice(TWISTED_BASES), rng.choice(elements)) for _ in range(24)]
+    assert_models_answer_as_their_isomorphic_images(twist_cases(pairs))
+    assert_models_answer_as_their_isomorphic_images(swap_cases(rng.sample(elements, 24)))
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+def test_isomorphic_models_answer_alike_sweep():
+    elements = T12.elements()
+    assert_models_answer_as_their_isomorphic_images(
+        twist_cases(itertools.product(TWISTED_BASES, elements))
+    )
+    assert_models_answer_as_their_isomorphic_images(swap_cases(elements))

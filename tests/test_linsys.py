@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 
 from ellscroll import linsys
 from ellscroll.classify import classify_scroll
-from ellscroll.errors import InvalidSecancy, InvalidSurface, MixedGroups, UnsupportedSecancy
+from ellscroll.errors import (
+    InvalidArgument,
+    InvalidSecancy,
+    InvalidSurface,
+    MixedGroups,
+    UnsupportedSecancy,
+)
 from ellscroll.groups import TorusGroup, default_group
 from ellscroll.picard import DivisorClass, h1, point_class, trivial_class
 from ellscroll.surface import (
@@ -18,7 +24,6 @@ from ellscroll.surface import (
     Indec0,
     IndecMinus1,
     SurfaceDivisorClass,
-    invariant_e,
 )
 
 G = default_group()
@@ -65,7 +70,7 @@ def all_cases(ms=(1, 2), degs=range(-3, 15), es=range(-1, 9)):
 
 
 def oracle_bpf(s, H):
-    e, db, b = invariant_e(s), H.b.degree, H.b
+    e, db, b = s.e, H.b.degree, H.b
     if H.m == 1:
         if isinstance(s, Decomposable):
             if s.e_class.is_trivial():
@@ -86,7 +91,7 @@ def oracle_bpf(s, H):
 
 
 def oracle_va(s, H):
-    e, db = invariant_e(s), H.b.degree
+    e, db = s.e, H.b.degree
     if H.m == 1:
         return db >= 3 + e
     if isinstance(s, Decomposable):
@@ -95,7 +100,7 @@ def oracle_va(s, H):
 
 
 def oracle_irr(s, H):
-    e, db, b = invariant_e(s), H.b.degree, H.b
+    e, db, b = s.e, H.b.degree, H.b
     if H.m == 1:
         if isinstance(s, Decomposable):
             if s.e_class.is_trivial():
@@ -291,6 +296,21 @@ def test_classification_entry_refuses_what_is_not_a_surface_model(s):
         with pytest.raises(InvalidSurface, match="is not a surface model") as info:
             call()
         assert info.value.code == "InvalidSurface"
+
+
+@pytest.mark.parametrize("s", [Decomposable(DivisorClass(-1, O)), Indec0(G), IndecMinus1(P0)])
+def test_system_entries_refuse_what_is_not_a_system(s):
+    b = DivisorClass(3, O)
+    H = SurfaceDivisorClass(1, b)
+    for value in (None, 3, b, (1, b)):
+        for query in (linsys.analyze, linsys.is_bpf, linsys.h0_surface):
+            with pytest.raises(InvalidArgument, match="is not a surface divisor class") as info:
+                query(s, value)
+            assert info.value.code == "InvalidArgument"
+    for value in (None, 3, H, (3, O)):
+        with pytest.raises(InvalidArgument, match="is not a divisor class") as info:
+            classify_scroll(s, value)
+        assert info.value.code == "InvalidArgument"
 
 
 ms = st.integers(1, 2)

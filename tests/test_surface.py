@@ -19,7 +19,6 @@ from ellscroll.surface import (
     SurfaceDivisorClass,
     genus_adjunction,
     intersect,
-    invariant_e,
     min_curves_through,
     ramification_points,
     tau,
@@ -50,19 +49,28 @@ def sys_classes():
 
 def test_families_and_invariant():
     dec = Decomposable(DivisorClass(-3, G.zero()))
-    assert dec.family() == "dec" and invariant_e(dec) == 3
+    assert dec.family() == "dec" and dec.e == 3
     ind0 = Indec0(G)
-    assert ind0.family() == "ind0" and invariant_e(ind0) == 0
+    assert ind0.family() == "ind0" and ind0.e == 0
     indm1 = IndecMinus1(G.element(1, 1))
-    assert indm1.family() == "indm1" and invariant_e(indm1) == -1
+    assert indm1.family() == "indm1" and indm1.e == -1
     assert indm1.e_class == point_class(G.element(1, 1))
     for s in (dec, ind0, indm1):
-        assert s.deg_e == s.e_class.degree
+        assert -s.e == s.e_class.degree
 
 
 def test_decomposable_rejects_positive_degree():
     with pytest.raises(NonNormalizedInput):
         Decomposable(DivisorClass(1, G.zero()))
+
+
+@pytest.mark.parametrize(
+    "value", [None, -1, G.zero(), G], ids=["None", "int", "point", "group"]
+)
+def test_decomposable_refuses_what_is_not_a_divisor_class(value):
+    with pytest.raises(InvalidSurface, match="is not a divisor class") as info:
+        Decomposable(value)
+    assert info.value.code == "InvalidSurface"
 
 
 @pytest.mark.parametrize(
@@ -131,6 +139,15 @@ def test_min_curves_two_generically_one_on_diagonal():
     q, r = G.element(1, 0), G.element(0, 2)
     assert len(min_curves_through(S, tau(S, q, r))) == 2
     assert len(min_curves_through(S, tau(S, q, q))) == 1
+
+
+@pytest.mark.parametrize(
+    "x", [None, (G.zero(), G.zero()), G.zero()], ids=["None", "tuple", "point"]
+)
+def test_min_curves_refuse_what_is_not_a_point_descriptor(x):
+    with pytest.raises(InvalidPointSpec, match="is not a point descriptor") as info:
+        min_curves_through(S, x)
+    assert info.value.code == "InvalidPointSpec"
 
 
 def test_ramification_points_size_zero_or_four():
