@@ -20,10 +20,11 @@ exactly 1, on every transformation it makes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import linsys
-from .elmtrans import POINT_KINDS, Generic, OnX0, Pair, elm, walk
+from .elmtrans import POINT_KINDS, Generic, OnX0, Pair, PointSpec, elm, walk
 from .errors import (
     DegenerateModel,
     EngineError,
@@ -138,7 +139,11 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     if b.__class__ is not DivisorClass:
         raise InvalidArgument(f"{b!r} is not a divisor class")
     H = SurfaceDivisorClass(1, b)
-    h0, h1, bpf, _, _ = linsys._row(s, H)
+    try:
+        h0, h1, bpf, _, _ = linsys._row(s, H)
+    except (TypeError, AttributeError):
+        linsys._check_fields(H)
+        raise
     if not bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
     e, deg_b, degree = s.e, b.degree, intersect(s, H, H)
@@ -380,12 +385,18 @@ def matches_target(model: SurfaceModel, target: str, e: int) -> bool:
     )
 
 
-def _all_specs(model: SurfaceModel) -> list:
-    """Every point of ``model``, by its family's kinds; each pair once."""
-    elements = model.group.elements()
-    if isinstance(model, IndecMinus1):
-        return [Pair(q, r) for i, q in enumerate(elements) for r in elements[i:]]
-    return [kind(p) for p in elements for kind in POINT_KINDS[model.__class__]]
+def _all_specs(model: SurfaceModel, elements: tuple) -> Iterator[PointSpec]:
+    """Every point of ``model`` over ``elements``, by its family's kinds; each
+    pair once.  Each is built only when it is tried."""
+    if model.__class__ is IndecMinus1:
+        for i, q in enumerate(elements):
+            for r in elements[i:]:
+                yield Pair(q, r)
+        return
+    kinds = POINT_KINDS[model.__class__]
+    for p in elements:
+        for kind in kinds:
+            yield kind(p)
 
 
 def minimality_check(
@@ -419,20 +430,14 @@ def minimality_check(
     start = product_surface(group)
     if matches_target(start, target, target_e):
         return 0
-    # Every model of the search lies on ``group``, so the point choices of
-    # each family are listed once per search.
-    specs: dict[type, list] = {}
     # The most budget each model has been expanded with in this iteration;
     # a model is expanded again only when reached with more.
     seen: dict[SurfaceModel, int] = {}
 
     def reaches(model: SurfaceModel, e_model: int, budget: int) -> bool:
         """Whether the target is at most ``budget`` transformations away."""
-        family = model.__class__
-        if family not in specs:
-            specs[family] = _all_specs(model)
         left = budget - 1
-        for spec in specs[family]:
+        for spec in _all_specs(model, elements):
             out = elm(model, spec).model
             e_out = out.e
             if abs(e_out - e_model) != 1:
@@ -452,7 +457,13 @@ def minimality_check(
     # Lengths of the other parity cannot end at target_e; a zero distance
     # starts at 2, since the start itself is not the target.
     e_start = start.e
-    for length in range(abs(e_start - target_e) or 2, max_len + 1, 2):
+    lengths = range(abs(e_start - target_e) or 2, max_len + 1, 2)
+    # Every model of the search lies on ``group``: its elements are read once
+    # per search, and not at all when no length is left to search.  Each
+    # expansion builds its family's points as it tries them, and stops at
+    # the first that reaches the target.
+    elements = group.elements() if lengths else ()
+    for length in lengths:
         seen.clear()
         seen[start] = length
         if reaches(start, e_start, length):

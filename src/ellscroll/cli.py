@@ -310,10 +310,13 @@ class Options(Value):
     __slots__ = ("group", "json", "seed", "verify")
 
     def __init__(self, group=None, json=False, seed=0, verify=False) -> None:
-        self._setters[0](self, default_group() if group is None else group)
-        self._setters[1](self, json)
-        self._setters[2](self, seed)
-        self._setters[3](self, verify)
+        _set_group(self, default_group() if group is None else group)
+        _set_json(self, json)
+        _set_seed(self, seed)
+        _set_verify(self, verify)
+
+
+_set_group, _set_json, _set_seed, _set_verify = Options._setters
 
 
 def _family_dict(model: SurfaceModel) -> dict:
@@ -425,8 +428,8 @@ class Nagata(_Command):
             raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
         if e is not None and e > SIZE_CAP:
             raise SemanticError(f"nagata takes an invariant e <= {SIZE_CAP}")
-        self._setters[0](self, target)
-        self._setters[1](self, e)
+        _set_target(self, target)
+        _set_e(self, e)
 
     def run(self, options: Options) -> dict:
         plan = classify_mod.nagata_plan(self.target, self.e, options.group)
@@ -444,6 +447,9 @@ class Nagata(_Command):
                 trajectory[-1], plan.target, plan.target_e
             )
         return payload
+
+
+_set_target, _set_e = Nagata._setters
 
 
 class MinCurves(_Command):

@@ -46,7 +46,10 @@ class _OnFiber(Value):
     __slots__ = ("P",)
 
     def __init__(self, P: GroupElement) -> None:
-        self._setters[0](self, P)
+        _set_P(self, P)
+
+
+(_set_P,) = _OnFiber._setters
 
 
 class OnX0(_OnFiber):
@@ -78,10 +81,11 @@ class Pair(Value):
             swap = q.sort_key() > r.sort_key()
         except AttributeError:
             raise InvalidPointSpec(f"Pair(q={q!r}, r={r!r}) is not a point descriptor") from None
-        self._setters[0](self, r if swap else q)
-        self._setters[1](self, q if swap else r)
+        _set_pair_q(self, r if swap else q)
+        _set_pair_r(self, q if swap else r)
 
 
+_set_pair_q, _set_pair_r = Pair._setters
 PointSpec = OnX0 | OnX1 | Generic | Pair
 
 #: The point kinds of each family: the only list of them.  Each tuple is in
@@ -117,9 +121,12 @@ class ElmResult(Value):
     __slots__ = ("model", "y0_note", "rule")
 
     def __init__(self, model: SurfaceModel, y0_note: str, rule: str) -> None:
-        self._setters[0](self, model)
-        self._setters[1](self, y0_note)
-        self._setters[2](self, rule)
+        _set_model(self, model)
+        _set_y0_note(self, y0_note)
+        _set_rule(self, rule)
+
+
+_set_model, _set_y0_note, _set_rule = ElmResult._setters
 
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
@@ -133,7 +140,8 @@ def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     point = x.q if x.__class__ is Pair else x.P
     if point.__class__ is not GroupElement:
         raise InvalidPointSpec(f"{x!r} is not a point descriptor")
-    check_same_group(s.group, point.group)
+    if point.group is not s.group:
+        check_same_group(s.group, point.group)
     return _RULES[s.__class__](s, x)
 
 

@@ -28,6 +28,13 @@ finds the x-coordinates of the halves of S as the roots in F_p of the
 halving quartic (x(2R) = x(S), Silverman III.2).  Either way halvings answer
 for any prime up to ``PRIME_CAP``.  The order, the elements and ``nth`` of a
 Weierstrass model still enumerate it and need p < 5000.
+
+A binary operation first tests whether its two operands hold the same group
+object, and calls ``check_same_group`` only when they do not: equal groups
+built apart still combine, since the CLI builds a fresh model for each line
+and the cached Weierstrass points hold the first equal model that built
+them, and unequal groups raise ``MixedGroups``.  The kernels build their
+result with ``GroupElement(self, ...)`` directly.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ class GroupElement(Value):
     __slots__ = ("group", "coords")
 
     def __init__(self, group: CurveGroup, coords: tuple[int, int] | None) -> None:
-        self._setters[0](self, group)
-        self._setters[1](self, coords)
+        _set_group(self, group)
+        _set_coords(self, coords)
 
     # Equal elements have equal coords, so hashing the coords alone keeps
     # the hash contract and skips hashing the group on every set lookup.
@@ -107,6 +114,9 @@ class GroupElement(Value):
         return f"({self.coords[0]},{self.coords[1]})"
 
 
+_set_group, _set_coords = GroupElement._setters
+
+
 def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
     """Refuse to combine values from two different group models."""
     if a is not b and a != b:
@@ -134,18 +144,24 @@ class TorusGroup(Value):
         return self.m * self.n
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        check_same_group(g.group, h.group)
-        return self.element(g.coords[0] + h.coords[0], g.coords[1] + h.coords[1])
+        if g.group is not h.group:
+            check_same_group(g.group, h.group)
+        (i, j), (k, l) = g.coords, h.coords
+        return GroupElement(self, ((i + k) % self.m, (j + l) % self.n))
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        check_same_group(g.group, h.group)
-        return self.element(g.coords[0] - h.coords[0], g.coords[1] - h.coords[1])
+        if g.group is not h.group:
+            check_same_group(g.group, h.group)
+        (i, j), (k, l) = g.coords, h.coords
+        return GroupElement(self, ((i - k) % self.m, (j - l) % self.n))
 
     def neg(self, g: GroupElement) -> GroupElement:
-        return self.element(-g.coords[0], -g.coords[1])
+        i, j = g.coords
+        return GroupElement(self, (-i % self.m, -j % self.n))
 
     def mul(self, k: int, g: GroupElement) -> GroupElement:
-        return self.element(k * g.coords[0], k * g.coords[1])
+        i, j = g.coords
+        return GroupElement(self, (k * i % self.m, k * j % self.n))
 
     def elements(self) -> tuple[GroupElement, ...]:
         if self.order() > ENUMERATION_CAP:
@@ -227,17 +243,19 @@ class WeierstrassGroup(Value):
         return GroupElement(self, (x, y))
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        check_same_group(g.group, h.group)
-        if g.coords is None:
+        if g.group is not h.group:
+            check_same_group(g.group, h.group)
+        gc, hc = g.coords, h.coords
+        if gc is None:
             return h
-        if h.coords is None:
+        if hc is None:
             return g
         p = self.p
-        x1, y1 = g.coords
-        x2, y2 = h.coords
+        x1, y1 = gc
+        x2, y2 = hc
         if x1 == x2 and (y1 + y2) % p == 0:
             return self.zero()
-        if g == h:
+        if gc == hc:
             lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
         else:
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
@@ -246,8 +264,13 @@ class WeierstrassGroup(Value):
         return GroupElement(self, (x3, y3))
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        check_same_group(g.group, h.group)
-        return self.add(g, self.neg(h))
+        # ``h``'s group is checked before ``h`` is negated into ``self``.
+        if g.group is not h.group:
+            check_same_group(g.group, h.group)
+        if h.coords is None:
+            return g
+        x, y = h.coords
+        return self.add(g, GroupElement(self, (x, -y % self.p)))
 
     def neg(self, g: GroupElement) -> GroupElement:
         if g.coords is None:

@@ -54,8 +54,8 @@ class DivisorClass(Value):
     __slots__ = ("degree", "abel")
 
     def __init__(self, degree: int, abel: GroupElement) -> None:
-        self._setters[0](self, degree)
-        self._setters[1](self, abel)
+        _set_degree(self, degree)
+        _set_abel(self, abel)
 
     @property
     def group(self) -> CurveGroup:
@@ -80,6 +80,9 @@ class DivisorClass(Value):
 
     def __str__(self) -> str:
         return f"[deg {self.degree}, sum {self.abel}]"
+
+
+_set_degree, _set_abel = DivisorClass._setters
 
 
 def trivial_class(group: CurveGroup) -> DivisorClass:

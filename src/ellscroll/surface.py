@@ -43,11 +43,14 @@ class Decomposable(Value):
     def __init__(self, e_class: DivisorClass) -> None:
         if e_class.__class__ is not DivisorClass:
             raise InvalidSurface(f"{e_class!r} is not a divisor class")
-        if e_class.degree > 0:
-            raise NonNormalizedInput(
-                "decomposable model requires an invariant class of degree <= 0"
-            )
-        self._setters[0](self, e_class)
+        try:
+            if e_class.degree > 0:
+                raise NonNormalizedInput(
+                    "decomposable model requires an invariant class of degree <= 0"
+                )
+        except TypeError:
+            raise InvalidSurface(f"{e_class!r} has a degree that is not an int") from None
+        _set_e_class(self, e_class)
 
     @property
     def group(self) -> CurveGroup:
@@ -62,6 +65,9 @@ class Decomposable(Value):
         return "dec"
 
 
+(_set_e_class,) = Decomposable._setters
+
+
 class Indec0(Value):
     """Non-split bundle with trivial invariant class."""
 
@@ -72,7 +78,7 @@ class Indec0(Value):
     def __init__(self, base: CurveGroup) -> None:
         if base.__class__ not in GROUP_MODELS:
             raise InvalidSurface(f"{base!r} is not a group model")
-        self._setters[0](self, base)
+        _set_base(self, base)
 
     @property
     def group(self) -> CurveGroup:
@@ -87,6 +93,9 @@ class Indec0(Value):
         return "ind0"
 
 
+(_set_base,) = Indec0._setters
+
+
 class IndecMinus1(Value):
     """Non-split bundle whose invariant class is the point ``p0``."""
 
@@ -97,7 +106,7 @@ class IndecMinus1(Value):
     def __init__(self, p0: GroupElement) -> None:
         if p0.__class__ is not GroupElement:
             raise InvalidSurface(f"{p0!r} is not a group element")
-        self._setters[0](self, p0)
+        _set_p0(self, p0)
 
     @property
     def group(self) -> CurveGroup:
@@ -112,6 +121,8 @@ class IndecMinus1(Value):
         return "indm1"
 
 
+(_set_p0,) = IndecMinus1._setters
+
 SurfaceModel = Decomposable | Indec0 | IndecMinus1
 #: The family word of each model class, in the order dec, ind0, indm1.
 FAMILIES = {cls.family(): cls for cls in (Decomposable, Indec0, IndecMinus1)}
@@ -123,11 +134,14 @@ class SurfaceDivisorClass(Value):
     __slots__ = ("m", "b")
 
     def __init__(self, m: int, b: DivisorClass) -> None:
-        self._setters[0](self, m)
-        self._setters[1](self, b)
+        _set_m(self, m)
+        _set_b(self, b)
 
     def __str__(self) -> str:
         return f"{self.m}X0+({self.b})f"
+
+
+_set_m, _set_b = SurfaceDivisorClass._setters
 
 
 def intersect(s: SurfaceModel, A: SurfaceDivisorClass, B: SurfaceDivisorClass) -> int:
@@ -159,7 +173,10 @@ class MinCurve(Value):
     __slots__ = ("q",)
 
     def __init__(self, q: GroupElement) -> None:
-        self._setters[0](self, q)
+        _set_curve_q(self, q)
+
+
+(_set_curve_q,) = MinCurve._setters
 
 
 class SurfacePointDescriptor(Value):
@@ -173,12 +190,15 @@ class SurfacePointDescriptor(Value):
     __slots__ = ("q", "r", "t")
 
     def __init__(self, q: GroupElement, r: GroupElement, t: GroupElement) -> None:
-        self._setters[0](self, q)
-        self._setters[1](self, r)
-        self._setters[2](self, t)
+        _set_q(self, q)
+        _set_r(self, r)
+        _set_t(self, t)
 
     def is_focal(self) -> bool:
         return self.q == self.r
+
+
+_set_q, _set_r, _set_t = SurfacePointDescriptor._setters
 
 
 def tau(s: IndecMinus1, q: GroupElement, r: GroupElement) -> SurfacePointDescriptor:

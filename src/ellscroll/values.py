@@ -1,7 +1,11 @@
 """Immutable engine values.  A ``Value`` names its fields in ``__slots__`` and
 has, with no code generated per class, the equality, hash, ``repr``, frozenness
 and pickling of a frozen dataclass.  Its ``__init__`` takes the fields by position
-or keyword, then runs ``_check``; a hot class writes its own, with ``_setters``."""
+or keyword, then runs ``_check``.  A hot class writes its own ``__init__``, which
+calls its slot setters, bound once at module level from ``_setters`` (for example
+``_set_group, _set_coords = GroupElement._setters``), so a field costs no lookup.
+A class of one field that inherits ``Value``'s equality and hash gets a hash of
+one frame, ``hash((field,))``, the same value as ``Value.__hash__`` gives."""
 
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
@@ -16,6 +20,12 @@ class Value:
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
         get = attrgetter(*names) if names else lambda value: ()
         cls._key = staticmethod((lambda value: (get(value),)) if len(names) == 1 else get)
+        if len(names) == 1 and cls.__eq__ is Value.__eq__ and cls.__hash__ is Value.__hash__:
+            # Models are hashed on every transformation of the search.
+            def __hash__(self) -> int:
+                return hash((get(self),))
+
+            cls.__hash__ = __hash__
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs:

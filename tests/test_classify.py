@@ -535,7 +535,7 @@ def bfs_layers(group, max_len):
     for _ in range(max_len):
         layer = []
         for model in layers[-1]:
-            for spec in classify._all_specs(model):
+            for spec in classify._all_specs(model, model.group.elements()):
                 out = elmtrans.elm(model, spec).model
                 if out not in seen:
                     seen.add(out)
@@ -584,6 +584,71 @@ def test_plan_searches_stay_within_a_transformation_budget(monkeypatch):
     monkeypatch.setattr(classify, "elm", counted)
     assert search_all(TorusGroup(4, 4)) == [length for _, _, length in PLAN_TARGETS]
     assert len(calls) < 300
+
+
+#: ``minimality_check`` on each target and each max_len from 1 to 4, recorded
+#: before the search built its points lazily: "length:transformations", or
+#: "-:transformations" for an ``UnreachableTarget``.  The sha256 hashes the
+#: repr of every (model, point) the search transformed, in order, over the
+#: whole row set, so the points are tried in the same order as before.
+SEARCH_ANSWERS = {
+    TorusGroup(4, 4): ("7c412cf75c52c809d80379de9cdceaf5684811fdb8879a090249c2a8a3eec2b4", {
+        "dec0": "-:0 2:5 2:5 2:5", "dec1": "1:1 1:1 1:1 1:1", "dec2": "-:0 2:3 2:3 2:3",
+        "dec3": "-:0 -:0 3:5 3:5", "dec4": "-:0 -:0 -:0 4:7", "dec5": "-:0 -:0 -:0 -:0",
+        "ind0": "-:0 2:2 2:2 2:2", "indm1": "-:48 -:48 3:51 3:51",
+    }),
+    TorusGroup(1, 1): ("99394a2a19f0a654473c8747f685d3071145511936ac9440702b294790557e5b", {
+        "dec0": "-:0 -:6 -:6 -:18", "dec1": "1:1 1:1 1:1 1:1", "dec2": "-:0 2:3 2:3 2:3",
+        "dec3": "-:0 -:0 3:5 3:5", "dec4": "-:0 -:0 -:0 4:7", "dec5": "-:0 -:0 -:0 -:0",
+        "ind0": "-:0 2:2 2:2 2:2", "indm1": "-:3 -:3 3:6 3:6",
+    }),
+    TorusGroup(2, 2): ("f0d9a7bb017f57768138d20411fe8199c879b519568f5cd8e6ee54d766c8378e", {
+        "dec0": "-:0 2:5 2:5 2:5", "dec1": "1:1 1:1 1:1 1:1", "dec2": "-:0 2:3 2:3 2:3",
+        "dec3": "-:0 -:0 3:5 3:5", "dec4": "-:0 -:0 -:0 4:7", "dec5": "-:0 -:0 -:0 -:0",
+        "ind0": "-:0 2:2 2:2 2:2", "indm1": "-:12 -:12 3:15 3:15",
+    }),
+    TorusGroup(6, 6): ("aa7ca08e82c6987a3f45b89e33e89c40a49f672d28b705b64b8ae82be47e3703", {
+        "dec0": "-:0 2:5 2:5 2:5", "dec1": "1:1 1:1 1:1 1:1", "dec2": "-:0 2:3 2:3 2:3",
+        "dec3": "-:0 -:0 3:5 3:5", "dec4": "-:0 -:0 -:0 4:7", "dec5": "-:0 -:0 -:0 -:0",
+        "ind0": "-:0 2:2 2:2 2:2", "indm1": "-:108 -:108 3:111 3:111",
+    }),
+    WeierstrassGroup(23, -1, 0): ("810ffc13fa36fbd71a2b60fc2afdffd7dde8bb32523763d414a2b9a5550ab5f7", {
+        "dec0": "-:0 2:5 2:5 2:5", "dec1": "1:1 1:1 1:1 1:1", "dec2": "-:0 2:3 2:3 2:3",
+        "dec3": "-:0 -:0 3:5 3:5", "dec4": "-:0 -:0 -:0 4:7", "dec5": "-:0 -:0 -:0 -:0",
+        "ind0": "-:0 2:2 2:2 2:2", "indm1": "-:72 -:72 3:75 3:75",
+    }),
+}
+
+
+@pytest.mark.parametrize("group", list(SEARCH_ANSWERS), ids=str)
+def test_search_answers_as_recorded(monkeypatch, group):
+    digest, rows = SEARCH_ANSWERS[group]
+    stream = hashlib.sha256()
+    real = classify.elm
+    calls = []
+
+    def recorded(s, x):
+        calls.append(x)
+        stream.update(f"{s!r} {x!r}\n".encode())
+        return real(s, x)
+
+    monkeypatch.setattr(classify, "elm", recorded)
+    found = {}
+    for target, e in SWEEP_TARGETS:
+        answers = []
+        for max_len in range(1, 5):
+            calls.clear()
+            try:
+                answer = str(minimality_check(target, e, max_len=max_len, group=group))
+            except UnreachableTarget:
+                answer = "-"
+            answers.append(f"{answer}:{len(calls)}")
+        found[f"{target}{'' if e is None else e}"] = " ".join(answers)
+    assert found == rows
+    assert stream.hexdigest() == digest
+    # The seven criterion-6 targets, at the budget the plans search with.
+    if group == TorusGroup(4, 4):
+        assert search_all(group) == [length for _, _, length in PLAN_TARGETS]
 
 
 def test_search_refuses_a_rule_that_moves_e_by_more_than_one(monkeypatch):

@@ -191,7 +191,7 @@ def test_family_mismatch_specs_rejected(family, kind):
         else:
             assert type(resolve_template(template, s, random.Random(seed))) in expected
     # The search enumerates exactly the family's kinds.
-    assert (kind in {type(x) for x in _all_specs(s)}) == has_kind
+    assert (kind in {type(x) for x in _all_specs(s, s.group.elements())}) == has_kind
 
 
 def test_the_cli_messages_of_a_kind_a_family_lacks():

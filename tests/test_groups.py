@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellscroll import groups
+from ellscroll.elmtrans import OnX0, Pair, elm
 from ellscroll.errors import GroupTooLarge, InvalidPointSpec, MixedGroups
 from ellscroll.groups import (
     PRIME_CAP,
+    GroupElement,
     TorusGroup,
     WeierstrassGroup,
     _half_residues,
@@ -20,8 +22,11 @@ from ellscroll.groups import (
     _torus_elements,
     _two_torsion,
     _weierstrass_points,
+    check_same_group,
     default_group,
 )
+from ellscroll.picard import DivisorClass
+from ellscroll.surface import Decomposable, IndecMinus1
 
 G = default_group()
 W = WeierstrassGroup(13, 2, 3)
@@ -447,3 +452,143 @@ def test_subtraction_adds_the_negative(group):
         assert (a - a).is_zero()
         for b in points:
             assert a - b == a + (-b)
+
+
+# -- the identity-first same-group test ---------------------------------------
+#
+# The kernels call ``check_same_group`` only when the two operands hold
+# different group objects.  The reference below calls it, and builds its
+# answer with ``element()`` or ``point()``, on every operation.
+
+
+def reference_neg(g):
+    group = g.group
+    if group.__class__ is TorusGroup:
+        return group.element(-g.coords[0], -g.coords[1])
+    return group.zero() if g.coords is None else group.point(g.coords[0], -g.coords[1])
+
+
+def reference_add(g, h):
+    check_same_group(g.group, h.group)
+    group = g.group
+    if group.__class__ is TorusGroup:
+        return group.element(g.coords[0] + h.coords[0], g.coords[1] + h.coords[1])
+    if g.coords is None or h.coords is None:
+        other = h if g.coords is None else g
+        return group.zero() if other.coords is None else group.point(*other.coords)
+    p, (x1, y1), (x2, y2) = group.p, g.coords, h.coords
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return group.zero()
+    if (x1, y1) == (x2, y2):
+        lam = (3 * x1 * x1 + group.a) * pow(2 * y1, -1, p)
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = lam * lam - x1 - x2
+    return group.point(x3, lam * (x1 - x3) - y1)
+
+
+def reference_sub(g, h):
+    check_same_group(g.group, h.group)
+    return reference_add(g, reference_neg(h))
+
+
+def rebuilt(group, g):
+    """``g`` as an element of ``group``, an equal model built apart."""
+    if g.coords is None:
+        return group.zero()
+    if group.__class__ is TorusGroup:
+        return group.element(*g.coords)
+    return group.point(*g.coords)
+
+
+def same(result, expected):
+    return (
+        result.__class__ is GroupElement
+        and result == expected
+        and result.coords.__class__ is expected.coords.__class__
+    )
+
+
+KERNEL_GROUPS = [TorusGroup(2, 6), TorusGroup(12, 12), WeierstrassGroup(23, -1, 0)]
+
+
+def check_kernel(group, pairs):
+    twin = group.__class__(*(getattr(group, f) for f in group._fields))
+    assert twin == group and twin is not group
+    points = group.elements()
+    for g in points:
+        assert same(-g, reference_neg(g)) and (-g).group == group
+        if group.__class__ is TorusGroup:
+            for k in range(-3, 4):
+                assert same(k * g, group.element(k * g.coords[0], k * g.coords[1]))
+    for i, j in pairs:
+        g, h = points[i], points[j]
+        for right in (h, rebuilt(twin, h)):
+            assert same(g + right, reference_add(g, h)), (g, right)
+            assert same(g - right, reference_sub(g, h)), (g, right)
+
+
+@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=str)
+def test_group_kernel_matches_the_reference_on_a_sample(group):
+    n = group.order()
+    rng = random.Random(f"kernel {group}")
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    # Every pair with the identity or a point of order 2 on either side.
+    special = [k for k, g in enumerate(group.elements()) if (g + g).is_zero()]
+    pairs += [(i, j) for i in special for j in range(n)] + [(j, i) for i in special for j in range(n)]
+    check_kernel(group, pairs)
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=str)
+def test_group_kernel_matches_the_reference_sweep(group):
+    n = group.order()
+    check_kernel(group, [(i, j) for i in range(n) for j in range(n)])
+
+
+def test_equal_groups_built_apart_still_combine():
+    T1, T2 = TorusGroup(4, 4), TorusGroup(4, 4)
+    a, b = T1.element(1, 2), T2.element(3, 1)
+    assert a + b == T1.element(0, 3) and b + a == T2.element(0, 3)
+    assert a - b == T1.element(2, 1) and b - a == T2.element(2, 3)
+    assert -a == T2.element(3, 2) and (-a).group is T1
+    assert elm(Decomposable(DivisorClass(-1, a)), OnX0(b)).model == Decomposable(
+        DivisorClass(-2, T1.element(2, 1))
+    )
+    # The cached points hold the first equal model that built them, not a
+    # model built later; points made by ``point`` hold their own model.
+    W1 = WeierstrassGroup(23, -1, 0)
+    W1.elements()
+    W2 = WeierstrassGroup(23, -1, 0)
+    cached, own = W2.nth(3), W2.point(*W2.nth(5).coords)
+    assert cached.group is not W2 and own.group is W2
+    for g, h in ((cached, own), (own, cached), (W2.zero(), cached), (cached, W2.zero())):
+        assert g + h == reference_add(g, h) and g - h == reference_sub(g, h)
+        assert -g == reference_neg(g)
+    assert own - own == W1.zero() and cached - W2.point(*cached.coords) == W1.zero()
+    assert elm(IndecMinus1(own), Pair(cached, own)).model == elm(
+        IndecMinus1(W1.nth(5)), Pair(W1.nth(3), W1.nth(5))
+    ).model
+
+
+def test_unequal_groups_raise_mixed_groups():
+    W23, W11, T = WeierstrassGroup(23, -1, 0), WeierstrassGroup(11, -1, 0), TorusGroup(4, 4)
+    g, foreign = W23.point(0, 0), W11.point(0, 0)
+    calls = [
+        lambda: T.element(1, 1) + TorusGroup(4, 2).element(1, 1),
+        lambda: T.element(1, 1) - TorusGroup(2, 4).element(1, 1),
+        lambda: T.element(1, 1) + g,
+        lambda: g + foreign,
+        lambda: W23.zero() + foreign,
+        lambda: g + W11.zero(),
+        # Only h is foreign: the check comes before h is negated into W23.
+        lambda: g - foreign,
+        lambda: g - W11.zero(),
+        lambda: W23.sub(g, foreign),
+        lambda: W23.zero() - foreign,
+        lambda: elm(Decomposable(DivisorClass(-1, T.zero())), OnX0(TorusGroup(2, 2).zero())),
+        lambda: elm(IndecMinus1(g), Pair(foreign, foreign)),
+    ]
+    for call in calls:
+        with pytest.raises(MixedGroups):
+            call()

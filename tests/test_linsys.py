@@ -313,6 +313,71 @@ def test_system_entries_refuse_what_is_not_a_system(s):
         assert info.value.code == "InvalidArgument"
 
 
+
+# A system whose fields are of the wrong type is refused at each entry.  The
+# entries check the fields only after the system has failed, so each case
+# below used to end in a TypeError or AttributeError.
+SYSTEM_ENTRIES = (linsys.analyze, linsys.is_bpf, linsys.h0_surface)
+ENTRY_SURFACES = [Decomposable(DivisorClass(-1, O)), Indec0(G), IndecMinus1(P0)]
+
+
+def refused(call, match):
+    with pytest.raises(InvalidArgument, match=match) as info:
+        call()
+    assert info.value.code == "InvalidArgument"
+
+
+@pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
+def test_system_entries_refuse_a_fiber_degree_that_is_not_an_int(s):
+    b = DivisorClass(3, O)
+    for m in ("1", None, (1,)):
+        for query in SYSTEM_ENTRIES:
+            refused(lambda: query(s, SurfaceDivisorClass(m, b)), "is not an int")
+
+
+@pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
+def test_system_entries_refuse_a_system_whose_b_is_not_a_class(s):
+    for b in (None, "b", O):
+        for m in (1, 2):
+            for query in SYSTEM_ENTRIES:
+                refused(lambda: query(s, SurfaceDivisorClass(m, b)), "is not a divisor class")
+
+
+@pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
+def test_system_entries_refuse_a_class_degree_that_is_not_an_int(s):
+    for degree in ("3", None):
+        b = DivisorClass(degree, O)
+        refused(lambda: classify_scroll(s, b), "of an int degree")
+        for m in (0, 1, 2):
+            for query in SYSTEM_ENTRIES:
+                if m or query is linsys.h0_surface:
+                    refused(lambda: query(s, SurfaceDivisorClass(m, b)), "of an int degree")
+
+
+@pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
+def test_system_entries_refuse_a_class_whose_sum_is_not_a_point(s):
+    for abel in (None, "x", (0, 0)):
+        b = DivisorClass(3, abel)
+        refused(lambda: classify_scroll(s, b), "and a group element")
+        for query in SYSTEM_ENTRIES:
+            refused(lambda: query(s, SurfaceDivisorClass(1, b)), "and a group element")
+
+
+def test_an_error_that_no_bad_field_caused_is_raised_again(monkeypatch):
+    # The field check runs only on the failure path, and lets an error of
+    # the engine itself through unchanged.
+    def broken(s, H):
+        raise TypeError("engine fault")
+
+    monkeypatch.setattr(linsys, "_row", broken)
+    s, H = Indec0(G), SurfaceDivisorClass(1, DivisorClass(3, O))
+    for call in (
+        lambda: classify_scroll(s, H.b), *(lambda q=q: q(s, H) for q in SYSTEM_ENTRIES)
+    ):
+        with pytest.raises(TypeError, match="engine fault"):
+            call()
+
+
 ms = st.integers(1, 2)
 degs = st.integers(-3, 10)
 abels = st.builds(G.element, st.integers(0, 11), st.integers(0, 11))

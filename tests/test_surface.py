@@ -73,6 +73,13 @@ def test_decomposable_refuses_what_is_not_a_divisor_class(value):
     assert info.value.code == "InvalidSurface"
 
 
+@pytest.mark.parametrize("degree", ["-1", None, (-1,)], ids=["str", "None", "tuple"])
+def test_decomposable_refuses_a_class_whose_degree_is_not_an_int(degree):
+    with pytest.raises(InvalidSurface, match="has a degree that is not an int") as info:
+        Decomposable(DivisorClass(degree, G.zero()))
+    assert info.value.code == "InvalidSurface"
+
+
 @pytest.mark.parametrize(
     "value", [None, "T", G.zero(), point_class(G.zero())], ids=["None", "str", "point", "class"]
 )
