@@ -30,7 +30,7 @@ from .groups import (
     WeierstrassGroup,
     default_group,
 )
-from .picard import Divisor, DivisorClass, class_of, h0, h1, point_class, trivial_class
+from .picard import DivisorClass, class_of, h0, h1, point_class, trivial_class
 from .surface import (
     Decomposable,
     Indec0,

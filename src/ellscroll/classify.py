@@ -56,7 +56,8 @@ class Generation(NamedTuple):
     united_points: int
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        return {"left_degree": self.left_degree, "right_degree": self.right_degree,
+                "correspondence": self.correspondence, "united_points": self.united_points}
 
 
 class UnisecantFamily(NamedTuple):
@@ -107,12 +108,17 @@ class ScrollModel(NamedTuple):
     families: tuple[UnisecantFamily, ...] = ()
 
     def to_dict(self) -> dict:
-        """Every field, None included, with the records nested as dicts."""
-        out = self._asdict()
-        if self.generation is not None:
-            out["generation"] = self.generation.to_dict()
-        out["families"] = [f.to_dict() for f in self.families]
-        return out
+        """Every field, None included, with the records nested as dicts; built
+        by hand, as ``_asdict()`` is slower on every table row."""
+        g = self.generation
+        return {
+            "model_tag": self.model_tag, "e": self.e, "e_class_note": self.e_class_note,
+            "deg_b": self.deg_b, "birational": self.birational, "map_degree": self.map_degree,
+            "scroll_degree": self.scroll_degree, "ambient": self.ambient,
+            "speciality": self.speciality, "singular_locus": self.singular_locus,
+            "generation": None if g is None else g.to_dict(),
+            "families": [f.to_dict() for f in self.families],
+        }
 
 
 # The curves and generations that do not depend on the row; immutable,

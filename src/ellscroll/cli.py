@@ -4,10 +4,12 @@ A small DSL names group elements, divisors, surfaces, linear systems and
 transformation points; a recursive-descent parser turns a command line into a
 :class:`Command` whose fields are engine values (surface models, classes
 ``m*X0 + b*f``, point descriptors), and ``run`` hands them to the engine.
-A divisor is reduced to its class as it is read, so :meth:`Command.format`
-writes each class in its canonical text: the point summing the class once,
-then ``O`` terms up to its degree (``-O+P(1,0)`` for degree 0).  Every
-command round-trips: ``parse(cmd.format()) == cmd``.
+No divisor is built: the parser collects a divisor's (point, multiplicity)
+terms and ``picard.class_of`` reduces them to the class as it is read.
+:meth:`Command.format` writes each class in its canonical text, the ``O``
+term first, then the point summing the class once (``-O+P(1,0)``,
+``2*O+P(1,0)``, ``O``, ``0*O``).  Every command round-trips:
+``parse(cmd.format()) == cmd``.
 
 Each command is one class in the registry ``COMMANDS``, keyed by its command
 word.  It is a ``values.Value`` whose fields are what the command parses; its
@@ -29,6 +31,9 @@ Grammar (after flag words are stripped)::
 Tokens: an INT is a run of ASCII digits, an identifier a ``str.isalpha``
 character or ``_`` then ``str.isalnum`` ones or ``_``, a symbol one of
 ``(){},+-*@``; any other character but a space is a ParseError.
+``_tokenize`` is the definition.  The parser reads only the token texts,
+from one ``findall``: a text is an INT when it starts with an ASCII digit,
+and the empty text is EOF.  Columns are found again only for an error.
 
 Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``elm s pointspec``, ``walk s step...``, ``table N``, ``nagata target [e]``,
@@ -60,7 +65,7 @@ from .elmtrans import (
 )
 from .errors import EngineError, InvalidPointSpec, ParseError, SemanticError
 from .groups import CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group
-from .picard import Divisor, DivisorClass, class_of
+from .picard import DivisorClass, class_of
 from .surface import (
     FAMILIES,
     Decomposable,
@@ -85,9 +90,13 @@ SPEC_KINDS = {"onX0": OnX0, "onX1": OnX1, "gen": Generic}
 # Lexer
 
 
+#: Each token kind and its pattern, in the order they are tried.
 #: ``[^\W\d]`` also admits characters such as "²" and "½", numeric but not
 #: decimal: ``_tokenize`` refuses an identifier that starts with one.
-_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[^\W\d]\w*)|(?P<SYM>[(){},+\-*@])|(?P<BAD>\S)")
+_KINDS = (("INT", r"[0-9]+"), ("IDENT", r"[^\W\d]\w*"), ("SYM", r"[(){},+\-*@]"))
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pat})" for kind, pat in (*_KINDS, ("BAD", r"\S"))))
+#: The same alternatives without groups, so that ``findall`` returns the texts.
+_TEXTS = re.compile("|".join(pat for _, pat in _KINDS))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -102,23 +111,34 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _texts(text: str) -> list[str]:
+    """The texts of ``_tokenize(text)``, EOF's "" included, from one ``findall``.
+
+    ``findall`` skips what no token matches, so ``_tokenize`` checks a line
+    that the texts and spaces do not make up, or that is not ASCII (where an
+    identifier may start with a bad character), and raises on a bad one.
+    """
+    texts = _TEXTS.findall(text)
+    if not text.isascii() or len("".join(texts)) + text.count(" ") != len(text):
+        _tokenize(text)
+    texts.append("")
+    return texts
+
+
 # ---------------------------------------------------------------------------
 # Formatting
 
 
-def format_divisor(d: Divisor) -> str:
-    out = ""
-    for point, mult in d.terms:
-        base = "O" if point.is_zero() else f"P{point}"
-        body = base if abs(mult) == 1 else f"{abs(mult)}*{base}"
-        out += ("-" if mult < 0 else "+" if out else "") + body
-    return out or "0*O"
-
-
 def format_class(c: DivisorClass) -> str:
-    """The canonical text of a class: its point sum once, then ``O`` terms."""
-    g = c.group
-    return format_divisor(Divisor.of(g, (c.abel, 1), (g.zero(), c.degree - 1)))
+    """The canonical text of a class: ``k*O+P(sum)`` with k = degree - 1, or
+    ``k*O`` with k = degree when the sum is zero; ``1*O`` is written ``O``,
+    and ``0*O`` is left out unless it is all there is."""
+    point = None if c.abel.is_zero() else f"P{c.abel}"
+    k = c.degree if point is None else c.degree - 1
+    if k == 0:
+        return point or "0*O"
+    o_term = ("-" if k < 0 else "") + ("O" if abs(k) == 1 else f"{abs(k)}*O")
+    return o_term if point is None else f"{o_term}+{point}"
 
 
 def format_field(value) -> str:
@@ -149,21 +169,28 @@ def format_field(value) -> str:
 
 class _Parser:
     def __init__(self, text: str, group: CurveGroup):
-        self.kinds, self.texts, self.columns = zip(*_tokenize(text))
+        self.text = text
+        self.texts = _texts(text)
         self.pos = 0
         self.group = group
 
-    def peek(self) -> str:
-        return self.texts[self.pos]
+    def at_int(self) -> bool:
+        return "0" <= self.texts[self.pos][:1] <= "9"
 
-    def next(self) -> str:
-        text = self.texts[self.pos]
-        self.pos += 1
-        return text
+    def accept(self, text: str) -> bool:
+        """Step over the current token if it is ``text``."""
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def column(self) -> int:
+        """The column of the current token; only errors need it."""
+        return _tokenize(self.text)[self.pos][2]
 
     def fail(self, expected: tuple[str, ...]) -> ParseError:
-        got = self.peek() or "end of input"
-        column = self.columns[self.pos]
+        got = self.texts[self.pos] or "end of input"
+        column = self.column()
         return ParseError(
             f"expected {' or '.join(expected)}, got {got!r} at column {column}",
             column=column,
@@ -171,46 +198,49 @@ class _Parser:
         )
 
     def expect_sym(self, sym: str) -> str:
-        if self.peek() == sym:
-            return self.next()
-        raise self.fail((f"'{sym}'",))
+        if self.texts[self.pos] != sym:
+            raise self.fail((f"'{sym}'",))
+        self.pos += 1
+        return sym
 
     def expect_int(self) -> int:
-        if self.kinds[self.pos] != "INT":
+        text = self.texts[self.pos]
+        if not "0" <= text[:1] <= "9":
             raise self.fail(("integer",))
-        column = self.columns[self.pos]
-        text = self.next()
         try:
-            return int(text)
+            value = int(text)
         except ValueError as exc:  # over the interpreter's int-conversion limit
+            column = self.column()
             raise ParseError(
                 f"integer of {len(text)} digits at column {column} is too long",
                 column=column,
             ) from exc
+        self.pos += 1
+        return value
 
     def expect_ident(self, *names: str) -> str:
-        if self.peek() in names:
-            return self.next()
-        raise self.fail(names)
+        text = self.texts[self.pos]
+        if text not in names:
+            raise self.fail(names)
+        self.pos += 1
+        return text
 
     # -- grammar productions ------------------------------------------------
 
     def optional_int(self) -> int | None:
-        return self.expect_int() if self.kinds[self.pos] == "INT" else None
+        return self.expect_int() if self.at_int() else None
 
     def family(self) -> str:
         return self.expect_ident(*FAMILIES)
 
     def signed_int(self) -> int:
-        sign = -1 if self.peek() == "-" and self.next() else 1
+        sign = -1 if self.accept("-") else 1
         return sign * self.expect_int()
 
     def point(self) -> GroupElement:
-        if self.peek() == "O":
-            self.next()
+        if self.accept("O"):
             return self.group.zero()
-        if self.peek() == "(":
-            self.next()
+        if self.accept("("):
             x = self.signed_int()
             self.expect_sym(",")
             y = self.signed_int()
@@ -225,24 +255,27 @@ class _Parser:
 
     def term(self) -> tuple[GroupElement, int]:
         mult = 1
-        if self.kinds[self.pos] == "INT":
+        if self.at_int():
             mult = self.expect_int()
             self.expect_sym("*")
-        name = self.peek()
+        name = self.texts[self.pos]
         if name not in ("P", "O", "PO"):
             raise self.fail(("'P'", "'O'"))
-        self.next()
+        self.pos += 1
         return (self.point() if name == "P" else self.group.zero()), mult
 
-    def divisor(self) -> Divisor:
+    def divisor(self) -> DivisorClass:
         terms: list[tuple[GroupElement, int]] = []
-        sign = -1 if self.peek() == "-" and self.next() else 1
+        sign = -1 if self.accept("-") else 1
         while True:
             point, mult = self.term()
             terms.append((point, sign * mult))
-            if self.peek() not in ("+", "-"):
-                return Divisor.of(self.group, *terms)
-            sign = 1 if self.next() == "+" else -1
+            if self.accept("+"):
+                sign = 1
+            elif self.accept("-"):
+                sign = -1
+            else:
+                return class_of(self.group, terms)
 
     def surface(self) -> SurfaceModel:
         family = FAMILIES[self.family()]
@@ -250,9 +283,8 @@ class _Parser:
             return Indec0(self.group)
         self.expect_sym("(")
         if family is Decomposable:
-            div = self.divisor()
+            cls = self.divisor()
             self.expect_sym(")")
-            cls = class_of(div)
             # Checked here, so that the error is a SemanticError rather than
             # the engine's NonNormalizedInput.
             if cls.degree > 0:
@@ -269,10 +301,10 @@ class _Parser:
         self.expect_ident("X0")
         self.expect_sym("+")
         self.expect_sym("(")
-        div = self.divisor()
+        b = self.divisor()
         self.expect_sym(")")
         self.expect_ident("f")
-        return SurfaceDivisorClass(m, class_of(div))
+        return SurfaceDivisorClass(m, b)
 
     def pointspec(self) -> PointSpec:
         name = self.expect_ident(*SPEC_KINDS, "pair")
@@ -288,17 +320,18 @@ class _Parser:
 
     def steps(self) -> tuple:
         steps: list = []
-        while self.kinds[self.pos] != "EOF":
+        while self.texts[self.pos]:
             # ``onX0`` is a template, and ``onX0@point`` a concrete point.
-            after = self.texts[self.pos + 1]
-            if self.peek() in WALK_TEMPLATES and after != "@":
-                steps.append(self.next())
+            word, after = self.texts[self.pos], self.texts[self.pos + 1]
+            if word in WALK_TEMPLATES and after != "@":
+                steps.append(word)
+                self.pos += 1
             else:
                 steps.append(self.pointspec())
         return tuple(steps)
 
     def end(self) -> None:
-        if self.kinds[self.pos] != "EOF":
+        if self.texts[self.pos]:
             raise self.fail(("end of input",))
 
 

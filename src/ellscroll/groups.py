@@ -34,14 +34,16 @@ object, and calls ``check_same_group`` only when they do not: equal groups
 built apart still combine, since the CLI builds a fresh model for each line
 and the cached Weierstrass points hold the first equal model that built
 them, and unequal groups raise ``MixedGroups``.  The kernels build their
-result with ``GroupElement(self, ...)`` directly.
+result with ``GroupElement(self, ...)`` directly.  The operators refuse an
+operand that is not an element, and a scalar that is not an ``int``, with
+``InvalidArgument``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GroupTooLarge, InvalidPointSpec, MixedGroups
+from .errors import GroupTooLarge, InvalidArgument, InvalidPointSpec, MixedGroups
 from .values import Value
 
 #: Largest group order that ``elements()`` will enumerate.
@@ -83,16 +85,28 @@ class GroupElement(Value):
             self.group is other.group or self.group == other.group
         )
 
+    # A kernel reads ``h.group`` and ``h.coords`` first, so any other operand
+    # fails there; it is refused only then, and a valid operation pays nothing.
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, other)
+        try:
+            return self.group.add(self, other)
+        except AttributeError:
+            _refuse_operand(other)
+            raise
 
     def __neg__(self) -> "GroupElement":
         return self.group.neg(self)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.sub(self, other)
+        try:
+            return self.group.sub(self, other)
+        except AttributeError:
+            _refuse_operand(other)
+            raise
 
     def __mul__(self, k: int) -> "GroupElement":
+        if k.__class__ is not int and not isinstance(k, int):
+            raise InvalidArgument(f"cannot multiply a group element by {k!r}")
         return self.group.mul(k, self)
 
     __rmul__ = __mul__
@@ -115,6 +129,11 @@ class GroupElement(Value):
 
 
 _set_group, _set_coords = GroupElement._setters
+
+
+def _refuse_operand(other: object) -> None:
+    if other.__class__ is not GroupElement:
+        raise InvalidArgument(f"{other!r} is not a group element") from None
 
 
 def check_same_group(a: CurveGroup, b: CurveGroup) -> None:

@@ -3,7 +3,9 @@
 A divisor class is canonicalized as the pair (degree, group sum of its
 points); two divisors are linearly equivalent exactly when both coordinates
 agree.  The base point of that correspondence is normalized to the group
-identity, so the class of a single point P is simply ``(1, P)``.
+identity, so the class of a single point P is simply ``(1, P)``.  No divisor
+is stored: ``class_of`` reduces (point, multiplicity) terms, as the CLI reads
+them, straight to their class.
 
 Section counts follow the genus-1 dimension count: a class of positive
 degree d has d sections, the trivial class has one, and everything else has
@@ -13,39 +15,8 @@ identity ``h0 - h1 = degree`` holds for every class.
 
 from __future__ import annotations
 
-from .errors import MixedGroups
 from .groups import CurveGroup, GroupElement
 from .values import Value
-
-
-class Divisor(Value):
-    """A formal sum of points with nonzero integer multiplicities.
-
-    The CLI's text form of a class: it parses each signed sum into this type
-    and reduces it to its class at once, and writes a class back as one
-    divisor of it (the point summing the class once, then ``O`` terms).  All
-    engine predicates work on :class:`DivisorClass`.
-    """
-
-    __slots__ = ("group", "terms")
-
-    @staticmethod
-    def of(group: CurveGroup, *terms: tuple[GroupElement, int]) -> "Divisor":
-        acc: dict[GroupElement, int] = {}
-        for point, mult in terms:
-            if point.group != group:
-                raise MixedGroups(f"point {point} not in {group}")
-            acc[point] = acc.get(point, 0) + mult
-        cleaned = tuple(
-            (p, m)
-            for p, m in sorted(acc.items(), key=lambda t: t[0].sort_key())
-            if m != 0
-        )
-        return Divisor(group, cleaned)
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.terms)
 
 
 class DivisorClass(Value):
@@ -94,11 +65,14 @@ def point_class(point: GroupElement) -> DivisorClass:
     return DivisorClass(1, point)
 
 
-def class_of(d: Divisor) -> DivisorClass:
-    total = d.group.zero()
-    for point, mult in d.terms:
-        total = total + mult * point
-    return DivisorClass(d.degree, total)
+def class_of(group: CurveGroup, terms: list[tuple[GroupElement, int]]) -> DivisorClass:
+    """The class of the sum of ``mult * point`` over the (point, mult) terms;
+    a point of another group raises ``MixedGroups`` from the group sum."""
+    degree, total = 0, group.zero()
+    for point, mult in terms:
+        degree += mult
+        total = total + (point if mult == 1 else mult * point)
+    return DivisorClass(degree, total)
 
 
 def h0(c: DivisorClass) -> int:

@@ -339,6 +339,20 @@ def test_table_general_structure():
             assert r.ambient == n
 
 
+def test_row_dicts_hold_every_field_in_field_order():
+    # The records' dicts are written out by hand; the named tuples' own
+    # ``_asdict`` is the definition they must keep.
+    rows = [row for n in range(3, 13) for row in emit_table(n)]
+    assert {row.generation is None for row in rows} == {True, False}
+    for row in rows:
+        expected = row._asdict()
+        if row.generation is not None:
+            assert row.generation.to_dict() == row.generation._asdict()
+            expected["generation"] = row.generation._asdict()
+        expected["families"] = [f.to_dict() for f in row.families]
+        assert list(row.to_dict().items()) == list(expected.items())
+
+
 def test_render_table_text():
     text = render_table(3, emit_table(3))
     assert text.splitlines()[0] == "Scrolls in P^3"

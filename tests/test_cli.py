@@ -28,9 +28,9 @@ from ellscroll.cli import (
     Walk,
     _Parser,
     _render_json,
+    _texts,
     _tokenize,
     format_class,
-    format_divisor,
     main,
     parse,
     run,
@@ -39,7 +39,7 @@ from ellscroll.elmtrans import Generic, OnX0, OnX1, Pair
 from ellscroll.classify import minimality_check
 from ellscroll.errors import GroupTooLarge, ParseError, SemanticError
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
-from ellscroll.picard import Divisor, DivisorClass, class_of
+from ellscroll.picard import DivisorClass, class_of
 from ellscroll.surface import Decomposable, Indec0, IndecMinus1, SurfaceDivisorClass
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -148,63 +148,72 @@ def test_nagata_refuses_an_e_a_non_split_target_does_not_have(capsys):
 
 # -- round-trips -------------------------------------------------------------
 
-coords = st.tuples(st.integers(0, 11), st.integers(0, 11))
+#: The group models the round trips draw from: the default torus, a
+#: Weierstrass curve and a small torus, each written its own way on the line.
+MODELS = (G, WeierstrassGroup(23, -1, 0), TorusGroup(4, 4))
+
+
+def points(group):
+    return st.sampled_from(group.elements())
+
+
+def terms(group):
+    """(point, multiplicity) terms: points may repeat, multiplicities cancel."""
+    return st.lists(st.tuples(points(group), st.integers(-3, 3).filter(bool)), max_size=4)
 
 
 @st.composite
-def divisors(draw, max_deg=None, force_nonpositive=False):
-    pairs = draw(
-        st.dictionaries(coords, st.integers(-3, 3).filter(bool), max_size=4)
-    )
-    terms = [(G.element(i, j), m) for (i, j), m in pairs.items()]
-    if force_nonpositive and sum(m for _, m in terms) > 0:
-        terms = [(p, -m) for p, m in terms]
-    return Divisor.of(G, *terms)
+def divisor_classes(draw, group, force_nonpositive=False):
+    drawn = draw(terms(group))
+    if force_nonpositive and sum(m for _, m in drawn) > 0:
+        drawn = [(p, -m) for p, m in drawn]
+    return class_of(group, drawn)
 
 
 @st.composite
-def surfaces(draw):
+def surfaces(draw, group):
     kind = draw(st.sampled_from(["dec", "ind0", "indm1"]))
     if kind == "dec":
-        return Decomposable(class_of(draw(divisors(force_nonpositive=True))))
+        return Decomposable(draw(divisor_classes(group, force_nonpositive=True)))
     if kind == "ind0":
-        return Indec0(G)
-    i, j = draw(coords)
-    return IndecMinus1(G.element(i, j))
+        return Indec0(group)
+    return IndecMinus1(draw(points(group)))
 
 
 @st.composite
-def systems(draw, m=None):
+def systems(draw, group, m=None):
     fiber = m if m is not None else draw(st.integers(1, 3))
-    return SurfaceDivisorClass(fiber, class_of(draw(divisors())))
+    return SurfaceDivisorClass(fiber, draw(divisor_classes(group)))
 
 
-points = st.builds(G.element, st.integers(0, 11), st.integers(0, 11))
-pointspecs = st.one_of(
-    st.builds(OnX0, points),
-    st.builds(OnX1, points),
-    st.builds(Generic, points),
-    st.builds(Pair, points, points),
-)
+def pointspecs(group):
+    return st.one_of(
+        st.builds(OnX0, points(group)),
+        st.builds(OnX1, points(group)),
+        st.builds(Generic, points(group)),
+        st.builds(Pair, points(group), points(group)),
+    )
 
 
 @st.composite
 def commands(draw):
-    surface = draw(surfaces())
+    group = draw(st.sampled_from(MODELS))
+    point = points(group)
+    surface = draw(surfaces(group))
     choice = draw(st.integers(0, 7))
     if choice == 0:
-        variant = Analyze(surface, draw(systems()))
+        variant = Analyze(surface, draw(systems(group)))
     elif choice == 1:
-        variant = Classify(surface, draw(systems(m=1)))
+        variant = Classify(surface, draw(systems(group, m=1)))
     elif choice == 2:
-        spec = draw(pointspecs)
+        spec = draw(pointspecs(group))
         if isinstance(surface, IndecMinus1):
-            q, r = draw(points), draw(points)
+            q, r = draw(point), draw(point)
             spec = Pair(q, r)
         elif isinstance(spec, Pair) or (
             isinstance(surface, Indec0) and isinstance(spec, OnX1)
         ):
-            spec = Generic(draw(points))
+            spec = Generic(draw(point))
         variant = Elm(surface, spec)
     elif choice == 3:
         steps = tuple(
@@ -219,12 +228,12 @@ def commands(draw):
         e = draw(st.integers(0, 4)) if target == "dec" else None
         variant = Nagata(target, e)
     elif choice == 6:
-        q, r = draw(points), draw(points)
-        variant = MinCurves(IndecMinus1(draw(points)), Pair(q, r))
+        q, r = draw(point), draw(point)
+        variant = MinCurves(IndecMinus1(draw(point)), Pair(q, r))
     else:
-        variant = Ram(IndecMinus1(draw(points)), draw(points))
+        variant = Ram(IndecMinus1(draw(point)), draw(point))
     options = Options(
-        group=default_group(),
+        group=group,
         json=draw(st.booleans()),
         seed=draw(st.sampled_from([0, 7])),
         verify=draw(st.booleans()) if isinstance(variant, Nagata) else False,
@@ -240,9 +249,104 @@ def test_parse_format_roundtrip(cmd):
     assert parse(cmd.format()) == cmd
 
 
-@given(divisors())
-def test_divisor_format_roundtrip_preserves_class(d):
-    assert _Parser(format_divisor(d), G).divisor() == d
+def term_text(point, mult):
+    """One signed term as a user may write it."""
+    base = "O" if point.is_zero() else f"P{point}"
+    return ("-" if mult < 0 else "+") + (base if abs(mult) == 1 else f"{abs(mult)}*{base}")
+
+
+@given(st.sampled_from(MODELS).flatmap(lambda g: st.tuples(st.just(g), terms(g).filter(bool))))
+def test_divisor_format_roundtrip_preserves_class(case):
+    # A divisor written term by term reads as the class of its terms, and
+    # that class's canonical text reads back as the same class.
+    group, drawn = case
+    text = "".join(term_text(p, m) for p, m in drawn).removeprefix("+")
+    c = class_of(group, drawn)
+    assert _Parser(text, group).divisor() == c
+    assert _Parser(format_class(c), group).divisor() == c
+
+
+#: ``format_class`` of every class of degree -3..3, in the order of
+#: ``elements()``, recorded before the formatter stopped building divisors.
+CLASS_TEXTS = {
+    "Torus(4,4)": {
+        -3: (
+            "-3*O -4*O+P(0,1) -4*O+P(0,2) -4*O+P(0,3) -4*O+P(1,0) -4*O+P(1,1) -4*O+P(1,2) "
+            "-4*O+P(1,3) -4*O+P(2,0) -4*O+P(2,1) -4*O+P(2,2) -4*O+P(2,3) -4*O+P(3,0) "
+            "-4*O+P(3,1) -4*O+P(3,2) -4*O+P(3,3)"
+        ),
+        -2: (
+            "-2*O -3*O+P(0,1) -3*O+P(0,2) -3*O+P(0,3) -3*O+P(1,0) -3*O+P(1,1) -3*O+P(1,2) "
+            "-3*O+P(1,3) -3*O+P(2,0) -3*O+P(2,1) -3*O+P(2,2) -3*O+P(2,3) -3*O+P(3,0) "
+            "-3*O+P(3,1) -3*O+P(3,2) -3*O+P(3,3)"
+        ),
+        -1: (
+            "-O -2*O+P(0,1) -2*O+P(0,2) -2*O+P(0,3) -2*O+P(1,0) -2*O+P(1,1) -2*O+P(1,2) "
+            "-2*O+P(1,3) -2*O+P(2,0) -2*O+P(2,1) -2*O+P(2,2) -2*O+P(2,3) -2*O+P(3,0) "
+            "-2*O+P(3,1) -2*O+P(3,2) -2*O+P(3,3)"
+        ),
+        0: (
+            "0*O -O+P(0,1) -O+P(0,2) -O+P(0,3) -O+P(1,0) -O+P(1,1) -O+P(1,2) -O+P(1,3) "
+            "-O+P(2,0) -O+P(2,1) -O+P(2,2) -O+P(2,3) -O+P(3,0) -O+P(3,1) -O+P(3,2) -O+P(3,3)"
+        ),
+        1: (
+            "O P(0,1) P(0,2) P(0,3) P(1,0) P(1,1) P(1,2) P(1,3) P(2,0) P(2,1) P(2,2) P(2,3) "
+            "P(3,0) P(3,1) P(3,2) P(3,3)"
+        ),
+        2: (
+            "2*O O+P(0,1) O+P(0,2) O+P(0,3) O+P(1,0) O+P(1,1) O+P(1,2) O+P(1,3) O+P(2,0) "
+            "O+P(2,1) O+P(2,2) O+P(2,3) O+P(3,0) O+P(3,1) O+P(3,2) O+P(3,3)"
+        ),
+        3: (
+            "3*O 2*O+P(0,1) 2*O+P(0,2) 2*O+P(0,3) 2*O+P(1,0) 2*O+P(1,1) 2*O+P(1,2) 2*O+P(1,3) "
+            "2*O+P(2,0) 2*O+P(2,1) 2*O+P(2,2) 2*O+P(2,3) 2*O+P(3,0) 2*O+P(3,1) 2*O+P(3,2) "
+            "2*O+P(3,3)"
+        ),
+    },
+    "Weierstrass(23,-1,0)": {
+        -3: (
+            "-3*O -4*O+P(0,0) -4*O+P(1,0) -4*O+P(2,11) -4*O+P(2,12) -4*O+P(3,1) -4*O+P(3,22) "
+            "-4*O+P(6,7) -4*O+P(6,16) -4*O+P(10,1) -4*O+P(10,22) -4*O+P(11,3) -4*O+P(11,20) "
+            "-4*O+P(14,4) -4*O+P(14,19) -4*O+P(15,5) -4*O+P(15,18) -4*O+P(16,3) -4*O+P(16,20) "
+            "-4*O+P(18,8) -4*O+P(18,15) -4*O+P(19,3) -4*O+P(19,20) -4*O+P(22,0)"
+        ),
+        -2: (
+            "-2*O -3*O+P(0,0) -3*O+P(1,0) -3*O+P(2,11) -3*O+P(2,12) -3*O+P(3,1) -3*O+P(3,22) "
+            "-3*O+P(6,7) -3*O+P(6,16) -3*O+P(10,1) -3*O+P(10,22) -3*O+P(11,3) -3*O+P(11,20) "
+            "-3*O+P(14,4) -3*O+P(14,19) -3*O+P(15,5) -3*O+P(15,18) -3*O+P(16,3) -3*O+P(16,20) "
+            "-3*O+P(18,8) -3*O+P(18,15) -3*O+P(19,3) -3*O+P(19,20) -3*O+P(22,0)"
+        ),
+        -1: (
+            "-O -2*O+P(0,0) -2*O+P(1,0) -2*O+P(2,11) -2*O+P(2,12) -2*O+P(3,1) -2*O+P(3,22) "
+            "-2*O+P(6,7) -2*O+P(6,16) -2*O+P(10,1) -2*O+P(10,22) -2*O+P(11,3) -2*O+P(11,20) "
+            "-2*O+P(14,4) -2*O+P(14,19) -2*O+P(15,5) -2*O+P(15,18) -2*O+P(16,3) -2*O+P(16,20) "
+            "-2*O+P(18,8) -2*O+P(18,15) -2*O+P(19,3) -2*O+P(19,20) -2*O+P(22,0)"
+        ),
+        0: (
+            "0*O -O+P(0,0) -O+P(1,0) -O+P(2,11) -O+P(2,12) -O+P(3,1) -O+P(3,22) -O+P(6,7) "
+            "-O+P(6,16) -O+P(10,1) -O+P(10,22) -O+P(11,3) -O+P(11,20) -O+P(14,4) -O+P(14,19) "
+            "-O+P(15,5) -O+P(15,18) -O+P(16,3) -O+P(16,20) -O+P(18,8) -O+P(18,15) -O+P(19,3) "
+            "-O+P(19,20) -O+P(22,0)"
+        ),
+        1: (
+            "O P(0,0) P(1,0) P(2,11) P(2,12) P(3,1) P(3,22) P(6,7) P(6,16) P(10,1) P(10,22) "
+            "P(11,3) P(11,20) P(14,4) P(14,19) P(15,5) P(15,18) P(16,3) P(16,20) P(18,8) "
+            "P(18,15) P(19,3) P(19,20) P(22,0)"
+        ),
+        2: (
+            "2*O O+P(0,0) O+P(1,0) O+P(2,11) O+P(2,12) O+P(3,1) O+P(3,22) O+P(6,7) O+P(6,16) "
+            "O+P(10,1) O+P(10,22) O+P(11,3) O+P(11,20) O+P(14,4) O+P(14,19) O+P(15,5) "
+            "O+P(15,18) O+P(16,3) O+P(16,20) O+P(18,8) O+P(18,15) O+P(19,3) O+P(19,20) "
+            "O+P(22,0)"
+        ),
+        3: (
+            "3*O 2*O+P(0,0) 2*O+P(1,0) 2*O+P(2,11) 2*O+P(2,12) 2*O+P(3,1) 2*O+P(3,22) "
+            "2*O+P(6,7) 2*O+P(6,16) 2*O+P(10,1) 2*O+P(10,22) 2*O+P(11,3) 2*O+P(11,20) "
+            "2*O+P(14,4) 2*O+P(14,19) 2*O+P(15,5) 2*O+P(15,18) 2*O+P(16,3) 2*O+P(16,20) "
+            "2*O+P(18,8) 2*O+P(18,15) 2*O+P(19,3) 2*O+P(19,20) 2*O+P(22,0)"
+        ),
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -254,10 +358,10 @@ def test_divisor_format_roundtrip_preserves_class(d):
 )
 def test_every_small_class_text_parses_to_its_class(flag, group):
     assert format_class(DivisorClass(1, group.zero())) == "O"
-    for degree in range(-3, 4):
-        for point in group.elements():
-            c = DivisorClass(degree, point)
-            text = format_class(c)
+    for degree, texts in CLASS_TEXTS[str(group)].items():
+        classes = [DivisorClass(degree, point) for point in group.elements()]
+        assert [format_class(c) for c in classes] == texts.split()
+        for c, text in zip(classes, texts.split()):
             cmd = parse(["analyze", "ind0", f"1X0+({text})f", *flag])
             assert cmd.variant.system.b == c, text
 
@@ -465,6 +569,61 @@ def test_integers_over_the_conversion_limit_are_a_parse_error(argv, column, caps
     assert capsys.readouterr().err.startswith("ParseError: integer of 5000 digits")
 
 
+#: The exit code, standard error and ParseError column of each line of the
+#: benchmark's malformed and semantic line sets (with p = (5,7), q = (0,3)),
+#: and of an integer over the conversion limit, recorded before the parser
+#: computed columns only for its errors.
+ERROR_LINES = [
+    (["table"], 2, "ParseError: expected integer, got 'end of input' at column 0\n", 0),
+    ([], 2, "ParseError: missing command word\n", 0),
+    (["analyze", "dec(", "1X0+(O)f"], 2, "ParseError: expected '*', got 'X0' at column 6\n", 6),
+    (["frobnicate", "ind0"], 2, "ParseError: unknown command 'frobnicate'\n", 0),
+    (["table", "x"], 2, "ParseError: expected integer, got 'x' at column 0\n", 0),
+    (["elm", "ind0", "gen@(5,7)", "extra"], 2,
+     "ParseError: expected end of input, got 'extra' at column 15\n", 15),
+    (["analyze", "ind0", "2X0+(P(5,7)%)f"], 2,
+     "ParseError: unexpected character '%' at column 16\n", 16),
+    (["table", "17", "--group"], 2, "ParseError: flag --group needs a value\n", 0),
+    (["table", "17", "--bogus"], 2, "ParseError: unknown flag --bogus\n", 0),
+    (["ram", "indm1(O)"], 2, "ParseError: expected 'O' or '(', got 'end of input' at column 8\n", 8),
+    (["table", "5", "--group", "0,0"], 2,
+     "ParseError: bad value for --group: torus moduli must be positive\n", 0),
+    (["elm", "ind0", "pair{(5,7),(0,3)}"], 2, "SemanticError: pair{...} does not apply to ind0\n", None),
+    (["elm", "ind0", "onX1@(5,7)"], 2, "SemanticError: ind0 has no second section onX1\n", None),
+    (["elm", "dec(0*O)", "pair{(5,7),(0,3)}"], 2,
+     "SemanticError: pair{...} does not apply to dec\n", None),
+    (["table", "2"], 2, "SemanticError: table requires an ambient dimension N >= 3\n", None),
+    (["ram", "ind0", "(5,7)"], 2, "SemanticError: ram applies to indm1 surfaces only\n", None),
+    (["classify", "ind0", "2X0+(P(5,7))f"], 2,
+     "SemanticError: classify needs a fiber-degree-1 system (1X0+...)\n", None),
+    (["analyze", "dec(P(5,7))", "1X0+(O)f"], 2,
+     "SemanticError: dec(...) needs a divisor of degree <= 0, got 1\n", None),
+    (["mincurves", "ind0", "pair{(5,7),(0,3)}"], 2,
+     "SemanticError: mincurves needs an indm1 surface and a pair{...}\n", None),
+    (["nagata", "dec"], 2, "SemanticError: nagata dec needs the invariant e (nagata dec E)\n", None),
+    (["ram", "indm1((1,1))", "O", "--curve", "23,-1,0"], 2,
+     "SemanticError: (1,1) is not on the curve\n", None),
+    (["ram", "indm1(O)", f"(3,{HUGE})"], 2,
+     "ParseError: integer of 5000 digits at column 12 is too long\n", 12),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, column", ERROR_LINES)
+def test_error_lines_keep_their_exit_code_message_and_column(argv, code, err, column, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
+    with pytest.raises((ParseError, SemanticError)) as info:
+        parse(argv)
+    assert getattr(info.value, "column", None) == column
+
+
+def test_unbalanced_quotes_are_a_parse_error_at_column_zero():
+    with pytest.raises(ParseError) as info:
+        parse('analyze ind0 "1X0+(O)f')
+    assert str(info.value) == "unbalanced quoting: No closing quotation"
+    assert info.value.column == 0
+
+
 def test_composite_curve_modulus_is_a_parse_error(capsys):
     assert main(["elm", "ind0", "gen@(0,1)", "--curve", "10201,1,1"]) == 2
     assert capsys.readouterr().err.startswith("ParseError: bad value for --curve")
@@ -572,14 +731,28 @@ def test_main_fuzz_ends_in_an_exit_code_and_a_coded_error(argv):
 # -- lexer and JSON rendering --------------------------------------------------
 
 
+def fast_lex(text):
+    """The parser's token texts of ``text`` before EOF, or the (message,
+    column) of the ParseError it raises."""
+    try:
+        texts = _texts(text)
+    except ParseError as exc:
+        return str(exc), exc.column
+    assert texts[-1] == ""
+    return texts[:-1]
+
+
 def lex(text):
     """The (kind, text, column) tokens of ``text`` before EOF, or the
-    (message, column) of the ParseError it raises."""
+    (message, column) of the ParseError it raises.  The parser's own lexer
+    must read the same texts, or raise the same error."""
     try:
         tokens = _tokenize(text)
     except ParseError as exc:
+        assert fast_lex(text) == (str(exc), exc.column), repr(text)
         return str(exc), exc.column
     assert tokens[-1] == ("EOF", "", len(text))
+    assert fast_lex(text) == [word for _, word, _ in tokens[:-1]], repr(text)
     return tokens[:-1]
 
 
@@ -621,6 +794,16 @@ LEXER_EDGES = "\u00b2\u00bd\u0663\x1c\x1d\x1e\x1f\xa0\u2028\u3000\u0301"
 def test_lexer_matches_its_definition():
     sample = random.Random(0).sample(range(0x800, 0x110000), 4000)
     check_lexer([*range(0x800), *sample, *map(ord, LEXER_EDGES)])
+
+
+@pytest.mark.parametrize("ch", LEXER_EDGES)
+def test_parser_lexer_matches_tokenize_on_edges_in_a_line(ch):
+    # Each edge character inside, before and after the tokens of a valid
+    # line: the same texts, or the same message and column.
+    line = "ind0 2X0+(P(1,0)+3*O)f pair{O,(0,1)} onX0@(1,1) _a1 é"
+    for cut in range(len(line) + 1):
+        lex(line[:cut] + ch + line[cut:])
+    lex(ch.join(line.split()))
 
 
 @pytest.mark.skipif(not FUZZ_FRESH, reason="every code point; set ELLSCROLL_FUZZ=1")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from ellscroll import groups
 from ellscroll.elmtrans import OnX0, Pair, elm
-from ellscroll.errors import GroupTooLarge, InvalidPointSpec, MixedGroups
+from ellscroll.errors import GroupTooLarge, InvalidArgument, InvalidPointSpec, MixedGroups
 from ellscroll.groups import (
     PRIME_CAP,
     GroupElement,
@@ -130,6 +130,31 @@ def test_mixed_groups_rejected():
         G.element(1, 1) - TorusGroup(5, 5).element(1, 1)
     with pytest.raises(MixedGroups):
         W.nth(1) - WeierstrassGroup(23, -1, 0).nth(1)
+
+
+@pytest.mark.parametrize("group", [G, WeierstrassGroup(23, -1, 0)], ids=str)
+def test_operands_that_are_not_elements_or_ints_are_refused(group):
+    g = group.nth(1)
+    calls = [
+        lambda: g * 1.5,
+        lambda: 1.5 * g,
+        lambda: g * "2",
+        lambda: g * g,
+        lambda: g * None,
+        lambda: g + (1, 1),
+        lambda: g + g.coords,
+        lambda: g + 1,
+        lambda: g + DivisorClass(1, g),
+        lambda: g - (1, 1),
+        lambda: g - None,
+        lambda: DivisorClass(3, g) * 1.5,
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert info.value.code == "InvalidArgument"
+    # An int subclass is still an int.
+    assert True * g == g and g * False == group.zero()
 
 
 def test_element_equality_and_hash_follow_coords_and_group():

@@ -1,10 +1,11 @@
 """Divisor-class arithmetic and base-curve section counts."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from ellscroll.groups import default_group
+from ellscroll.errors import MixedGroups
+from ellscroll.groups import TorusGroup, default_group
 from ellscroll.picard import (
-    Divisor,
     DivisorClass,
     class_of,
     h0,
@@ -19,19 +20,33 @@ elems = st.builds(G.element, st.integers(0, 11), st.integers(0, 11))
 classes = st.builds(DivisorClass, st.integers(-6, 6), elems)
 
 
-def test_divisor_canonicalization_merges_and_sorts():
+def test_class_of_merges_and_cancels_terms():
     p, q = G.element(1, 0), G.element(0, 1)
-    d = Divisor.of(G, (p, 2), (q, 1), (p, -2), (q, 1))
-    assert d.terms == ((q, 2),)
-    assert d.degree == 2
+    c = class_of(G, [(p, 2), (q, 1), (p, -2), (q, 1)])
+    assert c == DivisorClass(2, q + q)
+    assert class_of(G, [(q, 2)]) == c
+    assert class_of(G, []) == trivial_class(G)
+    assert class_of(G, [(p, 1), (p, -1)]) == trivial_class(G)
 
 
 def test_class_of_uses_group_sum():
     p, q = G.element(1, 2), G.element(3, 4)
-    d = Divisor.of(G, (p, 1), (q, 2))
-    c = class_of(d)
+    c = class_of(G, [(p, 1), (q, 2)])
     assert c.degree == 3
     assert c.abel == p + q + q
+
+
+@given(st.lists(st.tuples(elems, st.integers(-3, 3)), max_size=5))
+def test_class_of_is_the_sum_of_point_classes(terms):
+    assert class_of(G, terms) == sum(
+        (m * point_class(p) for p, m in terms), trivial_class(G)
+    )
+    assert class_of(G, terms[::-1]) == class_of(G, terms)
+
+
+def test_class_of_refuses_a_point_of_another_group():
+    with pytest.raises(MixedGroups):
+        class_of(G, [(G.element(1, 1), 1), (TorusGroup(5, 5).element(1, 1), 1)])
 
 
 @given(classes, classes)

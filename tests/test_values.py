@@ -24,7 +24,7 @@ from ellscroll.elmtrans import (
     ALL_RULES, WALK_TEMPLATES, ElmResult, Generic, OnX0, OnX1, Pair, WalkResult,
 )
 from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup
-from ellscroll.picard import Divisor, DivisorClass
+from ellscroll.picard import DivisorClass
 from ellscroll.surface import (
     Decomposable,
     Indec0,
@@ -43,7 +43,6 @@ FIELDS = {
     GroupElement: ("group", "coords"),
     TorusGroup: ("m", "n"),
     WeierstrassGroup: ("p", "a", "b"),
-    Divisor: ("group", "terms"),
     DivisorClass: ("degree", "abel"),
     Decomposable: ("e_class",),
     Indec0: ("base",),
@@ -169,9 +168,6 @@ def values(draw):
         WeierstrassGroup: lambda: draw(st.sampled_from(
             [WeierstrassGroup(11, -1, 0), WeierstrassGroup(5, 1, 1)]
         )),
-        Divisor: lambda: Divisor.of(
-            group, *draw(st.lists(st.tuples(point, st.integers(-2, 2)), max_size=3))
-        ),
         DivisorClass: lambda: draw(classes(group)),
         Decomposable: lambda: Decomposable(draw(classes(group, st.integers(-3, 0)))),
         Indec0: lambda: Indec0(group),
