@@ -145,11 +145,7 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     if b.__class__ is not DivisorClass:
         raise InvalidArgument(f"{b!r} is not a divisor class")
     H = SurfaceDivisorClass(1, b)
-    try:
-        h0, h1, bpf, _, _ = linsys._row(s, H)
-    except (TypeError, AttributeError):
-        linsys._check_fields(H)
-        raise
+    h0, h1, bpf, _, _ = linsys._row(s, H)
     if not bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
     e, deg_b, degree = s.e, b.degree, intersect(s, H, H)

@@ -17,12 +17,14 @@ the fact that there are only two non-split models.  A rule reads the
 invariant class as its degree and group sum, and builds the new class from
 one group operation on that sum and the point.
 
-``POINT_KINDS`` lists the point kinds of each family.  ``elm`` and the CLI
-refuse a kind the family lacks with ``check_point_kind``, a walk template
-draws from it, and the minimality search enumerates it.  A walk binds its
-group, order and random source once, to one resolver for all its steps.  The
-resolver makes the ``getrandbits`` calls of ``rng.choice`` and
-``rng.randrange``, so a seed gives the walk they would give.
+A point descriptor refuses, when it is built, a point that is not a group
+element with ``InvalidPointSpec``.  ``POINT_KINDS`` lists the point kinds of
+each family.  ``elm`` and the CLI refuse a kind the family lacks with
+``check_point_kind``, a walk template draws from it, and the minimality
+search enumerates it.  A walk binds its group, order and random source once,
+to one resolver for all its steps.  The resolver makes the ``getrandbits``
+calls of ``rng.choice`` and ``rng.randrange``, so a seed gives the walk they
+would give.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class _OnFiber(Value):
     __slots__ = ("P",)
 
     def __init__(self, P: GroupElement) -> None:
+        if P.__class__ is not GroupElement:
+            raise InvalidPointSpec(f"{self.__class__.__name__}(P={P!r}) is not a point descriptor")
         _set_P(self, P)
 
 
@@ -76,11 +80,10 @@ class Pair(Value):
     __slots__ = ("q", "r")
 
     def __init__(self, q: GroupElement, r: GroupElement) -> None:
+        if q.__class__ is not GroupElement or r.__class__ is not GroupElement:
+            raise InvalidPointSpec(f"Pair(q={q!r}, r={r!r}) is not a point descriptor")
         # Normalize so that {q, r} == {r, q}.
-        try:
-            swap = q.sort_key() > r.sort_key()
-        except AttributeError:
-            raise InvalidPointSpec(f"Pair(q={q!r}, r={r!r}) is not a point descriptor") from None
+        swap = q.sort_key() > r.sort_key()
         _set_pair_q(self, r if swap else q)
         _set_pair_r(self, q if swap else r)
 
@@ -138,8 +141,6 @@ def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     # one from another group never equals the first, and the split rule
     # subtracts the two.
     point = x.q if x.__class__ is Pair else x.P
-    if point.__class__ is not GroupElement:
-        raise InvalidPointSpec(f"{x!r} is not a point descriptor")
     if point.group is not s.group:
         check_same_group(s.group, point.group)
     return _RULES[s.__class__](s, x)

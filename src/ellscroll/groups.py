@@ -20,23 +20,24 @@ so callers that need a few elements, or one drawn at random, never
 enumerate the group; a Weierstrass model indexes its cached tuple.
 
 Halvings never enumerate.  The torus halves each coordinate.  A Weierstrass
-model whose cubic has three roots e1, e2, e3 in F_p (2-torsion of order 4,
-the only models that have ramification points) halves by 2-descent: three
-square roots of x(S) - ei and a few products (Knapp, *Elliptic Curves*, IV;
-Husemoller, *Elliptic Curves*, 1.4).  A model with 2-torsion of order 1 or 2
-finds the x-coordinates of the halves of S as the roots in F_p of the
-halving quartic (x(2R) = x(S), Silverman III.2).  Either way halvings answer
-for any prime up to ``PRIME_CAP``.  The order, the elements and ``nth`` of a
-Weierstrass model still enumerate it and need p < 5000.
+model whose cubic has three roots e1, e2, e3 in F_p (2-torsion of order 4)
+halves by 2-descent: three square roots of x(S) - ei and a few products
+(Knapp, *Elliptic Curves*, IV; Husemoller, *Elliptic Curves*, 1.4).  A model
+with 2-torsion of order 1 or 2 finds the x-coordinates of the halves of S as
+the roots in F_p of the halving quartic (x(2R) = x(S), Silverman III.2).
+Either way halvings answer for any prime up to ``PRIME_CAP``.  The order, the
+elements and ``nth`` of a Weierstrass model still enumerate it and need
+p < 5000.
 
 A binary operation first tests whether its two operands hold the same group
 object, and calls ``check_same_group`` only when they do not: equal groups
 built apart still combine, since the CLI builds a fresh model for each line
 and the cached Weierstrass points hold the first equal model that built
 them, and unequal groups raise ``MixedGroups``.  The kernels build their
-result with ``GroupElement(self, ...)`` directly.  The operators refuse an
-operand that is not an element, and a scalar that is not an ``int``, with
-``InvalidArgument``.
+result with ``GroupElement(self, ...)`` directly, and refuse with
+``InvalidArgument`` a scalar that is not an ``int`` and, once reading its
+group or coords has failed, an operand that is not an element; the operators
+of ``GroupElement`` only call them.
 """
 
 from __future__ import annotations
@@ -85,28 +86,16 @@ class GroupElement(Value):
             self.group is other.group or self.group == other.group
         )
 
-    # A kernel reads ``h.group`` and ``h.coords`` first, so any other operand
-    # fails there; it is refused only then, and a valid operation pays nothing.
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        try:
-            return self.group.add(self, other)
-        except AttributeError:
-            _refuse_operand(other)
-            raise
+        return self.group.add(self, other)
 
     def __neg__(self) -> "GroupElement":
         return self.group.neg(self)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        try:
-            return self.group.sub(self, other)
-        except AttributeError:
-            _refuse_operand(other)
-            raise
+        return self.group.sub(self, other)
 
     def __mul__(self, k: int) -> "GroupElement":
-        if k.__class__ is not int and not isinstance(k, int):
-            raise InvalidArgument(f"cannot multiply a group element by {k!r}")
         return self.group.mul(k, self)
 
     __rmul__ = __mul__
@@ -131,9 +120,12 @@ class GroupElement(Value):
 _set_group, _set_coords = GroupElement._setters
 
 
-def _refuse_operand(other: object) -> None:
-    if other.__class__ is not GroupElement:
-        raise InvalidArgument(f"{other!r} is not a group element") from None
+def _refuse_operands(g: object, h: object) -> None:
+    # A kernel calls it after an ``AttributeError``; if both are elements, the
+    # kernel raises that error again.
+    for x in (g, h):
+        if x.__class__ is not GroupElement:
+            raise InvalidArgument(f"{x!r} is not a group element") from None
 
 
 def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
@@ -163,15 +155,23 @@ class TorusGroup(Value):
         return self.m * self.n
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        if g.group is not h.group:
-            check_same_group(g.group, h.group)
-        (i, j), (k, l) = g.coords, h.coords
+        try:
+            if g.group is not h.group:
+                check_same_group(g.group, h.group)
+            (i, j), (k, l) = g.coords, h.coords
+        except AttributeError:
+            _refuse_operands(g, h)
+            raise
         return GroupElement(self, ((i + k) % self.m, (j + l) % self.n))
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        if g.group is not h.group:
-            check_same_group(g.group, h.group)
-        (i, j), (k, l) = g.coords, h.coords
+        try:
+            if g.group is not h.group:
+                check_same_group(g.group, h.group)
+            (i, j), (k, l) = g.coords, h.coords
+        except AttributeError:
+            _refuse_operands(g, h)
+            raise
         return GroupElement(self, ((i - k) % self.m, (j - l) % self.n))
 
     def neg(self, g: GroupElement) -> GroupElement:
@@ -179,6 +179,8 @@ class TorusGroup(Value):
         return GroupElement(self, (-i % self.m, -j % self.n))
 
     def mul(self, k: int, g: GroupElement) -> GroupElement:
+        if k.__class__ is not int and not isinstance(k, int):
+            raise InvalidArgument(f"cannot multiply a group element by {k!r}")
         i, j = g.coords
         return GroupElement(self, (k * i % self.m, k * j % self.n))
 
@@ -205,10 +207,6 @@ class TorusGroup(Value):
             for j in _half_residues(s.coords[1], self.n):
                 out.append(self.element(i, j))
         return frozenset(out)
-
-    def two_torsion_order(self) -> int:
-        """``len(halvings(zero()))``: 2 per even modulus, 1 per odd one."""
-        return (2 - self.m % 2) * (2 - self.n % 2)
 
     def __str__(self) -> str:
         return f"Torus({self.m},{self.n})"
@@ -262,9 +260,13 @@ class WeierstrassGroup(Value):
         return GroupElement(self, (x, y))
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        if g.group is not h.group:
-            check_same_group(g.group, h.group)
-        gc, hc = g.coords, h.coords
+        try:
+            if g.group is not h.group:
+                check_same_group(g.group, h.group)
+            gc, hc = g.coords, h.coords
+        except AttributeError:
+            _refuse_operands(g, h)
+            raise
         if gc is None:
             return h
         if hc is None:
@@ -284,12 +286,14 @@ class WeierstrassGroup(Value):
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
         # ``h``'s group is checked before ``h`` is negated into ``self``.
-        if g.group is not h.group:
-            check_same_group(g.group, h.group)
-        if h.coords is None:
-            return g
-        x, y = h.coords
-        return self.add(g, GroupElement(self, (x, -y % self.p)))
+        try:
+            if g.group is not h.group:
+                check_same_group(g.group, h.group)
+            minus_h = self.neg(h)
+        except AttributeError:
+            _refuse_operands(g, h)
+            raise
+        return self.add(g, minus_h)
 
     def neg(self, g: GroupElement) -> GroupElement:
         if g.coords is None:
@@ -297,6 +301,8 @@ class WeierstrassGroup(Value):
         return GroupElement(self, (g.coords[0], (-g.coords[1]) % self.p))
 
     def mul(self, k: int, g: GroupElement) -> GroupElement:
+        if k.__class__ is not int and not isinstance(k, int):
+            raise InvalidArgument(f"cannot multiply a group element by {k!r}")
         if k < 0:
             return self.mul(-k, self.neg(g))
         acc = self.zero()
@@ -356,10 +362,6 @@ class WeierstrassGroup(Value):
                                 (u1 + u2) * (u1 + u3) * (u2 + u3) % p))
             for u1, u2, u3 in ((r1, r2, r3), (r1, -r2, -r3), (-r1, r2, -r3), (-r1, -r2, r3))
         )
-
-    def two_torsion_order(self) -> int:
-        """``len(halvings(zero()))``, computed once per curve."""
-        return len(_two_torsion(self))
 
     def __str__(self) -> str:
         return f"Weierstrass({self.p},{self.a},{self.b})"

@@ -6,11 +6,12 @@ torsion side conditions decided by divisor-class equality in the finite group
 model.  They form one table, ``_row``: it dispatches once on the surface's
 class, then branches on m, and returns a plain tuple; ``is_bpf``,
 ``analyze`` and ``classify.classify_scroll`` read it.  Its last branch
-refuses a value that is not a surface model with ``InvalidSurface``.  Split
-section counts come from one formula, ``h0_bound``.  For m >= 3 the split
-formula stays exact on decomposable surfaces; on the non-split families only
-the upper bound is available, and the exact operations refuse with
-``UnsupportedSecancy``.
+refuses a value that is not a surface model with ``InvalidSurface``.  An
+entry refuses a system that is not a ``SurfaceDivisorClass``, whose fields
+were checked when it was built.  Split section counts come from one formula,
+``h0_bound``.  For m >= 3 the split formula stays exact on decomposable
+surfaces; on the non-split families only the upper bound is available, and
+the exact operations refuse with ``UnsupportedSecancy``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from . import picard
 from .errors import InvalidArgument, InvalidSecancy, InvalidSurface, UnsupportedSecancy
-from .groups import GroupElement, check_same_group
-from .picard import DivisorClass, point_class
+from .groups import check_same_group
+from .picard import point_class
 from .surface import (
     FAMILIES,
     Decomposable,
@@ -61,37 +62,13 @@ def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
         raise InvalidSurface(f"{s!r} is not a surface model")
     if H.__class__ is not SurfaceDivisorClass:
         raise InvalidArgument(f"{H!r} is not a surface divisor class")
-    try:
-        check_same_group(s.group, H.b.group)
-        if H.m == 0:
-            return picard.h0(H.b)
-        if cls is Decomposable:
-            # The bundle splits, so the bound is attained for every m.
-            return h0_bound(s, H)
-        h0, _, _, _, _ = _row(s, H)
-    except (TypeError, AttributeError):
-        _check_fields(H)
-        raise
-    return h0
-
-
-def _check_fields(H: SurfaceDivisorClass) -> None:
-    """Refuse a system whose m is not an int, or whose b is not a divisor
-    class of an int degree and a group element.
-
-    The entries call it only after a system has failed with ``TypeError``
-    or ``AttributeError``, so a valid system pays nothing for it; an error
-    that a bad field did not cause is raised again.
-    """
-    b = H.b
-    if not isinstance(H.m, int):
-        raise InvalidArgument(f"fiber degree {H.m!r} is not an int")
-    if (
-        b.__class__ is not DivisorClass
-        or not isinstance(b.degree, int)
-        or b.abel.__class__ is not GroupElement
-    ):
-        raise InvalidArgument(f"{b!r} is not a divisor class of an int degree and a group element")
+    check_same_group(s.group, H.b.group)
+    if H.m == 0:
+        return picard.h0(H.b)
+    if cls is Decomposable:
+        # The bundle splits, so the bound is attained for every m.
+        return h0_bound(s, H)
+    return _row(s, H)[0]
 
 
 def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
@@ -171,12 +148,7 @@ def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact base-point-freeness table for m in {1, 2}."""
     if H.__class__ is not SurfaceDivisorClass:
         raise InvalidArgument(f"{H!r} is not a surface divisor class")
-    try:
-        _, _, bpf, _, _ = _row(s, H)
-    except (TypeError, AttributeError):
-        _check_fields(H)
-        raise
-    return bpf
+    return _row(s, H)[2]
 
 
 @dataclass(frozen=True)
@@ -206,11 +178,7 @@ def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:
     """
     if H.__class__ is not SurfaceDivisorClass:
         raise InvalidArgument(f"{H!r} is not a surface divisor class")
-    try:
-        h0, h1, bpf, very_ample, irreducible = _row(s, H)
-    except (TypeError, AttributeError):
-        _check_fields(H)
-        raise
+    h0, h1, bpf, very_ample, irreducible = _row(s, H)
     return SystemAnalysis(
         h0=h0,
         h1=h1,

@@ -15,16 +15,23 @@ identity ``h0 - h1 = degree`` holds for every class.
 
 from __future__ import annotations
 
+from .errors import InvalidArgument
 from .groups import CurveGroup, GroupElement
 from .values import Value
 
+#: How a field that makes no divisor class is refused.
+NOT_A_CLASS = "is not a divisor class of an int degree and a group element"
+
 
 class DivisorClass(Value):
-    """A linear-equivalence class, canonicalized as (degree, group sum)."""
+    """A linear-equivalence class, canonicalized as (degree, group sum): an
+    ``int`` (not a ``bool``) and a group element, else ``InvalidArgument``."""
 
     __slots__ = ("degree", "abel")
 
     def __init__(self, degree: int, abel: GroupElement) -> None:
+        if degree.__class__ is not int or abel.__class__ is not GroupElement:
+            raise InvalidArgument(f"({degree!r}, {abel!r}) {NOT_A_CLASS}")
         _set_degree(self, degree)
         _set_abel(self, abel)
 

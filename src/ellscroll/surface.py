@@ -24,14 +24,14 @@ symmetric-square parameterization), the pair lying on the fiber over
 from __future__ import annotations
 
 from .errors import (
-    DegenerateModel,
+    InvalidArgument,
     InvalidPointSpec,
     InvalidSecancy,
     InvalidSurface,
     NonNormalizedInput,
 )
 from .groups import GROUP_MODELS, CurveGroup, GroupElement
-from .picard import DivisorClass, point_class, trivial_class
+from .picard import NOT_A_CLASS, DivisorClass, point_class, trivial_class
 from .values import Value
 
 
@@ -43,13 +43,10 @@ class Decomposable(Value):
     def __init__(self, e_class: DivisorClass) -> None:
         if e_class.__class__ is not DivisorClass:
             raise InvalidSurface(f"{e_class!r} is not a divisor class")
-        try:
-            if e_class.degree > 0:
-                raise NonNormalizedInput(
-                    "decomposable model requires an invariant class of degree <= 0"
-                )
-        except TypeError:
-            raise InvalidSurface(f"{e_class!r} has a degree that is not an int") from None
+        if e_class.degree > 0:
+            raise NonNormalizedInput(
+                "decomposable model requires an invariant class of degree <= 0"
+            )
         _set_e_class(self, e_class)
 
     @property
@@ -129,11 +126,15 @@ FAMILIES = {cls.family(): cls for cls in (Decomposable, Indec0, IndecMinus1)}
 
 
 class SurfaceDivisorClass(Value):
-    """The class m*X0 + b*f on a surface."""
+    """The class m*X0 + b*f on a surface: an ``int`` m and a divisor class b."""
 
     __slots__ = ("m", "b")
 
     def __init__(self, m: int, b: DivisorClass) -> None:
+        if m.__class__ is not int:
+            raise InvalidArgument(f"fiber degree {m!r} is not an int")
+        if b.__class__ is not DivisorClass:
+            raise InvalidArgument(f"{b!r} {NOT_A_CLASS}")
         _set_m(self, m)
         _set_b(self, b)
 
@@ -228,18 +229,13 @@ def min_curves_through(
 def ramification_points(s: IndecMinus1, t: GroupElement) -> frozenset[GroupElement]:
     """Focal points on the fiber over ``t``: all r with 2r = t + p0.
 
-    The model must have 2-torsion of order 4; it is checked on the model,
-    not on the answer, so every fiber of a model without it is rejected.
-    No finite group is 2-divisible with nontrivial 2-torsion, so "four on
-    every fiber" is realized as "four whenever nonempty".
+    The fiber is the pencil |t + p0|, and its focal points are the {r, r}
+    in it.  Over the closure there are four; the rational ones are the
+    halvings of t + p0, on every model: none or four with 2-torsion of
+    order 4, none or two with order 2, and one with order 1.
     """
     if s.__class__ is not IndecMinus1:
         raise InvalidSurface(f"ramification points only exist on the e=-1 surface, not {s!r}")
     if t.__class__ is not GroupElement:
         raise InvalidPointSpec(f"fiber {t!r} is not a group element")
-    order = s.group.two_torsion_order()
-    if order != 4:
-        raise DegenerateModel(
-            f"group {s.group} has 2-torsion of order {order}; need 4"
-        )
     return s.group.halvings(t + s.p0)

@@ -209,11 +209,14 @@ def test_the_cli_messages_of_a_kind_a_family_lacks():
 
 
 def test_elm_refuses_what_is_not_a_point_descriptor():
-    # Not a descriptor, or a descriptor of something that is not a point.
-    for x in ("onX0", OnX0((1, 0)), Generic(point_class(P)), OnX0(None)):
+    # Not a descriptor, or a descriptor of something that is not a point,
+    # which is refused where it is built.
+    builds = (lambda: "onX0", lambda: OnX0((1, 0)), lambda: Generic(point_class(P)),
+              lambda: OnX0(None))
+    for build in builds:
         for s in (dec(1), Indec0(G)):
             with pytest.raises(InvalidPointSpec, match="not a point descriptor"):
-                elm(s, x)
+                elm(s, build())
 
 
 @pytest.mark.parametrize(

@@ -314,9 +314,9 @@ def test_system_entries_refuse_what_is_not_a_system(s):
 
 
 
-# A system whose fields are of the wrong type is refused at each entry.  The
-# entries check the fields only after the system has failed, so each case
-# below used to end in a TypeError or AttributeError.
+# A system or class whose fields are of the wrong type is refused where it is
+# built, so no entry answers for it; each case below builds it inside the call
+# that must refuse.
 SYSTEM_ENTRIES = (linsys.analyze, linsys.is_bpf, linsys.h0_surface)
 ENTRY_SURFACES = [Decomposable(DivisorClass(-1, O)), Indec0(G), IndecMinus1(P0)]
 
@@ -346,26 +346,51 @@ def test_system_entries_refuse_a_system_whose_b_is_not_a_class(s):
 @pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
 def test_system_entries_refuse_a_class_degree_that_is_not_an_int(s):
     for degree in ("3", None):
-        b = DivisorClass(degree, O)
-        refused(lambda: classify_scroll(s, b), "of an int degree")
+        refused(lambda: classify_scroll(s, DivisorClass(degree, O)), "of an int degree")
         for m in (0, 1, 2):
             for query in SYSTEM_ENTRIES:
                 if m or query is linsys.h0_surface:
-                    refused(lambda: query(s, SurfaceDivisorClass(m, b)), "of an int degree")
+                    refused(
+                        lambda: query(s, SurfaceDivisorClass(m, DivisorClass(degree, O))),
+                        "of an int degree",
+                    )
 
 
 @pytest.mark.parametrize("s", ENTRY_SURFACES, ids=lambda s: s.family())
 def test_system_entries_refuse_a_class_whose_sum_is_not_a_point(s):
     for abel in (None, "x", (0, 0)):
-        b = DivisorClass(3, abel)
-        refused(lambda: classify_scroll(s, b), "and a group element")
+        refused(lambda: classify_scroll(s, DivisorClass(3, abel)), "and a group element")
         for query in SYSTEM_ENTRIES:
-            refused(lambda: query(s, SurfaceDivisorClass(1, b)), "and a group element")
+            refused(
+                lambda: query(s, SurfaceDivisorClass(1, DivisorClass(3, abel))),
+                "and a group element",
+            )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linsys.analyze(Indec0(G), SurfaceDivisorClass(1.5, DivisorClass(3, O))),
+        lambda: classify_scroll(Indec0(G), DivisorClass(3.5, O)),
+        lambda: Decomposable(DivisorClass(-1.5, O)).e,
+        lambda: Decomposable(DivisorClass(0, None)),
+        lambda: linsys.analyze(Indec0(G), SurfaceDivisorClass(True, DivisorClass(3, O))),
+    ],
+    ids=["analyze-float-m", "classify-float-degree", "dec-float-degree", "dec-None-sum",
+         "analyze-bool-m"],
+)
+def test_a_float_bool_or_None_field_is_refused_not_answered(call):
+    # A float raises nothing on the way to an answer: unrefused, these would
+    # answer h0 = 7.5, a scroll of degree 7.0 and e = 1.5, and m = True would
+    # answer as m = 1.
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert info.value.code == "InvalidArgument"
 
 
 def test_an_error_that_no_bad_field_caused_is_raised_again(monkeypatch):
-    # The field check runs only on the failure path, and lets an error of
-    # the engine itself through unchanged.
+    # The entries catch nothing: an error of the engine itself passes through
+    # them unchanged.
     def broken(s, H):
         raise TypeError("engine fault")
 

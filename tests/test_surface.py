@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellscroll.errors import (
-    DegenerateModel,
+    InvalidArgument,
     InvalidPointSpec,
     InvalidSecancy,
     InvalidSurface,
@@ -75,9 +75,10 @@ def test_decomposable_refuses_what_is_not_a_divisor_class(value):
 
 @pytest.mark.parametrize("degree", ["-1", None, (-1,)], ids=["str", "None", "tuple"])
 def test_decomposable_refuses_a_class_whose_degree_is_not_an_int(degree):
-    with pytest.raises(InvalidSurface, match="has a degree that is not an int") as info:
+    # The class refuses its degree where it is built.
+    with pytest.raises(InvalidArgument, match="of an int degree") as info:
         Decomposable(DivisorClass(degree, G.zero()))
-    assert info.value.code == "InvalidSurface"
+    assert info.value.code == "InvalidArgument"
 
 
 @pytest.mark.parametrize(
@@ -164,24 +165,21 @@ def test_ramification_points_size_zero_or_four():
     assert ramification_points(S, G.element(1, 0)) == frozenset()
 
 
-def test_ramification_rejects_torsion_poor_model():
-    s = IndecMinus1(TorusGroup(3, 9).zero())  # doubling not 4-to-1
-    with pytest.raises(DegenerateModel):
-        ramification_points(s, s.group.zero())
-
-
 @pytest.mark.parametrize(
     "group, order",
     [(TorusGroup(2, 3), 2), (TorusGroup(3, 9), 1),
      (WeierstrassGroup(23, 1, 0), 2), (WeierstrassGroup(13, 1, 1), 2)],
     ids=str,
 )
-def test_ramification_rejects_every_fiber_of_a_torsion_poor_model(group, order):
-    # Each fiber is refused, also those whose halvings happen to be empty.
-    s = IndecMinus1(group.zero())
-    for t in group.elements():
-        with pytest.raises(DegenerateModel, match=f"of order {order}; need 4"):
-            ramification_points(s, t)
+def test_ramification_matches_a_scan_on_torsion_poor_models(group, order):
+    # With 2-torsion of order 2 a fiber has none or two focal points, with
+    # order 1 exactly one; the Weierstrass models halve by the quartic.
+    sizes = {0, 2} if order == 2 else {1}
+    for p0 in (group.zero(), group.nth(1)):
+        s = IndecMinus1(p0)
+        for t in group.elements():
+            scan = frozenset(r for r in group.elements() if r + r == t + p0)
+            assert ramification_points(s, t) == scan and len(scan) in sizes, (s, t)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ twin with the same name and fields, defined here from a literal field list
 (``GroupElement``'s twin carries its own ``__eq__`` and ``__hash__``).  On
 drawn values, the ``repr``, the hash and equality, within a class and across
 classes, must be the twin's; values are immutable, have no ``__dict__``, and
-survive ``copy``, ``deepcopy`` and ``pickle``.  The tier-1 run replays a
-fixed sample; ``ELLSCROLL_FUZZ=1`` runs the sweep on fresh examples.
+survive ``copy``, ``deepcopy`` and ``pickle``.  Each class that checks its
+fields where it is built refuses a field of another class with its coded
+error.  The tier-1 run replays a fixed sample; ``ELLSCROLL_FUZZ=1`` runs the
+sweeps on fresh examples.
 """
 
 import copy
@@ -23,6 +25,7 @@ from ellscroll.classify import NagataPlan
 from ellscroll.elmtrans import (
     ALL_RULES, WALK_TEMPLATES, ElmResult, Generic, OnX0, OnX1, Pair, WalkResult,
 )
+from ellscroll.errors import InvalidArgument, InvalidPointSpec, InvalidSurface
 from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup
 from ellscroll.picard import DivisorClass
 from ellscroll.surface import (
@@ -268,6 +271,64 @@ def test_values_behave_like_their_dataclass_twins(pair):
 def test_values_behave_like_their_dataclass_twins_sweep(pair):
     _assert_like_the_twins(pair)
     _assert_frozen_and_copyable(pair[0])
+
+
+# -- fields of another class ---------------------------------------------------
+
+#: Each value class that checks its fields where it is built: the class each
+#: field must have, and the coded error for a field of any other class.
+CHECKED = {
+    DivisorClass: ((int,), (GroupElement,), InvalidArgument),
+    SurfaceDivisorClass: ((int,), (DivisorClass,), InvalidArgument),
+    OnX0: ((GroupElement,), InvalidPointSpec),
+    OnX1: ((GroupElement,), InvalidPointSpec),
+    Generic: ((GroupElement,), InvalidPointSpec),
+    Pair: ((GroupElement,), (GroupElement,), InvalidPointSpec),
+    Decomposable: ((DivisorClass,), InvalidSurface),
+    Indec0: ((TorusGroup, WeierstrassGroup), InvalidSurface),
+    IndecMinus1: ((GroupElement,), InvalidSurface),
+}
+
+#: Fields of the wrong class that every run tries: a float, a bool (not an
+#: int here), None, a string, a tuple, and a point where an int is wanted.
+WRONG = (1.5, True, None, "3", (0, 0), TorusGroup(12, 12).element(1, 0))
+
+
+def valid_fields(cls, group):
+    point, other = group.nth(1), group.nth(group.order() - 1)
+    return {
+        DivisorClass: (3, point),
+        SurfaceDivisorClass: (1, DivisorClass(3, point)),
+        Pair: (point, other),
+        Decomposable: (DivisorClass(-1, point),),
+        Indec0: (group,),
+    }.get(cls, (point,))
+
+
+wrong_values = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=3), st.integers(),
+    st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    st.builds(lambda g: g.zero(), groups()),
+    st.sampled_from([TorusGroup(12, 12), DivisorClass(1, TorusGroup(4, 4).zero())]),
+)
+
+
+@settings(
+    max_examples=1000 if FUZZ_FRESH else 100, deadline=None, derandomize=not FUZZ_FRESH,
+    print_blob=True,
+)
+@given(st.sampled_from([TorusGroup(12, 12), WeierstrassGroup(23, -1, 0)]), wrong_values)
+def test_value_constructors_refuse_a_field_of_another_class_sweep(group, drawn):
+    for cls, (*wanted, error) in CHECKED.items():
+        fields = valid_fields(cls, group)
+        cls(*fields)  # these build, so each refusal below is the wrong field's
+        for i, classes in enumerate(wanted):
+            for value in (*WRONG, drawn):
+                if value.__class__ in classes:
+                    continue
+                with pytest.raises(error) as info:
+                    cls(*fields[:i], value, *fields[i + 1:])
+                assert info.value.code == error.__name__, (cls, i, value)
 
 
 def test_every_value_class_has_a_twin():
