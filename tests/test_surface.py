@@ -165,6 +165,15 @@ def test_ramification_points_size_zero_or_four():
     assert ramification_points(S, G.element(1, 0)) == frozenset()
 
 
+def test_ramification_answers_on_a_torsion_poor_model():
+    # Torus(3,9) has odd order, so each fiber has the one halving of t + p0.
+    g = TorusGroup(3, 9)
+    s = IndecMinus1(g.zero())
+    assert ramification_points(s, g.zero()) == frozenset({g.zero()})
+    assert ramification_points(s, g.element(1, 0)) == frozenset({g.element(2, 0)})
+    assert ramification_points(s, g.element(0, 1)) == frozenset({g.element(0, 5)})
+
+
 @pytest.mark.parametrize(
     "group, order",
     [(TorusGroup(2, 3), 2), (TorusGroup(3, 9), 1),
