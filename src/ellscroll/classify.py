@@ -3,12 +3,13 @@
 ``classify_scroll`` turns (surface, section-class b) into a structured record
 of the image scroll of the map given by ``|X0 + b*f|``: its degree, ambient
 space, singular locus, projective generation, and its families of unisecant
-curves with their linear-normality ranges.  It reads the system's row from
-``linsys._row`` once, dispatches once on the surface's class, and each
-branch assigns the row's fields; the ``X0+af`` family and the record are
-built at one exit.  The records (``ScrollModel``, ``Generation``,
-``UnisecantFamily``) are immutable named tuples, which ``classify_scroll``
-builds from every field with ``tuple.__new__``; ``to_dict`` gives the JSON form.
+curves with their linear-normality ranges.  It reads the row of |X0 + b*f|
+from ``linsys._row(s, 1, b)`` once, and the scroll's degree H.H as chi =
+h0 - h1 (Riemann-Roch at m = 1); it dispatches once on the surface's class,
+each branch assigns the row's fields, and the ``X0+af`` family and the
+record are built at one exit.  The records (``ScrollModel``, ``Generation``,
+``UnisecantFamily``) are immutable named tuples, built from every field with
+``tuple.__new__``; ``to_dict`` gives the JSON form.
 
 ``emit_table`` enumerates every scroll model living in a fixed projective
 space P^N; every row has deg b = (N + 1 + e) // 2.  ``nagata_plan`` produces the minimal sequence of elementary
@@ -34,15 +35,7 @@ from .errors import (
 )
 from .groups import GROUP_MODELS, CurveGroup, TorusGroup, default_group
 from .picard import DivisorClass, trivial_class
-from .surface import (
-    FAMILIES,
-    Decomposable,
-    Indec0,
-    IndecMinus1,
-    SurfaceDivisorClass,
-    SurfaceModel,
-    intersect,
-)
+from .surface import FAMILIES, Decomposable, Indec0, IndecMinus1, SurfaceModel
 from .values import Value
 
 
@@ -144,11 +137,12 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
     """
     if b.__class__ is not DivisorClass:
         raise InvalidArgument(f"{b!r} is not a divisor class")
-    H = SurfaceDivisorClass(1, b)
-    h0, h1, bpf, _, _ = linsys._row(s, H)
+    h0, h1, bpf, _, _ = linsys._row(s, 1, b)
     if not bpf:
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
-    e, deg_b, degree = s.e, b.degree, intersect(s, H, H)
+    # The degree is H.H.  At m = 1, K.H = -H.H on these surfaces, so
+    # Riemann-Roch gives chi = H.H, and chi is h0 - h1.
+    e, deg_b, degree = s.e, b.degree, h0 - h1
     note, trivial, map_degree, ln_max, ln_exact = None, False, 1, h0, None
     singular, generation, curves = "Empty", None, ()
     if s.__class__ is Decomposable:

@@ -33,11 +33,12 @@ A binary operation first tests whether its two operands hold the same group
 object, and calls ``check_same_group`` only when they do not: equal groups
 built apart still combine, since the CLI builds a fresh model for each line
 and the cached Weierstrass points hold the first equal model that built
-them, and unequal groups raise ``MixedGroups``.  The kernels build their
-result with ``GroupElement(self, ...)`` directly, and refuse with
-``InvalidArgument`` a scalar that is not an ``int`` and, once reading its
-group or coords has failed, an operand that is not an element; the operators
-of ``GroupElement`` only call them.
+them, and unequal groups raise ``MixedGroups``.  The models, ``element`` and
+``point`` refuse a field that is not an ``int`` with ``InvalidArgument``;
+``GroupElement(...)`` checks nothing.  The kernels build their result with it
+directly, and refuse with ``InvalidArgument`` a scalar that is not an ``int``
+and, once reading its group or coords has failed, an operand that is not an
+element; the operators of ``GroupElement`` only call them.
 """
 
 from __future__ import annotations
@@ -142,10 +143,14 @@ class TorusGroup(Value):
     ZERO_COORDS = (0, 0)
 
     def _check(self) -> None:
+        if self.m.__class__ is not int or self.n.__class__ is not int:
+            raise InvalidArgument(f"torus moduli ({self.m!r}, {self.n!r}) are not ints")
         if self.m < 1 or self.n < 1:
-            raise ValueError("torus moduli must be positive")
+            raise InvalidArgument("torus moduli must be positive")
 
     def element(self, i: int, j: int) -> GroupElement:
+        if i.__class__ is not int or j.__class__ is not int:
+            raise InvalidArgument(f"coordinates ({i!r}, {j!r}) are not ints")
         return GroupElement(self, (i % self.m, j % self.n))
 
     def zero(self) -> GroupElement:
@@ -202,11 +207,8 @@ class TorusGroup(Value):
         if s.__class__ is not GroupElement:
             raise InvalidPointSpec(f"{s!r} is not a group element")
         check_same_group(s.group, self)
-        out = []
-        for i in _half_residues(s.coords[0], self.m):
-            for j in _half_residues(s.coords[1], self.n):
-                out.append(self.element(i, j))
-        return frozenset(out)
+        rows, cols = _half_residues(s.coords[0], self.m), _half_residues(s.coords[1], self.n)
+        return frozenset([GroupElement(self, (i, j)) for i in rows for j in cols])
 
     def __str__(self) -> str:
         return f"Torus({self.m},{self.n})"
@@ -243,20 +245,24 @@ class WeierstrassGroup(Value):
 
     def _check(self) -> None:
         p, a, b = self.p, self.a, self.b
+        if p.__class__ is not int or a.__class__ is not int or b.__class__ is not int:
+            raise InvalidArgument(f"curve fields ({p!r}, {a!r}, {b!r}) are not ints")
         if p > PRIME_CAP:
-            raise ValueError(f"field size {p} exceeds cap {PRIME_CAP}")
+            raise InvalidArgument(f"field size {p} exceeds cap {PRIME_CAP}")
         if p < 3 or not _is_prime(p):
-            raise ValueError(f"{p} is not a small odd prime")
+            raise InvalidArgument(f"{p} is not a small odd prime")
         if (4 * a**3 + 27 * b**2) % p == 0:
-            raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
+            raise InvalidArgument("singular curve: 4a^3 + 27b^2 = 0 mod p")
 
     def zero(self) -> GroupElement:
         return GroupElement(self, self.ZERO_COORDS)
 
     def point(self, x: int, y: int) -> GroupElement:
+        if x.__class__ is not int or y.__class__ is not int:
+            raise InvalidArgument(f"coordinates ({x!r}, {y!r}) are not ints")
         x, y = x % self.p, y % self.p
         if (y * y - (x**3 + self.a * x + self.b)) % self.p != 0:
-            raise ValueError(f"({x},{y}) is not on the curve")
+            raise InvalidArgument(f"({x},{y}) is not on the curve")
         return GroupElement(self, (x, y))
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -423,6 +429,7 @@ def _quartic_halvings(group: WeierstrassGroup, s: GroupElement) -> frozenset[Gro
     return frozenset(out)
 
 
+@lru_cache(maxsize=64)  # the CLI builds a model for every line
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3,474,749,660,383."""
     for q in _MR_BASES:

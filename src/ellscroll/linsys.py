@@ -3,13 +3,14 @@
 For fiber degree m in {1, 2} the engine knows exact section counts and exact
 base-point-free / very-ample / generic-irreducibility truth tables, with all
 torsion side conditions decided by divisor-class equality in the finite group
-model.  They form one table, ``_row``: it dispatches once on the surface's
-class, then branches on m, and returns a plain tuple; ``is_bpf``,
-``analyze`` and ``classify.classify_scroll`` read it.  Its last branch
-refuses a value that is not a surface model with ``InvalidSurface``.  An
-entry refuses a system that is not a ``SurfaceDivisorClass``, whose fields
-were checked when it was built.  Split section counts come from one formula,
-``h0_bound``.  For m >= 3 the split formula stays exact on decomposable
+model.  They form one table, ``_row(s, m, b)``: it dispatches once on the
+surface's class, then branches on m, and returns a plain tuple; ``is_bpf``,
+``analyze`` and ``h0_surface`` pass it ``H.m, H.b``, ``classify_scroll``
+``1, b``.  Its last branch refuses a value that is not a surface model with
+``InvalidSurface``.  An entry refuses a system that is not a
+``SurfaceDivisorClass``, whose fields were checked when it was built.  The
+formulas ``h0_bound(s, m, b)`` and ``euler_characteristic(m, deg_b, e)``
+take plain values.  For m >= 3 the split formula stays exact on decomposable
 surfaces; on the non-split families only the upper bound is available, and
 the exact operations refuse with ``UnsupportedSecancy``.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from . import picard
 from .errors import InvalidArgument, InvalidSecancy, InvalidSurface, UnsupportedSecancy
 from .groups import check_same_group
-from .picard import point_class
+from .picard import DivisorClass, point_class
 from .surface import (
     FAMILIES,
     Decomposable,
@@ -34,24 +35,24 @@ from .surface import (
 )
 
 
-def h0_bound(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
+def h0_bound(s: SurfaceModel, m: int, b: DivisorClass) -> int:
     """Upper bound: sum of the base-curve section counts of b + k*e_class.
 
     Exact on decomposable surfaces, and exact everywhere when all of
     b, ..., b + (m-1)*e_class are nonspecial.
     """
-    if H.m < 0:
+    if m < 0:
         raise InvalidSecancy("negative fiber degree")
-    total, b, degree, e = 0, H.b, H.b.degree, s.e
-    for k in range(H.m + 1):
+    total, degree, E = 0, b.degree, s.e_class
+    for k in range(m + 1):
         # A class of positive degree d has d sections and one of negative
         # degree none; only a class of degree 0 is built, to test whether
         # it is trivial.
         if degree > 0:
             total += degree
         elif not degree:
-            total += picard.h0(b + k * s.e_class)
-        degree -= e
+            total += picard.h0(b + k * E)
+        degree += E.degree
     return total
 
 
@@ -67,17 +68,16 @@ def h0_surface(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
         return picard.h0(H.b)
     if cls is Decomposable:
         # The bundle splits, so the bound is attained for every m.
-        return h0_bound(s, H)
-    return _row(s, H)[0]
+        return h0_bound(s, H.m, H.b)
+    return _row(s, H.m, H.b)[0]
 
 
-def euler_characteristic(s: SurfaceModel, H: SurfaceDivisorClass) -> int:
-    """chi of the system's sheaf (Riemann-Roch on the surface, chi(O) = 0)."""
-    m = H.m
-    return (m + 1) * (2 * H.b.degree - m * s.e) // 2
+def euler_characteristic(m: int, deg_b: int, e: int) -> int:
+    """chi of ``m*X0 + b*f`` on a surface of invariant e (Riemann-Roch, chi(O) = 0)."""
+    return (m + 1) * (2 * deg_b - m * e) // 2
 
 
-def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool, bool]:
+def _row(s: SurfaceModel, m: int, b: DivisorClass) -> tuple[int, int, bool, bool, bool]:
     """The closed-form row of ``|m*X0 + b*f|``: one branch per family, then
     one per m.  A row is the plain tuple (h0, h1, bpf, very_ample,
     irreducible); the analysis record names the fields.
@@ -86,7 +86,6 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
     they guard, which cost group arithmetic.  A value of no family is
     refused by the last branch, so the three families pay nothing for it.
     """
-    m, b = H.m, H.b
     if m < 1:
         raise InvalidSecancy("systems with m < 1 are not analyzed")
     cls, group, deg_b = s.__class__, b.abel.group, b.degree
@@ -100,7 +99,7 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
         if m > 2:
             raise UnsupportedSecancy(f"no closed form for the predicates at m={m}")
         e = -E.degree  # s.e, without the property call
-        h0 = h0_bound(s, H)
+        h0 = h0_bound(s, m, b)
         if m == 1 and not e and E.is_trivial():
             bpf = irreducible = deg_b >= 2 or b.is_trivial()
         elif m == 1:
@@ -141,14 +140,14 @@ def _row(s: SurfaceModel, H: SurfaceDivisorClass) -> tuple[int, int, bool, bool,
         raise InvalidSurface(f"{s!r} is not a surface model")
     # With the exact h0 in hand, the index theorem pins down h1 (the second
     # cohomology vanishes for m >= 1).
-    return h0, h0 - euler_characteristic(s, H), bpf, deg_b >= m * e + 3, irreducible
+    return h0, h0 - euler_characteristic(m, deg_b, e), bpf, deg_b >= m * e + 3, irreducible
 
 
 def is_bpf(s: SurfaceModel, H: SurfaceDivisorClass) -> bool:
     """Exact base-point-freeness table for m in {1, 2}."""
     if H.__class__ is not SurfaceDivisorClass:
         raise InvalidArgument(f"{H!r} is not a surface divisor class")
-    return _row(s, H)[2]
+    return _row(s, H.m, H.b)[2]
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def analyze(s: SurfaceModel, H: SurfaceDivisorClass) -> SystemAnalysis:
     """
     if H.__class__ is not SurfaceDivisorClass:
         raise InvalidArgument(f"{H!r} is not a surface divisor class")
-    h0, h1, bpf, very_ample, irreducible = _row(s, H)
+    h0, h1, bpf, very_ample, irreducible = _row(s, H.m, H.b)
     return SystemAnalysis(
         h0=h0,
         h1=h1,

@@ -157,7 +157,7 @@ def test_criterion_2_h0_sweep():
                     H = SurfaceDivisorClass(1, b)
                     if deg_b >= e + 2:
                         assert linsys.h0_surface(s, H) == 2 * deg_b - e
-                    bound = linsys.h0_bound(s, H)
+                    bound = linsys.h0_bound(s, H.m, H.b)
                     assert linsys.h0_surface(s, H) <= bound
             ind0 = Indec0(G)
             H2 = SurfaceDivisorClass(2, b)
@@ -168,9 +168,9 @@ def test_criterion_2_h0_sweep():
                 assert linsys.h0_surface(indm1, H2) == 3 * deg_b + 3
             for s in (ind0, indm1):
                 exact = linsys.h0_surface(s, H2)
-                assert exact <= linsys.h0_bound(s, H2)
+                assert exact <= linsys.h0_bound(s, H2.m, H2.b)
                 if all((b + k * s.e_class).degree >= 1 for k in range(3)):
-                    assert exact == linsys.h0_bound(s, H2)
+                    assert exact == linsys.h0_bound(s, H2.m, H2.b)
         # Degree -1 exceptional classes on the e = -1 surface.
         ones = [
             g for g in G.elements()

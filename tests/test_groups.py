@@ -248,6 +248,46 @@ def test_weierstrass_accepts_primes_up_to_the_cap():
         WeierstrassGroup(PRIME_CAP + 39, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: TorusGroup(0, 12), "torus moduli must be positive"),
+        (lambda: WeierstrassGroup(PRIME_CAP + 39, 1, 1), "exceeds cap"),
+        (lambda: WeierstrassGroup(15, 2, 3), "not a small odd prime"),
+        (lambda: WeierstrassGroup(13, 0, 0), "singular curve"),
+        (lambda: WeierstrassGroup(23, -1, 0).point(1, 1), "is not on the curve"),
+    ],
+    ids=["torus-moduli", "cap", "composite", "singular", "off-curve"],
+)
+def test_group_refusals_carry_the_invalid_argument_code(call, text):
+    # A ValueError still, so the CLI reports each with its old text.
+    with pytest.raises(InvalidArgument, match=text) as info:
+        call()
+    assert info.value.code == "InvalidArgument"
+
+
+#: Each group constructor and coordinate reader, with int fields that make a
+#: value; the sweep puts a value of another class in each field in turn.
+GROUP_FIELD_CALLS = {
+    "TorusGroup": (TorusGroup, (12, 12)),
+    "WeierstrassGroup": (WeierstrassGroup, (23, -1, 0)),
+    "element": (G.element, (1, 2)),
+    "point": (WeierstrassGroup(23, -1, 0).point, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "3"], ids=repr)
+@pytest.mark.parametrize("name", GROUP_FIELD_CALLS)
+def test_group_fields_refuse_a_value_of_another_class_sweep(name, bad):
+    # Unrefused, element(1.5, 2) built a float point that the kernels added
+    # and halved without complaint, and TorusGroup(True, 2) had order 2.
+    call, fields = GROUP_FIELD_CALLS[name]
+    call(*fields)
+    for i in range(len(fields)):
+        with pytest.raises(InvalidArgument, match="not ints"):
+            call(*fields[:i], bad, *fields[i + 1:])
+
+
 def test_weierstrass_halvings_consistent():
     for s in W.elements():
         for h in W.halvings(s):

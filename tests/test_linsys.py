@@ -17,13 +17,14 @@ from ellscroll.errors import (
     MixedGroups,
     UnsupportedSecancy,
 )
-from ellscroll.groups import TorusGroup, default_group
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, h1, point_class, trivial_class
 from ellscroll.surface import (
     Decomposable,
     Indec0,
     IndecMinus1,
     SurfaceDivisorClass,
+    intersect,
 )
 
 G = default_group()
@@ -194,7 +195,7 @@ def test_h0_bound_dominates_and_nonspecial_equality():
             exact = linsys.h0_surface(s, H)
         except UnsupportedSecancy:
             continue
-        bound = linsys.h0_bound(s, H)
+        bound = linsys.h0_bound(s, H.m, H.b)
         assert exact <= bound
         nonspecial = all(
             (H.b + k * s.e_class).degree >= 1 for k in range(H.m + 1)
@@ -391,7 +392,7 @@ def test_a_float_bool_or_None_field_is_refused_not_answered(call):
 def test_an_error_that_no_bad_field_caused_is_raised_again(monkeypatch):
     # The entries catch nothing: an error of the engine itself passes through
     # them unchanged.
-    def broken(s, H):
+    def broken(*args):
         raise TypeError("engine fault")
 
     monkeypatch.setattr(linsys, "_row", broken)
@@ -412,6 +413,29 @@ abels = st.builds(G.element, st.integers(0, 11), st.integers(0, 11))
 def test_euler_characteristic_additive_in_b(m, deg_b, a1, a2):
     s = Decomposable(DivisorClass(-2, a1))
     H = SurfaceDivisorClass(m, DivisorClass(deg_b, a2))
-    chi = linsys.euler_characteristic(s, H)
+    chi = linsys.euler_characteristic(H.m, H.b.degree, s.e)
     shifted = SurfaceDivisorClass(m, H.b + point_class(G.element(1, 1)))
-    assert linsys.euler_characteristic(s, shifted) == chi + (m + 1)
+    assert linsys.euler_characteristic(m, shifted.b.degree, s.e) == chi + (m + 1)
+
+
+@st.composite
+def grid_systems(draw):
+    """A surface of the criterion-3 grid (e in [-1, 8]) and a fiber-degree-1
+    class with deg b in [-3, 14], on Torus(12,12) or Weierstrass(23,-1,0)."""
+    group = draw(st.sampled_from((G, WeierstrassGroup(23, -1, 0))))
+    points = st.sampled_from(group.elements())
+    e = draw(st.integers(-1, 8))
+    if e == -1:
+        s = IndecMinus1(draw(points))
+    elif e == 0 and draw(st.booleans()):
+        s = Indec0(group)
+    else:
+        s = Decomposable(DivisorClass(-e, draw(points)))
+    return s, SurfaceDivisorClass(1, DivisorClass(draw(st.integers(-3, 14)), draw(points)))
+
+
+@given(grid_systems())
+def test_chi_at_fiber_degree_one_is_the_self_intersection(case):
+    # classify_scroll reads a scroll's degree H.H as h0 - h1, which is chi.
+    s, H = case
+    assert linsys.euler_characteristic(1, H.b.degree, s.e) == intersect(s, H, H)
