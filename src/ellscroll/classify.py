@@ -21,7 +21,8 @@ exactly 1, on every transformation it makes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from functools import partial
 from typing import NamedTuple
 
 from . import linsys
@@ -199,10 +200,10 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
 # Tables
 
 
-def _group(group: CurveGroup | None, default: CurveGroup) -> CurveGroup:
-    """``group``, or ``default`` for None; refuses what is not a group model."""
+def _group(group: CurveGroup | None, default: Callable[[], CurveGroup]) -> CurveGroup:
+    """``group``, or ``default()`` for None; refuses what is not a group model."""
     if group is None:
-        return default
+        return default()
     if group.__class__ not in GROUP_MODELS:
         raise InvalidArgument(f"{group!r} is not a group model")
     return group
@@ -224,11 +225,11 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     nonspecial hyperplane class satisfy e = N+1 (mod 2); the cone row
     (speciality 1) always closes the table.
     """
-    if not isinstance(N, int):
+    if N.__class__ is not int:
         raise InvalidArgument(f"N {N!r} is not an int")
     if N < 3:
         raise InvalidArgument("tables are emitted for N >= 3")
-    group = _group(group, default_group())
+    group = _group(group, default_group)
     # Every class of the table sums to the identity but one, so the
     # identity is built once per table.  Each row has deg b = (N + 1 + e) // 2.
     zero = group.zero()
@@ -304,6 +305,12 @@ class NagataPlan(Value):
 
     __slots__ = ("target", "target_e", "steps", "length")  # target: a word of FAMILIES
 
+    def __init__(self, target: str, target_e: int, steps: tuple, length: int) -> None:
+        _set_target(self, target)
+        _set_target_e(self, target_e)
+        _set_steps(self, steps)
+        _set_length(self, length)
+
     def to_dict(self) -> dict:
         return {
             "target": self.target,
@@ -313,18 +320,22 @@ class NagataPlan(Value):
         }
 
 
+_set_target, _set_target_e, _set_steps, _set_length = NagataPlan._setters
+
+
 def product_surface(group: CurveGroup) -> Decomposable:
     """The starting surface of every plan (trivial invariant class)."""
     return Decomposable(trivial_class(group))
 
 
 def _target_e(target: str, e: int | None) -> int:
-    """The invariant e of a plan target; refuses an e that is not an int, an
-    unknown target, a non-split one with an e not its own, and a split one
-    without an invariant e >= 0."""
-    if e is not None and not isinstance(e, int):
+    """The invariant e of a plan target; refuses an e that is not an int (a
+    ``bool`` is not), an unknown target (one that is not a ``str`` too), a
+    non-split one with an e not its own, and a split one without an
+    invariant e >= 0."""
+    if e is not None and e.__class__ is not int:
         raise InvalidArgument(f"e {e!r} is not an int")
-    family = FAMILIES.get(target)
+    family = FAMILIES.get(target) if target.__class__ is str else None
     if family is None:
         raise UnreachableTarget(f"unknown target {target!r}")
     if family is not Decomposable:
@@ -348,7 +359,7 @@ def nagata_plan(
     generic points).
     """
     e = _target_e(target, e)
-    group = _group(group, default_group())
+    group = _group(group, default_group)
     order = _order_at_least(group, 5)
     # Three pairwise distinct base points with distinct differences.
     p1, p2, p3 = group.nth(1), group.nth(2), group.nth(4)
@@ -367,8 +378,11 @@ def nagata_plan(
 
 
 def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:
-    """Execute the plan from the product surface and check the target family."""
-    result = walk(product_surface(_group(group, default_group())), plan.steps)
+    """Execute the plan from the product surface and check the target family;
+    refuses a plan that is not a ``NagataPlan``."""
+    if plan.__class__ is not NagataPlan:
+        raise InvalidArgument(f"{plan!r} is not a plan")
+    result = walk(product_surface(_group(group, default_group)), plan.steps)
     return matches_target(result.trajectory[-1], plan.target, plan.target_e)
 
 
@@ -395,6 +409,10 @@ def _all_specs(model: SurfaceModel, elements: tuple) -> Iterator[PointSpec]:
             yield kind(p)
 
 
+#: The search's default model; ``minimality_check`` builds it for a call with no group.
+_search_group = partial(TorusGroup, 4, 4)
+
+
 def minimality_check(
     target: str,
     e: int | None = None,
@@ -416,13 +434,14 @@ def minimality_check(
     farther from the target than the transformations it has left.  It
     checks the premise on every transformation it makes and raises
     ``EngineError`` when a rule breaks it.  Nothing is kept between calls.
+    The default model, Torus(4,4), is built only when no group is given.
     """
-    if not isinstance(max_len, int):
+    if max_len.__class__ is not int:
         raise InvalidArgument(f"max_len {max_len!r} is not an int")
     if max_len > 4:
         raise InvalidArgument("exhaustive search is desk-scale: max_len <= 4")
     target_e = _target_e(target, e)
-    group = _group(group, TorusGroup(4, 4))
+    group = _group(group, _search_group)
     start = product_surface(group)
     if matches_target(start, target, target_e):
         return 0

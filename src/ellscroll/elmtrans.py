@@ -204,7 +204,16 @@ ALL_RULES = (
 
 
 class WalkResult(Value):
+    """The models a walk passed through, from its start, and its transformations."""
+
     __slots__ = ("trajectory", "steps")
+
+    def __init__(self, trajectory: tuple, steps: tuple) -> None:
+        _set_trajectory(self, trajectory)
+        _set_steps(self, steps)
+
+
+_set_trajectory, _set_steps = WalkResult._setters
 
 
 #: The point kind each template word names; ``"random"`` draws from ``POINT_KINDS``.
@@ -278,14 +287,16 @@ def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
     """
     if s0.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{s0!r} is not a surface model")
-    # A set or mapping would walk in hash order, which changes between processes.
-    if isinstance(templates, (str, bytes, Set, Mapping)):
-        raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps")
-    try:
-        templates = iter(templates)
-    except TypeError:
-        raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps") from None
-    if not isinstance(rng_seed, int):
+    # A set or mapping would walk in hash order, which changes between
+    # processes.  A list or tuple, the common case, skips the ABC checks.
+    if templates.__class__ not in (tuple, list):
+        if isinstance(templates, (str, bytes, Set, Mapping)):
+            raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps")
+        try:
+            templates = iter(templates)
+        except TypeError:
+            raise InvalidPointSpec(f"{templates!r} is not a sequence of walk steps") from None
+    if rng_seed.__class__ is not int:
         raise InvalidArgument(f"rng_seed {rng_seed!r} is not an int")
     trajectory = [s0]
     steps = []

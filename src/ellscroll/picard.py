@@ -35,6 +35,11 @@ class DivisorClass(Value):
         _set_degree(self, degree)
         _set_abel(self, abel)
 
+    # The value ``Value.__hash__`` gives, hash((degree, abel)), in one frame:
+    # an element hashes as its coords.
+    def __hash__(self) -> int:
+        return hash((self.degree, self.abel.coords))
+
     @property
     def group(self) -> CurveGroup:
         return self.abel.group

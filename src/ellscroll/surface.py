@@ -10,8 +10,10 @@ normalization there are three families, distinguished by the invariant class
 * ``IndecMinus1`` -- the non-split bundle with invariant class a single
   point ``p0`` (degree +1, so e = -1).
 
-Each model reads its invariant as ``s.e`` and its family word as
-``s.family()``; ``FAMILIES`` maps each word to its class.
+Each model reads its invariant as ``s.e``, its family word as
+``s.family()`` and its group as ``s.group``, a property built on
+``attrgetter`` that runs no Python frame (``elm`` reads it on every
+transformation); ``FAMILIES`` maps each word to its class.
 
 Divisor classes on a surface are written ``m*X0 + b*f``: ``m`` counts
 intersections with a fiber, ``b`` is a divisor class pulled back from the
@@ -22,6 +24,8 @@ symmetric-square parameterization), the pair lying on the fiber over
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .errors import (
     InvalidArgument,
@@ -49,9 +53,7 @@ class Decomposable(Value):
             )
         _set_e_class(self, e_class)
 
-    @property
-    def group(self) -> CurveGroup:
-        return self.e_class.abel.group
+    group = property(attrgetter("e_class.abel.group"))
 
     @property
     def e(self) -> int:
@@ -77,9 +79,7 @@ class Indec0(Value):
             raise InvalidSurface(f"{base!r} is not a group model")
         _set_base(self, base)
 
-    @property
-    def group(self) -> CurveGroup:
-        return self.base
+    group = property(attrgetter("base"))
 
     @property
     def e_class(self) -> DivisorClass:
@@ -105,9 +105,7 @@ class IndecMinus1(Value):
             raise InvalidSurface(f"{p0!r} is not a group element")
         _set_p0(self, p0)
 
-    @property
-    def group(self) -> CurveGroup:
-        return self.p0.group
+    group = property(attrgetter("p0.group"))
 
     @property
     def e_class(self) -> DivisorClass:

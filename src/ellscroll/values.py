@@ -1,9 +1,14 @@
 """Immutable engine values.  A ``Value`` names its fields in ``__slots__`` and
 has, with no code generated per class, the equality, hash, ``repr``, frozenness
 and pickling of a frozen dataclass.  Its ``__init__`` takes the fields by position
-or keyword, then runs ``_check``.  A hot class writes its own ``__init__``, which
-calls its slot setters, bound once at module level from ``_setters`` (for example
-``_set_group, _set_coords = GroupElement._setters``), so a field costs no lookup.
+or keyword, then runs ``_check``.  The rule for which ``__init__`` a class has: a
+value built on every call of an entry (an element, a class, a model, a point, an
+``ElmResult``, a ``WalkResult``, a ``NagataPlan``) writes its own, which checks
+what it must inline and calls its slot setters, bound once at module level from
+``_setters`` (for example ``_set_group, _set_coords = GroupElement._setters``),
+so a field costs no lookup.  The group models and the CLI's commands, built once
+per model or command line, keep the generic one and check in ``_check`` (``Options``
+and ``Nagata``, which have default fields, write their own).
 A class of one field that inherits ``Value``'s equality and hash gets a hash of
 one frame, ``hash((field,))``, the same value as ``Value.__hash__`` gives."""
 

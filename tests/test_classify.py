@@ -427,8 +427,9 @@ def test_minimality_by_exhaustive_search():
 
 def test_argument_bounds_raise_a_coded_error():
     calls = [lambda: emit_table(2), lambda: minimality_check("dec", 9, max_len=9)]
-    # An N, e or max_len that is not an int; None is the default of e.
-    for value in ("3", 3.0, None):
+    # An N, e or max_len that is not an int (a bool is not one); None is
+    # the default of e.
+    for value in ("3", 3.0, None, True):
         calls += [
             lambda value=value: emit_table(value),
             lambda value=value: minimality_check("dec", 1, max_len=value),
@@ -464,6 +465,36 @@ def test_a_group_argument_that_is_not_a_group_model_is_refused():
         nagata_plan("bogus", None, "x")
     with pytest.raises(UnreachableTarget, match="unknown target"):
         minimality_check("bogus", group="x")
+
+
+def test_a_target_that_is_not_a_str_is_unknown():
+    # Refused as unknown before the group is read: a group too small for any
+    # plan, or not a group model at all, would raise another error.
+    for target in ([], None, 1, ("dec",)):
+        for check in (nagata_plan, minimality_check):
+            for group in (None, TorusGroup(2, 2), "x"):
+                with pytest.raises(UnreachableTarget, match="unknown target") as info:
+                    check(target, 2, group=group)
+                assert info.value.code == "UnreachableTarget"
+
+
+def test_verify_plan_refuses_what_is_not_a_plan():
+    steps = nagata_plan("ind0").steps
+    for plan in ("x", None, steps, classify.NagataPlan):
+        with pytest.raises(InvalidArgument, match="is not a plan") as info:
+            verify_plan(plan)
+        assert info.value.code == "InvalidArgument"
+
+
+def test_search_builds_its_default_group_only_when_given_none(monkeypatch):
+    built, W, torus = [], WeierstrassGroup(23, -1, 0), TorusGroup(4, 4)
+    check = TorusGroup._check
+    monkeypatch.setattr(TorusGroup, "_check", lambda self: built.append(self) or check(self))
+    assert minimality_check("dec", 1, 2, W) == 1
+    assert built == []
+    # With no group, one Torus(4,4) is built, and the search answers on it.
+    assert minimality_check("dec", 1) == 1
+    assert built == [torus]
 
 
 def test_minimality_unreachable_within_budget():

@@ -242,9 +242,10 @@ def test_elm_refuses_what_is_not_a_surface_model(s):
     [
         (None, 0), (5, 0), (OnX0(O), 0), ("random", 0), (b"random", 0),
         (["bogus"], [1]), (["bogus"], None), (["bogus"], 1.0), (["bogus"], "1"),
+        (["bogus"], True),
     ],
     ids=["None", "int", "point", "str", "bytes", "seed-list", "seed-None", "seed-float",
-         "seed-str"],
+         "seed-str", "seed-bool"],
 )
 def test_walk_refuses_steps_that_are_not_a_sequence(templates, rng_seed):
     # Refused before any step: the step "bogus" would raise another message.
