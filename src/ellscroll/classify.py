@@ -81,8 +81,21 @@ class UnisecantFamily(NamedTuple):
     note: str | None = None
 
     def to_dict(self) -> dict:
-        """The fields that are set, in field order."""
-        return {k: v for k, v in zip(self._fields, self) if v is not None}
+        """The fields that are set, in field order; written out, as
+        ``ScrollModel.to_dict`` is, for the two or three families of each row."""
+        system, min_deg_a, degree_offset, ln_max_degree, ln_exact_degree, note = self
+        out = {} if system is None else {"system": system}
+        if min_deg_a is not None:
+            out["min_deg_a"] = min_deg_a
+        if degree_offset is not None:
+            out["degree_offset"] = degree_offset
+        if ln_max_degree is not None:
+            out["ln_max_degree"] = ln_max_degree
+        if ln_exact_degree is not None:
+            out["ln_exact_degree"] = ln_exact_degree
+        if note is not None:
+            out["note"] = note
+        return out
 
 
 class ScrollModel(NamedTuple):

@@ -639,7 +639,8 @@ def _render_text(payload: dict | str) -> str:
 
 def _render_json(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for dicts keyed by str, lists, str, int,
-    True, False and None, each of exactly that type; anything else is a TypeError."""
+    True, False and None, each of exactly that type; anything else is a TypeError.
+    A list or dict writes its leaves in place, with no call per leaf."""
     cls = value.__class__
     if cls is str:
         return encode_basestring_ascii(value)
@@ -648,12 +649,30 @@ def _render_json(value, newline: str = "\n") -> str:
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     inner = newline + "  "
+    items = []
     if cls is list:
-        items = [_render_json(v, inner) for v in value]
+        for v in value:
+            c = v.__class__
+            if c is str:
+                items.append(encode_basestring_ascii(v))
+            elif c is int:
+                items.append(int.__repr__(v))
+            elif v is None or v is True or v is False:
+                items.append("null" if v is None else "true" if v else "false")
+            else:
+                items.append(_render_json(v, inner))
     elif cls is dict:
-        items = [
-            f"{encode_basestring_ascii(k)}: {_render_json(v, inner)}" for k, v in value.items()
-        ]
+        for k, v in value.items():
+            c = v.__class__
+            if c is str:
+                text = encode_basestring_ascii(v)
+            elif c is int:
+                text = int.__repr__(v)
+            elif v is None or v is True or v is False:
+                text = "null" if v is None else "true" if v else "false"
+            else:
+                text = _render_json(v, inner)
+            items.append(f"{encode_basestring_ascii(k)}: {text}")
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     brackets = "[]" if cls is list else "{}"

@@ -21,10 +21,16 @@ A point descriptor refuses, when it is built, a point that is not a group
 element with ``InvalidPointSpec``.  ``POINT_KINDS`` lists the point kinds of
 each family.  ``elm`` and the CLI refuse a kind the family lacks with
 ``check_point_kind``, a walk template draws from it, and the minimality
-search enumerates it.  A walk binds its group, order and random source once,
-to one resolver for all its steps.  The resolver makes the ``getrandbits``
-calls of ``rng.choice`` and ``rng.randrange``, so a seed gives the walk they
-would give.
+search enumerates it.  ``elm`` also refuses a point of another group, then
+calls its family's rule on the descriptor's rule inputs.
+
+A walk binds its group, order and random source once, to one resolver for
+all its steps.  The resolver makes the ``getrandbits`` calls of
+``rng.choice`` and ``rng.randrange``, so a seed gives the walk they would
+give.  It returns rule inputs, and a word step goes from the draw straight
+to the rule, without ``elm``'s two checks: the draw proves them, since the
+kind comes from the family's ``POINT_KINDS`` and the point from the start
+model's group, which every model of the walk lies on.
 """
 
 from __future__ import annotations
@@ -82,10 +88,14 @@ class Pair(Value):
     def __init__(self, q: GroupElement, r: GroupElement) -> None:
         if q.__class__ is not GroupElement or r.__class__ is not GroupElement:
             raise InvalidPointSpec(f"Pair(q={q!r}, r={r!r}) is not a point descriptor")
-        # Normalize so that {q, r} == {r, q}.
-        swap = q.sort_key() > r.sort_key()
-        _set_pair_q(self, r if swap else q)
-        _set_pair_r(self, q if swap else r)
+        q, r = _unordered(q, r)
+        _set_pair_q(self, q)
+        _set_pair_r(self, r)
+
+
+def _unordered(q: GroupElement, r: GroupElement) -> tuple[GroupElement, GroupElement]:
+    # Normalize so that {q, r} == {r, q}.
+    return (r, q) if q.sort_key() > r.sort_key() else (q, r)
 
 
 _set_pair_q, _set_pair_r = Pair._setters
@@ -134,60 +144,69 @@ _set_model, _set_y0_note, _set_rule = ElmResult._setters
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
     """Apply one elementary transformation at the described point."""
-    if x.__class__ not in POINT_KINDS.get(s.__class__, ()):
+    kind = x.__class__
+    if kind not in POINT_KINDS.get(s.__class__, ()):
         check_point_kind(s, x)
     # Several rules build the result from the point alone, and would answer
     # on the point's group.  A pair's second point is checked by its rule:
     # one from another group never equals the first, and the split rule
     # subtracts the two.
-    point = x.q if x.__class__ is Pair else x.P
+    if kind is Pair:
+        point, r = x.q, x.r
+    else:
+        point, r = x.P, None
     if point.group is not s.group:
         check_same_group(s.group, point.group)
-    return _RULES[s.__class__](s, x)
+    return _RULES[s.__class__](s, kind, point, r)
 
 
-def _elm_dec(s: Decomposable, x: PointSpec) -> ElmResult:
+def _elm_dec(s: Decomposable, kind: type, P: GroupElement, r: None) -> ElmResult:
     degree, abel = s.e_class.degree, s.e_class.abel  # e = -degree
-    P = x.P
+    group = abel.group
     if not degree and abel.is_zero():
         # One formula for every point: the transform splits again.
         return ElmResult(Decomposable(DivisorClass(-1, -P)), "X0prime", "dec_trivial_any")
-    if x.__class__ is OnX0:
+    if kind is OnX0:
         rule = "dec_onX0_epos" if degree else "dec_e0_onX0"
-        return ElmResult(Decomposable(DivisorClass(degree - 1, abel - P)), "X0prime", rule)
-    total = abel + P
+        new_e = DivisorClass(degree - 1, group.sub(abel, P))
+        return ElmResult(Decomposable(new_e), "X0prime", rule)
+    total = group.add(abel, P)
     if degree < -1:
-        new_e = DivisorClass(degree + 1, total)
-        return ElmResult(Decomposable(new_e), "X0prime", "dec_e2_offX0")
+        return ElmResult(Decomposable(DivisorClass(degree + 1, total)), "X0prime", "dec_e2_offX0")
     if degree:  # e == 1: the class is -P exactly when ``total`` is zero.
-        if x.__class__ is Generic and total.is_zero():
+        if kind is Generic and total.is_zero():
             # Generic point over the single base point of -e_class: the
             # transform no longer splits but keeps a trivial invariant class.
-            return ElmResult(Indec0(abel.group), "X0prime", "dec_e1_gen_torsion")
+            return ElmResult(Indec0(group), "X0prime", "dec_e1_gen_torsion")
         rule = "dec_e1_onX1_torsion" if total.is_zero() else "dec_e1_offX0_plain"
         return ElmResult(Decomposable(DivisorClass(0, total)), "X0prime", rule)
     # e == 0 with a nontrivial invariant class.
-    if x.__class__ is OnX1:
+    if kind is OnX1:
         return ElmResult(Decomposable(DivisorClass(-1, -total)), "X1prime", "dec_e0_onX1")
     return ElmResult(IndecMinus1(total), "X0prime", "dec_e0_gen")
 
 
-def _elm_ind0(s: Indec0, x: PointSpec) -> ElmResult:
-    if x.__class__ is OnX0:
-        return ElmResult(Decomposable(DivisorClass(-1, -x.P)), "X0prime", "ind0_onX0")
-    return ElmResult(IndecMinus1(x.P), "X0prime", "ind0_gen")
+def _elm_ind0(s: Indec0, kind: type, P: GroupElement, r: None) -> ElmResult:
+    if kind is OnX0:
+        return ElmResult(Decomposable(DivisorClass(-1, -P)), "X0prime", "ind0_onX0")
+    return ElmResult(IndecMinus1(P), "X0prime", "ind0_gen")
 
 
-def _elm_indm1(s: IndecMinus1, x: PointSpec) -> ElmResult:
-    if x.q == x.r:
+def _elm_indm1(s: IndecMinus1, kind: type, q: GroupElement, r: GroupElement) -> ElmResult:
+    if q == r:
         # Focal point: a single minimum curve passes through it, and
         # 2q ~ p0 + t forces the new invariant class to be trivial.
         return ElmResult(Indec0(s.group), "DRprime", "indm1_diag")
     # Split point: two minimum curves through it; transforming along the
     # first gives the split model with invariant class q - r (nontrivial).
-    return ElmResult(Decomposable(DivisorClass(0, x.q - x.r)), "DRprime", "indm1_split")
+    return ElmResult(Decomposable(DivisorClass(0, q.group.sub(q, r))), "DRprime", "indm1_split")
 
 
+#: Each family's rule, on the rule inputs (kind, point, r): the point kind, the
+#: point over whose fiber it lies (a pair's first point) and a pair's second
+#: point (None off e = -1).  A rule trusts the kind and the point's group, which
+#: ``elm`` checks and a walk's draw proves; ``group.add`` and ``group.sub``,
+#: which it calls in place of ``+`` and ``-``, still check their operands.
 _RULES = {Decomposable: _elm_dec, Indec0: _elm_ind0, IndecMinus1: _elm_indm1}
 
 
@@ -231,11 +250,12 @@ _KIND_DRAWS = {
 
 
 def _resolver(group: CurveGroup, rng: random.Random):
-    """The function that turns a word into a point on a model of ``group``."""
+    """The function that turns a word into the rule inputs (kind, point, r)
+    of a point on a model of ``group``."""
     order, nth, getrandbits, randrange = group.order(), group.nth, rng.getrandbits, rng.randrange
     bits = order.bit_length()
 
-    def resolve(word: str, model: SurfaceModel) -> PointSpec:
+    def resolve(word: str, model: SurfaceModel) -> tuple:
         draw = _KIND_DRAWS.get((model.__class__, word))
         if draw is not None:  # The loop of ``randrange``, inlined for a kind and a point.
             kinds, n, k = draw
@@ -245,11 +265,11 @@ def _resolver(group: CurveGroup, rng: random.Random):
             i = getrandbits(bits)
             while i >= order:
                 i = getrandbits(bits)
-            return kinds[kind](nth(i))
+            return kinds[kind], nth(i), None
         if model.__class__ is not IndecMinus1:
             raise InvalidPointSpec(f"template {word!r} on family {model.family()}")
         if word == "random":
-            return Pair(nth(randrange(order)), nth(randrange(order)))
+            return (Pair, *_unordered(nth(randrange(order)), nth(randrange(order))))
         if word != "generic":
             raise InvalidPointSpec(f"template {word!r} on the e=-1 surface")
         if order < 2:
@@ -257,7 +277,7 @@ def _resolver(group: CurveGroup, rng: random.Random):
         q = r = nth(randrange(order))
         while r == q:
             r = nth(randrange(order))
-        return Pair(q, r)
+        return (Pair, *_unordered(q, r))
 
     return resolve
 
@@ -267,15 +287,17 @@ def resolve_template(template, model: SurfaceModel, rng: random.Random) -> Point
 
     A template is either a concrete :class:`PointSpec` (validated against
     the family by ``elm`` itself) or a word of ``WALK_TEMPLATES``, resolved by
-    the resolver ``walk`` binds, here for one step.  ``rng.choice`` of n kinds
-    and ``rng.randrange(n)`` call ``rng.getrandbits(n.bit_length())`` until it
-    is below n; the resolver makes the same calls, so a seed gives the same point.
+    the resolver ``walk`` binds, here for one step, into the descriptor of its
+    rule inputs.  ``rng.choice`` of n kinds and ``rng.randrange(n)`` call
+    ``rng.getrandbits(n.bit_length())`` until it is below n; the resolver makes
+    the same calls, so a seed gives the same point.
     """
     if not isinstance(template, str):
         return template
     if model.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{model!r} is not a surface model")
-    return _resolver(model.group, rng)(template, model)
+    kind, point, r = _resolver(model.group, rng)(template, model)
+    return kind(point) if r is None else kind(point, r)
 
 
 def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
@@ -283,7 +305,8 @@ def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
 
     The first word binds one resolver for the whole walk, to ``s0``'s group
     and ``random.Random(rng_seed)``: ``elm`` refuses a point of another group,
-    so every model lies on it.  It draws as ``resolve_template`` does.
+    so every model lies on it.  It draws as ``resolve_template`` does.  A word
+    step goes from the draw straight to its rule, a concrete point through ``elm``.
     """
     if s0.__class__ not in POINT_KINDS:
         raise InvalidSurface(f"{s0!r} is not a surface model")
@@ -306,8 +329,9 @@ def walk(s0: SurfaceModel, templates, rng_seed: int = 0) -> WalkResult:
         if isinstance(template, str):
             if resolve is None:
                 resolve = _resolver(s0.group, random.Random(rng_seed))
-            template = resolve(template, model)
-        result = elm(model, template)
+            result = _RULES[model.__class__](model, *resolve(template, model))
+        else:
+            result = elm(model, template)
         steps.append(result)
         model = result.model
         trajectory.append(model)

@@ -33,7 +33,7 @@ from ellscroll.errors import (
     MixedGroups,
     SemanticError,
 )
-from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
+from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
     Decomposable,
@@ -561,15 +561,23 @@ def _outcome(call, *args):
         return type(error), str(error)
 
 
-def _reference_walk(s0, templates, seed, seen):
-    """The steps of ``walk``, each template resolved by ``_reference_resolve``;
-    adds each (family, word) it resolves to ``seen``."""
-    rng, model, steps = random.Random(seed), s0, []
+def _reference_walk(s0, templates, seed, seen, steps):
+    """The steps of ``walk``, each template resolved by ``_reference_resolve``
+    and appended to ``steps``, so that after a refusal their number is the
+    refused step's index.  Adds each (family, word) it resolves to ``seen``,
+    and "word after twin" once a word step follows a point of an equal group
+    model built apart."""
+    rng, model, after_twin = random.Random(seed), s0, False
     for template in templates:
         if isinstance(template, str):
             seen.add((model.family(), template))
+        else:
+            point = template.q if isinstance(template, Pair) else template.P
+            after_twin |= point.group is not s0.group and point.group == s0.group
         steps.append(elm(model, _reference_resolve(template, model, rng)))
         model = steps[-1].model
+        if after_twin and isinstance(template, str):
+            seen.add("word after twin")
     return tuple(steps)
 
 
@@ -581,12 +589,29 @@ def _stream_starts(group):
     ] + [Indec0(group), IndecMinus1(group.nth(n // 2))]
 
 
+#: A model none of ``STREAM_GROUPS`` equals: its points are foreign to a walk.
+FOREIGN_GROUP = TorusGroup(3, 5)
+
+
+def _built_apart(group):
+    """A group model equal to ``group`` but not the same object."""
+    if isinstance(group, TorusGroup):
+        return TorusGroup(group.m, group.n)
+    return WeierstrassGroup(group.p, group.a, group.b)
+
+
 def _template_stream(group, rng, length):
-    """Words, with one step in five a concrete point of any kind."""
+    """Words, with one step in five a concrete point of any kind: most on
+    ``group``, some on an equal model built apart and a few foreign."""
+    twin = _built_apart(group)
     out = []
     for _ in range(length):
-        if rng.random() < 0.2:
-            p, q = rng.choice(group.elements()), rng.choice(group.elements())
+        u = rng.random()
+        if u < 0.2:
+            # ``elements()`` is cached by equality: a twin's points are
+            # rebuilt on it to be its own.
+            source = group if u < 0.13 else twin if u < 0.185 else FOREIGN_GROUP
+            p, q = (GroupElement(source, rng.choice(source.elements()).coords) for _ in "pq")
             out.append(rng.choice((Generic(p), OnX0(p), OnX1(p), Pair(p, q))))
         else:
             out.append(rng.choice(WALK_TEMPLATES))
@@ -594,21 +619,34 @@ def _template_stream(group, rng, length):
 
 
 def _assert_template_streams_match(group, seeds):
+    """Each stream walks as the reference does; a refused one is refused at
+    the reference's step.  Adds "foreign refused" to what the reference
+    saw once a foreign point raises ``MixedGroups``."""
     seen = set()
     for seed in seeds:
         stream = random.Random(f"templates:{seed}")
         for s0 in _stream_starts(group):
             templates = _template_stream(group, stream, 16)
             steps = _outcome(lambda: walk(s0, templates, rng_seed=seed).steps)
-            reference = _outcome(_reference_walk, s0, templates, seed, seen)
+            done = []
+            reference = _outcome(_reference_walk, s0, templates, seed, seen, done)
             assert steps == reference, (s0, templates, seed)
+            if len(done) < len(templates):
+                k = len(done)
+                assert walk(s0, templates[:k], rng_seed=seed).steps == tuple(done)
+                refused = _outcome(lambda: walk(s0, templates[: k + 1], rng_seed=seed).steps)
+                assert refused == reference, (s0, templates, seed)
+                if reference[0] is MixedGroups:
+                    seen.add("foreign refused")
     return seen
 
 
 @pytest.mark.parametrize("group", STREAM_GROUPS, ids=str)
 def test_every_template_word_draws_as_choice_and_randrange(group):
     seen = _assert_template_streams_match(group, range(30))
-    assert seen == {(f, word) for f in ("dec", "ind0", "indm1") for word in WALK_TEMPLATES}
+    assert seen == {(f, word) for f in ("dec", "ind0", "indm1") for word in WALK_TEMPLATES} | {
+        "word after twin", "foreign refused"
+    }
     for model in _stream_starts(group):
         for word in WALK_TEMPLATES:
             for seed in range(4):
