@@ -25,7 +25,9 @@ from ellscroll.classify import NagataPlan
 from ellscroll.elmtrans import (
     ALL_RULES, WALK_TEMPLATES, ElmResult, Generic, OnX0, OnX1, Pair, WalkResult,
 )
-from ellscroll.errors import InvalidArgument, InvalidPointSpec, InvalidSurface
+from ellscroll.errors import (
+    InvalidArgument, InvalidPointSpec, InvalidSurface, NonNormalizedInput, SemanticError,
+)
 from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup
 from ellscroll.picard import DivisorClass
 from ellscroll.surface import (
@@ -329,6 +331,77 @@ def test_value_constructors_refuse_a_field_of_another_class_sweep(group, drawn):
                 with pytest.raises(error) as info:
                     cls(*fields[:i], value, *fields[i + 1:])
                 assert info.value.code == error.__name__, (cls, i, value)
+
+
+# -- the exact refusals ---------------------------------------------------------
+
+T2 = TorusGroup(2, 2)
+P1 = T2.element(1, 0)
+D1 = DivisorClass(1, P1)
+#: The reprs that the messages below name, written out.
+T2_REPR = "TorusGroup(m=2, n=2)"
+P1_REPR = f"GroupElement(group={T2_REPR}, coords=(1, 0))"
+D1_REPR = f"DivisorClass(degree=1, abel={P1_REPR})"
+NOT_A_CLASS = "is not a divisor class of an int degree and a group element"
+
+#: Each constructor refusal: the class, its fields, and the error class and
+#: exact message it raises.  Two bad fields name the first one checked.
+REFUSALS = (
+    (DivisorClass, (1.5, P1), InvalidArgument, f"(1.5, {P1_REPR}) {NOT_A_CLASS}"),
+    (DivisorClass, (True, P1), InvalidArgument, f"(True, {P1_REPR}) {NOT_A_CLASS}"),
+    (DivisorClass, (1, (1, 0)), InvalidArgument, f"(1, (1, 0)) {NOT_A_CLASS}"),
+    (DivisorClass, (None, "P"), InvalidArgument, f"(None, 'P') {NOT_A_CLASS}"),
+    (SurfaceDivisorClass, (1.5, D1), InvalidArgument, "fiber degree 1.5 is not an int"),
+    (SurfaceDivisorClass, (1, P1), InvalidArgument, f"{P1_REPR} {NOT_A_CLASS}"),
+    (SurfaceDivisorClass, (None, None), InvalidArgument, "fiber degree None is not an int"),
+    (OnX0, (None,), InvalidPointSpec, "OnX0(P=None) is not a point descriptor"),
+    (OnX1, (1.5,), InvalidPointSpec, "OnX1(P=1.5) is not a point descriptor"),
+    (Generic, ("P",), InvalidPointSpec, "Generic(P='P') is not a point descriptor"),
+    (Pair, (P1, None), InvalidPointSpec, f"Pair(q={P1_REPR}, r=None) is not a point descriptor"),
+    (Pair, (None, 1.5), InvalidPointSpec, "Pair(q=None, r=1.5) is not a point descriptor"),
+    (Decomposable, (None,), InvalidSurface, "None is not a divisor class"),
+    (Decomposable, (P1,), InvalidSurface, f"{P1_REPR} is not a divisor class"),
+    (Decomposable, (D1,), NonNormalizedInput,
+     "decomposable model requires an invariant class of degree <= 0"),
+    (Indec0, (P1,), InvalidSurface, f"{P1_REPR} is not a group model"),
+    (Indec0, (None,), InvalidSurface, "None is not a group model"),
+    (IndecMinus1, (T2,), InvalidSurface, f"{T2_REPR} is not a group element"),
+    (IndecMinus1, (D1,), InvalidSurface, f"{D1_REPR} is not a group element"),
+    (TorusGroup, (1.5, 2), InvalidArgument, "torus moduli (1.5, 2) are not ints"),
+    (TorusGroup, (2, True), InvalidArgument, "torus moduli (2, True) are not ints"),
+    (TorusGroup, (None, "2"), InvalidArgument, "torus moduli (None, '2') are not ints"),
+    (TorusGroup, (0, 1.5), InvalidArgument, "torus moduli (0, 1.5) are not ints"),
+    (TorusGroup, (0, 2), InvalidArgument, "torus moduli must be positive"),
+    (TorusGroup, (2, -1), InvalidArgument, "torus moduli must be positive"),
+    (WeierstrassGroup, (11.0, -1, 0), InvalidArgument, "curve fields (11.0, -1, 0) are not ints"),
+    (WeierstrassGroup, (11, None, 0), InvalidArgument, "curve fields (11, None, 0) are not ints"),
+    (WeierstrassGroup, (11, -1, "0"), InvalidArgument, "curve fields (11, -1, '0') are not ints"),
+    (WeierstrassGroup, (4, 1.5, 0), InvalidArgument, "curve fields (4, 1.5, 0) are not ints"),
+    (WeierstrassGroup, (10**12 + 39, -1, 0), InvalidArgument,
+     "field size 1000000000039 exceeds cap 1000000000000"),
+    (WeierstrassGroup, (9, -1, 0), InvalidArgument, "9 is not a small odd prime"),
+    (WeierstrassGroup, (2, 1, 1), InvalidArgument, "2 is not a small odd prime"),
+    (WeierstrassGroup, (11, 0, 0), InvalidArgument, "singular curve: 4a^3 + 27b^2 = 0 mod p"),
+    (cli.Classify, (Indec0(T2), SurfaceDivisorClass(2, D1)), SemanticError,
+     "classify needs a fiber-degree-1 system (1X0+...)"),
+    (cli.Elm, (Indec0(T2), OnX1(P1)), SemanticError, "ind0 has no second section onX1"),
+    (cli.Table, (2,), SemanticError, "table requires an ambient dimension N >= 3"),
+    (cli.Table, (10_001,), SemanticError, "table takes an ambient dimension N <= 10000"),
+    (cli.Nagata, ("dec",), SemanticError, "nagata dec needs the invariant e (nagata dec E)"),
+    (cli.Nagata, ("dec", None), SemanticError, "nagata dec needs the invariant e (nagata dec E)"),
+    (cli.Nagata, ("ind0", 10_001), SemanticError, "nagata takes an invariant e <= 10000"),
+    (cli.Nagata, ("dec", 10_001), SemanticError, "nagata takes an invariant e <= 10000"),
+    (cli.MinCurves, (Indec0(T2), Pair(P1, P1)), SemanticError,
+     "mincurves needs an indm1 surface and a pair{...}"),
+)
+
+
+def test_constructor_refusals_keep_their_error_and_message():
+    for cls, fields, error, message in REFUSALS:
+        with pytest.raises(error) as info:
+            cls(*fields)
+        assert info.value.code == error.__name__, (cls, fields)
+        assert str(info.value) == message, (cls, fields)
 
 
 def test_every_value_class_has_a_twin():
