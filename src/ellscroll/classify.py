@@ -318,12 +318,6 @@ class NagataPlan(Value):
 
     __slots__ = ("target", "target_e", "steps", "length")  # target: a word of FAMILIES
 
-    def __init__(self, target: str, target_e: int, steps: tuple, length: int) -> None:
-        _set_target(self, target)
-        _set_target_e(self, target_e)
-        _set_steps(self, steps)
-        _set_length(self, length)
-
     def to_dict(self) -> dict:
         return {
             "target": self.target,
@@ -331,9 +325,6 @@ class NagataPlan(Value):
             "steps": [type(s).__name__ for s in self.steps],
             "length": self.length,
         }
-
-
-_set_target, _set_target_e, _set_steps, _set_length = NagataPlan._setters
 
 
 def product_surface(group: CurveGroup) -> Decomposable:

@@ -63,8 +63,10 @@ from . import linsys
 from .elmtrans import (
     WALK_TEMPLATES, Generic, OnX0, OnX1, Pair, PointSpec, check_point_kind, elm, walk,
 )
-from .errors import EngineError, InvalidPointSpec, ParseError, SemanticError
-from .groups import CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group
+from .errors import EngineError, InvalidArgument, InvalidPointSpec, ParseError, SemanticError
+from .groups import (
+    GROUP_MODELS, CurveGroup, GroupElement, TorusGroup, WeierstrassGroup, default_group,
+)
 from .picard import DivisorClass, class_of
 from .surface import (
     FAMILIES,
@@ -341,15 +343,8 @@ class _Parser:
 
 class Options(Value):
     __slots__ = ("group", "json", "seed", "verify")
-
-    def __init__(self, group=None, json=False, seed=0, verify=False) -> None:
-        _set_group(self, default_group() if group is None else group)
-        _set_json(self, json)
-        _set_seed(self, seed)
-        _set_verify(self, verify)
-
-
-_set_group, _set_json, _set_seed, _set_verify = Options._setters
+    _field_classes = {"group": (GROUP_MODELS, InvalidArgument, "{group!r} is not a group model")}
+    _defaults = {"group": default_group(), "json": False, "seed": 0, "verify": False}
 
 
 def _family_dict(model: SurfaceModel) -> dict:
@@ -456,13 +451,13 @@ class Nagata(_Command):
     word = "nagata"
     grammar = (_Parser.family, _Parser.optional_int)
 
-    def __init__(self, target: str, e: int | None = None) -> None:
-        if FAMILIES.get(target) is Decomposable and e is None:
+    _defaults = {"e": None}
+
+    def _check(self) -> None:
+        if FAMILIES.get(self.target) is Decomposable and self.e is None:
             raise SemanticError("nagata dec needs the invariant e (nagata dec E)")
-        if e is not None and e > SIZE_CAP:
+        if self.e is not None and self.e > SIZE_CAP:
             raise SemanticError(f"nagata takes an invariant e <= {SIZE_CAP}")
-        _set_target(self, target)
-        _set_e(self, e)
 
     def run(self, options: Options) -> dict:
         plan = classify_mod.nagata_plan(self.target, self.e, options.group)
@@ -480,9 +475,6 @@ class Nagata(_Command):
                 trajectory[-1], plan.target, plan.target_e
             )
         return payload
-
-
-_set_target, _set_e = Nagata._setters
 
 
 class MinCurves(_Command):

@@ -52,14 +52,10 @@ from .values import Value
 class _OnFiber(Value):
     # A point on the fiber over P; each subclass is one kind of point.
     __slots__ = ("P",)
-
-    def __init__(self, P: GroupElement) -> None:
-        if P.__class__ is not GroupElement:
-            raise InvalidPointSpec(f"{self.__class__.__name__}(P={P!r}) is not a point descriptor")
-        _set_P(self, P)
-
-
-(_set_P,) = _OnFiber._setters
+    _field_classes = {
+        "P": (GroupElement, InvalidPointSpec,
+              "{self.__class__.__name__}(P={P!r}) is not a point descriptor")
+    }
 
 
 class OnX0(_OnFiber):
@@ -132,14 +128,6 @@ class ElmResult(Value):
     that became its minimum section (``y0_note``), and the rule that fired."""
 
     __slots__ = ("model", "y0_note", "rule")
-
-    def __init__(self, model: SurfaceModel, y0_note: str, rule: str) -> None:
-        _set_model(self, model)
-        _set_y0_note(self, y0_note)
-        _set_rule(self, rule)
-
-
-_set_model, _set_y0_note, _set_rule = ElmResult._setters
 
 
 def elm(s: SurfaceModel, x: PointSpec) -> ElmResult:
@@ -226,13 +214,6 @@ class WalkResult(Value):
     """The models a walk passed through, from its start, and its transformations."""
 
     __slots__ = ("trajectory", "steps")
-
-    def __init__(self, trajectory: tuple, steps: tuple) -> None:
-        _set_trajectory(self, trajectory)
-        _set_steps(self, steps)
-
-
-_set_trajectory, _set_steps = WalkResult._setters
 
 
 #: The point kind each template word names; ``"random"`` draws from ``POINT_KINDS``.

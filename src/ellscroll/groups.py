@@ -69,10 +69,6 @@ class GroupElement(Value):
 
     __slots__ = ("group", "coords")
 
-    def __init__(self, group: CurveGroup, coords: tuple[int, int] | None) -> None:
-        _set_group(self, group)
-        _set_coords(self, coords)
-
     # Equal elements have equal coords, so hashing the coords alone keeps
     # the hash contract and skips hashing the group on every set lookup.
     def __hash__(self) -> int:
@@ -118,9 +114,6 @@ class GroupElement(Value):
         return f"({self.coords[0]},{self.coords[1]})"
 
 
-_set_group, _set_coords = GroupElement._setters
-
-
 def _refuse_operands(g: object, h: object) -> None:
     # A kernel calls it after an ``AttributeError``; if both are elements, the
     # kernel raises that error again.
@@ -139,12 +132,13 @@ class TorusGroup(Value):
     """The group Z/m x Z/n with componentwise addition."""
 
     __slots__ = ("m", "n")
+    _field_classes = dict.fromkeys(
+        __slots__, (int, InvalidArgument, "torus moduli ({m!r}, {n!r}) are not ints")
+    )
 
     ZERO_COORDS = (0, 0)
 
     def _check(self) -> None:
-        if self.m.__class__ is not int or self.n.__class__ is not int:
-            raise InvalidArgument(f"torus moduli ({self.m!r}, {self.n!r}) are not ints")
         if self.m < 1 or self.n < 1:
             raise InvalidArgument("torus moduli must be positive")
 
@@ -235,6 +229,9 @@ class WeierstrassGroup(Value):
     """Rational points of y^2 = x^3 + ax + b over F_p, p an odd prime."""
 
     __slots__ = ("p", "a", "b")
+    _field_classes = dict.fromkeys(
+        __slots__, (int, InvalidArgument, "curve fields ({p!r}, {a!r}, {b!r}) are not ints")
+    )
 
     ZERO_COORDS = None
 
@@ -245,8 +242,6 @@ class WeierstrassGroup(Value):
 
     def _check(self) -> None:
         p, a, b = self.p, self.a, self.b
-        if p.__class__ is not int or a.__class__ is not int or b.__class__ is not int:
-            raise InvalidArgument(f"curve fields ({p!r}, {a!r}, {b!r}) are not ints")
         if p > PRIME_CAP:
             raise InvalidArgument(f"field size {p} exceeds cap {PRIME_CAP}")
         if p < 3 or not _is_prime(p):

@@ -28,12 +28,10 @@ class DivisorClass(Value):
     ``int`` (not a ``bool``) and a group element, else ``InvalidArgument``."""
 
     __slots__ = ("degree", "abel")
-
-    def __init__(self, degree: int, abel: GroupElement) -> None:
-        if degree.__class__ is not int or abel.__class__ is not GroupElement:
-            raise InvalidArgument(f"({degree!r}, {abel!r}) {NOT_A_CLASS}")
-        _set_degree(self, degree)
-        _set_abel(self, abel)
+    _field_classes = {
+        "degree": (int, InvalidArgument, "({degree!r}, {abel!r}) " + NOT_A_CLASS),
+        "abel": (GroupElement, InvalidArgument, "({degree!r}, {abel!r}) " + NOT_A_CLASS),
+    }
 
     # The value ``Value.__hash__`` gives, hash((degree, abel)), in one frame:
     # an element hashes as its coords.
@@ -63,9 +61,6 @@ class DivisorClass(Value):
 
     def __str__(self) -> str:
         return f"[deg {self.degree}, sum {self.abel}]"
-
-
-_set_degree, _set_abel = DivisorClass._setters
 
 
 def trivial_class(group: CurveGroup) -> DivisorClass:

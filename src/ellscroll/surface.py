@@ -34,7 +34,7 @@ from .errors import (
     InvalidSurface,
     NonNormalizedInput,
 )
-from .groups import GROUP_MODELS, CurveGroup, GroupElement
+from .groups import GROUP_MODELS, GroupElement
 from .picard import NOT_A_CLASS, DivisorClass, point_class, trivial_class
 from .values import Value
 
@@ -43,15 +43,15 @@ class Decomposable(Value):
     """Split bundle; ``e_class`` must be normalized (degree <= 0)."""
 
     __slots__ = ("e_class",)
+    _field_classes = {
+        "e_class": (DivisorClass, InvalidSurface, "{e_class!r} is not a divisor class")
+    }
 
-    def __init__(self, e_class: DivisorClass) -> None:
-        if e_class.__class__ is not DivisorClass:
-            raise InvalidSurface(f"{e_class!r} is not a divisor class")
-        if e_class.degree > 0:
+    def _check(self) -> None:
+        if self.e_class.degree > 0:
             raise NonNormalizedInput(
                 "decomposable model requires an invariant class of degree <= 0"
             )
-        _set_e_class(self, e_class)
 
     group = property(attrgetter("e_class.abel.group"))
 
@@ -64,20 +64,13 @@ class Decomposable(Value):
         return "dec"
 
 
-(_set_e_class,) = Decomposable._setters
-
-
 class Indec0(Value):
     """Non-split bundle with trivial invariant class."""
 
     __slots__ = ("base",)
+    _field_classes = {"base": (GROUP_MODELS, InvalidSurface, "{base!r} is not a group model")}
 
     e = 0
-
-    def __init__(self, base: CurveGroup) -> None:
-        if base.__class__ not in GROUP_MODELS:
-            raise InvalidSurface(f"{base!r} is not a group model")
-        _set_base(self, base)
 
     group = property(attrgetter("base"))
 
@@ -90,20 +83,13 @@ class Indec0(Value):
         return "ind0"
 
 
-(_set_base,) = Indec0._setters
-
-
 class IndecMinus1(Value):
     """Non-split bundle whose invariant class is the point ``p0``."""
 
     __slots__ = ("p0",)
+    _field_classes = {"p0": (GroupElement, InvalidSurface, "{p0!r} is not a group element")}
 
     e = -1
-
-    def __init__(self, p0: GroupElement) -> None:
-        if p0.__class__ is not GroupElement:
-            raise InvalidSurface(f"{p0!r} is not a group element")
-        _set_p0(self, p0)
 
     group = property(attrgetter("p0.group"))
 
@@ -115,9 +101,6 @@ class IndecMinus1(Value):
     def family() -> str:
         return "indm1"
 
-
-(_set_p0,) = IndecMinus1._setters
-
 SurfaceModel = Decomposable | Indec0 | IndecMinus1
 #: The family word of each model class, in the order dec, ind0, indm1.
 FAMILIES = {cls.family(): cls for cls in (Decomposable, Indec0, IndecMinus1)}
@@ -127,20 +110,13 @@ class SurfaceDivisorClass(Value):
     """The class m*X0 + b*f on a surface: an ``int`` m and a divisor class b."""
 
     __slots__ = ("m", "b")
-
-    def __init__(self, m: int, b: DivisorClass) -> None:
-        if m.__class__ is not int:
-            raise InvalidArgument(f"fiber degree {m!r} is not an int")
-        if b.__class__ is not DivisorClass:
-            raise InvalidArgument(f"{b!r} {NOT_A_CLASS}")
-        _set_m(self, m)
-        _set_b(self, b)
+    _field_classes = {
+        "m": (int, InvalidArgument, "fiber degree {m!r} is not an int"),
+        "b": (DivisorClass, InvalidArgument, "{b!r} " + NOT_A_CLASS),
+    }
 
     def __str__(self) -> str:
         return f"{self.m}X0+({self.b})f"
-
-
-_set_m, _set_b = SurfaceDivisorClass._setters
 
 
 def intersect(s: SurfaceModel, A: SurfaceDivisorClass, B: SurfaceDivisorClass) -> int:
@@ -171,12 +147,6 @@ class MinCurve(Value):
 
     __slots__ = ("q",)
 
-    def __init__(self, q: GroupElement) -> None:
-        _set_curve_q(self, q)
-
-
-(_set_curve_q,) = MinCurve._setters
-
 
 class SurfacePointDescriptor(Value):
     """A point of the e = -1 surface, as an unordered base-point pair.
@@ -188,16 +158,8 @@ class SurfacePointDescriptor(Value):
 
     __slots__ = ("q", "r", "t")
 
-    def __init__(self, q: GroupElement, r: GroupElement, t: GroupElement) -> None:
-        _set_q(self, q)
-        _set_r(self, r)
-        _set_t(self, t)
-
     def is_focal(self) -> bool:
         return self.q == self.r
-
-
-_set_q, _set_r, _set_t = SurfacePointDescriptor._setters
 
 
 def tau(s: IndecMinus1, q: GroupElement, r: GroupElement) -> SurfacePointDescriptor:

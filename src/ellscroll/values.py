@@ -1,19 +1,20 @@
 """Immutable engine values.  A ``Value`` names its fields in ``__slots__`` and
-has, with no code generated per class, the equality, hash, ``repr``, frozenness
-and pickling of a frozen dataclass.  Its ``__init__`` takes the fields by position
-or keyword, then runs ``_check``.  The rule for which ``__init__`` a class has: a
-value built on every call of an entry (an element, a class, a model, a point, an
-``ElmResult``, a ``WalkResult``, a ``NagataPlan``) writes its own, which checks
-what it must inline and calls its slot setters, bound once at module level from
-``_setters`` (for example ``_set_group, _set_coords = GroupElement._setters``),
-so a field costs no lookup.  The group models and the CLI's commands, built once
-per model or command line, keep the generic one and check in ``_check`` (``Options``
-and ``Nagata``, which have default fields, write their own).
-A class of one field that inherits ``Value``'s equality and hash gets a hash of
-one frame, ``hash((field,))``, the same value as ``Value.__hash__`` gives."""
+has the equality, hash, ``repr``, frozenness and pickling of a frozen dataclass.
+Next to ``__slots__`` a class may declare ``_field_classes``, which gives a checked
+field the class (or tuple of classes) it must have, the error for any other and
+an f-string message that may name any field, and ``_defaults``; from these
+``Value.__init_subclass__`` generates with ``exec``, as ``dataclasses`` does, the
+class's one ``__init__``, which tests each checked field's ``__class__`` in field
+order, sets the slots and calls ``_check`` if the class has one.  A class that
+adds no fields inherits its parent's ``__init__``; one of one field that inherits
+``Value``'s equality and hash gets a hash of one frame, ``hash((field,))``, the
+same value as ``Value.__hash__`` gives."""
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a value was assigned or deleted."""
 
 
 class Value:
@@ -31,18 +32,8 @@ class Value:
                 return hash((get(self),))
 
             cls.__hash__ = __hash__
-
-    def __init__(self, *args, **kwargs) -> None:
-        if kwargs:
-            args += tuple(kwargs.pop(name) for name in self._fields[len(args):] if name in kwargs)
-        if kwargs or len(args) != len(self._fields):
-            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(self._fields)}")
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
-        self._check()
-
-    def _check(self) -> None:
-        """Refuse fields that do not make a value of this class."""
+        if cls.__dict__.get("__slots__") and "__init__" not in cls.__dict__:
+            cls.__init__ = _generated_init(cls)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -64,3 +55,30 @@ class Value:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._key(self)
+
+
+def _generated_init(cls: type) -> object:
+    # As ``dataclasses._create_fn``: the source names the slots and the closure
+    # variables ``env``, which hold the setters, classes, errors and defaults.
+    checked, defaults = getattr(cls, "_field_classes", {}), getattr(cls, "_defaults", {})
+    env = {f"_set_{name}": setter for name, setter in zip(cls._fields, cls._setters)}
+    params, body = ["self"], []
+    for name in cls._fields:
+        params.append(f"{name}=_default_{name}" if name in defaults else name)
+        if name in defaults:
+            env[f"_default_{name}"] = defaults[name]
+        if name in checked:
+            classes, env[f"_error_{name}"], template = checked[name]
+            env[f"_class_{name}"] = classes
+            test = "not in" if isinstance(classes, tuple) else "is not"
+            body += [f"if {name}.__class__ {test} _class_{name}:",
+                     f" raise _error_{name}(f{template!r})"]
+    body += [f"_set_{name}(self, {name})" for name in cls._fields]
+    if hasattr(cls, "_check"):
+        body.append("self._check()")
+    head = f"def make({', '.join(env)}):\n def __init__({', '.join(params)}):"
+    namespace: dict = {}
+    exec(head + "".join(f"\n  {line}" for line in body) + "\n return __init__", {}, namespace)
+    init = namespace["make"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init

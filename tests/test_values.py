@@ -28,7 +28,7 @@ from ellscroll.elmtrans import (
 from ellscroll.errors import (
     InvalidArgument, InvalidPointSpec, InvalidSurface, NonNormalizedInput, SemanticError,
 )
-from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup
+from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass
 from ellscroll.surface import (
     Decomposable,
@@ -414,6 +414,12 @@ def test_every_value_class_has_a_twin():
     assert concrete == set(FIELDS)
     for cls, names in FIELDS.items():
         assert cls._fields == names
+    # A class that adds fields has its own ``__init__``, which ``Value``
+    # generates (compiled from "<string>") for all but Pair, which orders its
+    # points; the others inherit their parent's.
+    own = {cls for cls in subclasses(Value) if "__init__" in cls.__dict__}
+    assert own == {cls for cls in subclasses(Value) if cls.__dict__["__slots__"]}
+    assert {cls for cls in own if cls.__init__.__code__.co_filename != "<string>"} == {Pair}
 
 
 def test_literal_reprs():
@@ -448,6 +454,9 @@ def test_equality_is_class_strict():
 def test_constructor_defaults():
     assert cli.Options() == cli.Options(TorusGroup(12, 12), False, 0, False)
     assert cli.Options(json=True).json and cli.Options(seed=5).seed == 5
+    assert cli.Options().group is default_group()
+    with pytest.raises(InvalidArgument):
+        cli.Options(group=None)
     assert cli.Nagata("ind0") == cli.Nagata(target="ind0", e=None)
     with pytest.raises(TypeError):
         DivisorClass(0)
