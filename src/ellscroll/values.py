@@ -58,8 +58,8 @@ class Value:
 
 
 def _generated_init(cls: type) -> object:
-    # As ``dataclasses._create_fn``: the source names the slots and the closure
-    # variables ``env``, which hold the setters, classes, errors and defaults.
+    # The source names the slots and the globals ``env`` of the new function,
+    # which hold the setters, classes, errors and defaults.
     checked, defaults = getattr(cls, "_field_classes", {}), getattr(cls, "_defaults", {})
     env = {f"_set_{name}": setter for name, setter in zip(cls._fields, cls._setters)}
     params, body = ["self"], []
@@ -76,9 +76,7 @@ def _generated_init(cls: type) -> object:
     body += [f"_set_{name}(self, {name})" for name in cls._fields]
     if hasattr(cls, "_check"):
         body.append("self._check()")
-    head = f"def make({', '.join(env)}):\n def __init__({', '.join(params)}):"
-    namespace: dict = {}
-    exec(head + "".join(f"\n  {line}" for line in body) + "\n return __init__", {}, namespace)
-    init = namespace["make"](**env)
+    exec(f"def __init__({', '.join(params)}):" + "".join(f"\n {line}" for line in body), env)
+    init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init

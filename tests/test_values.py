@@ -7,8 +7,9 @@ drawn values, the ``repr``, the hash and equality, within a class and across
 classes, must be the twin's; values are immutable, have no ``__dict__``, and
 survive ``copy``, ``deepcopy`` and ``pickle``.  Each class that checks its
 fields where it is built refuses a field of another class with its coded
-error.  The tier-1 run replays a fixed sample; ``ELLSCROLL_FUZZ=1`` runs the
-sweeps on fresh examples.
+error, and every constructor refusal keeps the error class and exact message
+recorded in ``REFUSALS``.  The tier-1 run replays a fixed sample;
+``ELLSCROLL_FUZZ=1`` runs the sweeps on fresh examples.
 """
 
 import copy
