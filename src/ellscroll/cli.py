@@ -447,11 +447,10 @@ class Table(_Command):
 
 class Nagata(_Command):
     __slots__ = ("target", "e")
+    _defaults = {"e": None}
 
     word = "nagata"
     grammar = (_Parser.family, _Parser.optional_int)
-
-    _defaults = {"e": None}
 
     def _check(self) -> None:
         if FAMILIES.get(self.target) is Decomposable and self.e is None:
