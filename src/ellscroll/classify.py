@@ -3,19 +3,22 @@
 ``classify_scroll`` turns (surface, section-class b) into a structured record
 of the image scroll of the map given by ``|X0 + b*f|``: its degree, ambient
 space, singular locus, projective generation, and its families of unisecant
-curves with their linear-normality ranges.  It reads the row of |X0 + b*f|
-from ``linsys._row(s, 1, b)`` once, and the scroll's degree H.H as chi =
-h0 - h1 (Riemann-Roch at m = 1); it dispatches once on the surface's class,
-each branch assigns the row's fields, and the ``X0+af`` family and the
-record are built at one exit.  The records (``ScrollModel``, ``Generation``,
+curves with their linear-normality ranges.  One core, ``_classify``, takes
+s's invariant class and b as plain degrees and sums: it reads the row of
+|X0 + b*f| from ``linsys._row`` once, and the scroll's degree H.H as chi =
+h0 - h1 (Riemann-Roch at m = 1); it dispatches once on the family, each
+branch assigns the row's fields, and the ``X0+af`` family and the record are
+built at one exit.  The records (``ScrollModel``, ``Generation``,
 ``UnisecantFamily``) are immutable named tuples, built from every field with
 ``tuple.__new__``; ``to_dict`` gives the JSON form.
 
-``emit_table`` enumerates every scroll model living in a fixed projective
-space P^N; every row has deg b = (N + 1 + e) // 2.  ``nagata_plan`` produces the minimal sequence of elementary
-transformations constructing each surface family from the product surface,
-and ``minimality_check`` verifies minimality by a search that is exhaustive
-up to the e-distance bound; it checks the bound's premise, that e moves by
+``emit_table`` lists every scroll model living in a fixed projective space
+P^N, handing the core each row's plain values without building a surface
+model or divisor class; every row has deg b = (N + 1 + e) // 2.
+``nagata_plan`` produces the minimal sequence of elementary transformations
+constructing each surface family from the product surface, and
+``minimality_check`` verifies minimality by a search that is exhaustive up
+to the e-distance bound; it checks the bound's premise, that e moves by
 exactly 1, on every transformation it makes.
 """
 
@@ -144,32 +147,35 @@ _new = tuple.__new__
 
 
 def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
-    """Classify the image of the map defined by ``|X0 + b*f|``.
-
-    The system's row refuses a value that is not a surface model, so the
-    last branch below is the e = -1 surface.
-    """
+    """Classify the image of the map defined by ``|X0 + b*f|``."""
     if b.__class__ is not DivisorClass:
         raise InvalidArgument(f"{b!r} is not a divisor class")
-    h0, h1, bpf, _, _ = linsys._row(s, 1, b)
+    cls, e, e_sum = linsys._surface(s, b)
+    return _classify(cls, e, e_sum, b.degree, b.abel)
+
+
+def _classify(cls, e, e_sum, deg_b, b_sum) -> ScrollModel:
+    """The record of |X0 + b*f| from the plain invariants ``linsys._row``
+    reads at m = 1; refuses a system with base points."""
+    h0, h1, bpf, _, _ = linsys._row(cls, 1, e, e_sum, deg_b, b_sum)
     if not bpf:
+        b = DivisorClass(deg_b, b_sum)
         raise NotBasePointFree(f"|X0 + {b} f| has base points on this surface")
     # The degree is H.H.  At m = 1, K.H = -H.H on these surfaces, so
     # Riemann-Roch gives chi = H.H, and chi is h0 - h1.
-    e, deg_b, degree = s.e, b.degree, h0 - h1
-    note, trivial, map_degree, ln_max, ln_exact = None, False, 1, h0, None
+    degree, note, trivial, map_degree, ln_max, ln_exact = h0 - h1, None, False, 1, h0, None
     singular, generation, curves = "Empty", None, ()
-    if s.__class__ is Decomposable:
+    if cls is Decomposable:
         if not e:
-            trivial = s.e_class.is_trivial()
+            trivial = e_sum.is_zero()
             note = "trivial" if trivial else "nontrivial"
-        if trivial and b.is_trivial():
+        if trivial and not deg_b and b_sum.is_zero():
             tag, degree, map_degree = "DegenerateLine", 1, None
         elif trivial and deg_b == 2:
             tag, degree, generation, map_degree = "DoubleQuadric", 2, _GEN_QUADRIC, 2
         # Only a class of degree e can be -e_class, so the degree is tested
-        # before the class comparison.
-        elif deg_b == e >= 2 and b == -s.e_class:
+        # before the sums.
+        elif deg_b == e >= 2 and (b_sum + e_sum).is_zero():
             if e == 2:
                 tag, degree, map_degree = "DoublePlane", 1, 2
             else:
@@ -185,7 +191,7 @@ def classify_scroll(s: SurfaceModel, b: DivisorClass) -> ScrollModel:
             # deg_b >= e + 3: a smooth scroll, two family layouts by torsion.
             tag, generation = "DecScrollSmooth", _new(Generation, (deg_b - e, deg_b, "1:1", 0))
             curves = (_X0_PENCIL,) if trivial else (_X0, _X1)
-    elif s.__class__ is Indec0:
+    elif cls is Indec0:
         if deg_b == 2:
             tag, singular, generation = "Ind0Quartic", "DoubleLine", _GEN_IND0_QUARTIC
             curves = (_X0,)
@@ -243,24 +249,22 @@ def emit_table(N: int, group: CurveGroup | None = None) -> list[ScrollModel]:
     if N < 3:
         raise InvalidArgument("tables are emitted for N >= 3")
     group = _group(group, default_group)
-    # Every class of the table sums to the identity but one, so the
-    # identity is built once per table.  Each row has deg b = (N + 1 + e) // 2.
+    # Every row's plain invariants sum to the identity but the nontrivial
+    # split e = 0 row's invariant class.  Each has deg b = (N + 1 + e) // 2.
     zero = group.zero()
     if N % 2:
         _order_at_least(group, 2)
-        b = DivisorClass((N + 1) // 2, zero)
+        deg_b = (N + 1) // 2
         # The split e = 0 rows; the first, with a trivial invariant class, is
         # the degenerate double quadric in P^3.
-        split = Decomposable(DivisorClass(0, zero)), Decomposable(DivisorClass(0, group.nth(1)))
-        rows = [classify_scroll(s, b) for s in (Indec0(group), *split)]
+        rows = [_classify(cls, 0, e_sum, deg_b, zero) for cls, e_sum in (
+            (Indec0, None), (Decomposable, zero), (Decomposable, group.nth(1)))]
     else:
-        rows = [classify_scroll(IndecMinus1(zero), DivisorClass(N // 2, zero))]
+        rows = [_classify(IndecMinus1, -1, zero, N // 2, zero)]
     # The split rows with e of the parity of N + 1, up to N - 3, and the
     # cone, e = N, where b is -e_class.
     rows += [
-        classify_scroll(
-            Decomposable(DivisorClass(-e, zero)), DivisorClass((N + 1 + e) // 2, zero)
-        )
+        _classify(Decomposable, e, zero, (N + 1 + e) // 2, zero)
         for e in (*range(1 + N % 2, N - 2, 2), N)
     ]
 

@@ -8,7 +8,7 @@ exhaustive desk-scale sweep.
 import pytest
 from hypothesis import given, strategies as st
 
-from ellscroll import linsys
+from ellscroll import linsys, picard
 from ellscroll.classify import classify_scroll
 from ellscroll.errors import (
     InvalidArgument,
@@ -195,13 +195,24 @@ def test_h0_bound_dominates_and_nonspecial_equality():
             exact = linsys.h0_surface(s, H)
         except UnsupportedSecancy:
             continue
-        bound = linsys.h0_bound(s, H.m, H.b)
+        bound = linsys.h0_bound(H.m, s.e, s.e_class.abel, H.b.degree, H.b.abel)
         assert exact <= bound
         nonspecial = all(
             (H.b + k * s.e_class).degree >= 1 for k in range(H.m + 1)
         )
         if nonspecial:
             assert exact == bound
+
+
+def test_h0_of_a_class_pulled_back_from_the_base_is_its_count_there():
+    # m = 0: |b*f| is the pull-back of |b|, on every family.
+    surfaces = (Decomposable(trivial_class(G)), Decomposable(DivisorClass(-1, G.element(1, 0))),
+                Indec0(G), IndecMinus1(P0))
+    for s in surfaces:
+        for deg_b in range(-2, 4):
+            for abel in (O, G.element(6, 6)):
+                b = DivisorClass(deg_b, abel)
+                assert linsys.h0_surface(s, SurfaceDivisorClass(0, b)) == picard.h0(b), (s, b)
 
 
 def test_h0_m3_split_exact_but_nonsplit_refuses():
