@@ -343,7 +343,10 @@ class _Parser:
 
 class Options(Value):
     __slots__ = ("group", "json", "seed", "verify")
-    _field_classes = {"group": (GROUP_MODELS, InvalidArgument, "{group!r} is not a group model")}
+    _field_classes = {"group": (GROUP_MODELS, InvalidArgument, "{group!r} is not a group model"),
+                      "json": (bool, InvalidArgument, "json {json!r} is not a bool"),
+                      "seed": (int, InvalidArgument, "seed {seed!r} is not an int"),
+                      "verify": (bool, InvalidArgument, "verify {verify!r} is not a bool")}
     _defaults = {"group": default_group(), "json": False, "seed": 0, "verify": False}
 
 
@@ -428,6 +431,7 @@ class Walk(_Command):
 
 class Table(_Command):
     __slots__ = ("n",)
+    _field_classes = {"n": (int, InvalidArgument, "N {n!r} is not an int")}
 
     word = "table"
     grammar = (_Parser.expect_int,)
@@ -447,6 +451,8 @@ class Table(_Command):
 
 class Nagata(_Command):
     __slots__ = ("target", "e")
+    _field_classes = {"target": (str, InvalidArgument, "target {target!r} is not a str"),
+                      "e": ((int, type(None)), InvalidArgument, "e {e!r} is not an int")}
     _defaults = {"e": None}
 
     word = "nagata"

@@ -394,6 +394,19 @@ REFUSALS = (
     (cli.Nagata, ("dec", 10_001), SemanticError, "nagata takes an invariant e <= 10000"),
     (cli.MinCurves, (Indec0(T2), Pair(P1, P1)), SemanticError,
      "mincurves needs an indm1 surface and a pair{...}"),
+    (cli.Table, ("3",), InvalidArgument, "N '3' is not an int"),
+    (cli.Table, (3.5,), InvalidArgument, "N 3.5 is not an int"),
+    (cli.Table, (True,), InvalidArgument, "N True is not an int"),
+    (cli.Nagata, (3,), InvalidArgument, "target 3 is not a str"),
+    (cli.Nagata, ("dec", "5"), InvalidArgument, "e '5' is not an int"),
+    (cli.Nagata, ("ind0", True), InvalidArgument, "e True is not an int"),
+    (cli.Nagata, (None, 1.5), InvalidArgument, "target None is not a str"),
+    (cli.Options, (T2, 1, 0, False), InvalidArgument, "json 1 is not a bool"),
+    (cli.Options, (T2, False, "x", False), InvalidArgument, "seed 'x' is not an int"),
+    (cli.Options, (T2, False, True, False), InvalidArgument, "seed True is not an int"),
+    (cli.Options, (T2, False, 0, None), InvalidArgument, "verify None is not a bool"),
+    (cli.Options, (None, "yes", 1.5, 0), InvalidArgument, "None is not a group model"),
+    (cli.Options, (T2, "yes", 1.5, 0), InvalidArgument, "json 'yes' is not a bool"),
 )
 
 
