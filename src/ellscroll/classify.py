@@ -10,7 +10,10 @@ h0 - h1 (Riemann-Roch at m = 1); it dispatches once on the family, each
 branch assigns the row's fields, and the ``X0+af`` family and the record are
 built at one exit.  The records (``ScrollModel``, ``Generation``,
 ``UnisecantFamily``) are immutable named tuples, built from every field with
-``tuple.__new__``; ``to_dict`` gives the JSON form.
+``tuple.__new__``; ``to_dict`` gives the JSON form.  For the CLI a record
+writes that form's ``json.dumps(indent=2)`` itself, filling with one ``%`` a
+template of its keys made once per indentation (and, for a family, per set
+of fields that are not None).
 
 ``emit_table`` lists every scroll model living in a fixed projective space
 P^N, handing the core each row's plain values without building a surface
@@ -25,7 +28,9 @@ exactly 1, on every transformation it makes.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import partial
+from functools import lru_cache, partial
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _str_json
 from typing import NamedTuple
 
 from . import linsys
@@ -43,6 +48,16 @@ from .surface import FAMILIES, Decomposable, Indec0, IndecMinus1, SurfaceModel
 from .values import Value
 
 
+@lru_cache(maxsize=None)
+def _template(record: type, newline: str, present: tuple[bool, ...] | None = None) -> str:
+    """``json.dumps(d, indent=2)`` at the indentation ``newline`` opens, with
+    ``%s`` for each value, of a dict ``d`` keyed by the record's fields or
+    by those ``present`` marks (no field name holds a ``%``)."""
+    names = record._fields if present is None else compress(record._fields, present)
+    keys = ("," + newline + "  ").join(f"{_str_json(n)}: %s" for n in names)
+    return "{" + newline + "  " + keys + newline + "}" if keys else "{}"
+
+
 class Generation(NamedTuple):
     """How the scroll is swept out: a correspondence between two directrix
     curves (degrees as subsets of projective space; a line has degree 1)."""
@@ -53,8 +68,11 @@ class Generation(NamedTuple):
     united_points: int
 
     def to_dict(self) -> dict:
-        return {"left_degree": self.left_degree, "right_degree": self.right_degree,
-                "correspondence": self.correspondence, "united_points": self.united_points}
+        return self._asdict()
+
+    def _json(self, newline: str) -> str:
+        left, right, correspondence, united = self
+        return _template(Generation, newline) % (left, right, _str_json(correspondence), united)
 
 
 class UnisecantFamily(NamedTuple):
@@ -84,21 +102,16 @@ class UnisecantFamily(NamedTuple):
     note: str | None = None
 
     def to_dict(self) -> dict:
-        """The fields that are set, in field order; written out, as
-        ``ScrollModel.to_dict`` is, for the two or three families of each row."""
+        """The fields that are set, in field order."""
+        return {name: v for name, v in zip(self._fields, self) if v is not None}
+
+    def _json(self, newline: str) -> str:
         system, min_deg_a, degree_offset, ln_max_degree, ln_exact_degree, note = self
-        out = {} if system is None else {"system": system}
-        if min_deg_a is not None:
-            out["min_deg_a"] = min_deg_a
-        if degree_offset is not None:
-            out["degree_offset"] = degree_offset
-        if ln_max_degree is not None:
-            out["ln_max_degree"] = ln_max_degree
-        if ln_exact_degree is not None:
-            out["ln_exact_degree"] = ln_exact_degree
-        if note is not None:
-            out["note"] = note
-        return out
+        present = (system is not None, min_deg_a is not None, degree_offset is not None,
+                   ln_max_degree is not None, ln_exact_degree is not None, note is not None)
+        values = (None if system is None else _str_json(system), min_deg_a, degree_offset,
+                  ln_max_degree, ln_exact_degree, None if note is None else _str_json(note))
+        return _template(UnisecantFamily, newline, present) % tuple(compress(values, present))
 
 
 class ScrollModel(NamedTuple):
@@ -118,17 +131,28 @@ class ScrollModel(NamedTuple):
     families: tuple[UnisecantFamily, ...] = ()
 
     def to_dict(self) -> dict:
-        """Every field, None included, with the records nested as dicts; built
-        by hand, as ``_asdict()`` is slower on every table row."""
+        """Every field, None included, with the records nested as dicts."""
         g = self.generation
-        return {
-            "model_tag": self.model_tag, "e": self.e, "e_class_note": self.e_class_note,
-            "deg_b": self.deg_b, "birational": self.birational, "map_degree": self.map_degree,
-            "scroll_degree": self.scroll_degree, "ambient": self.ambient,
-            "speciality": self.speciality, "singular_locus": self.singular_locus,
-            "generation": None if g is None else g.to_dict(),
-            "families": [f.to_dict() for f in self.families],
-        }
+        return {**self._asdict(), "generation": None if g is None else g.to_dict(),
+                "families": [f.to_dict() for f in self.families]}
+
+    def _json(self, newline: str) -> str:
+        """``json.dumps(self.to_dict(), indent=2)`` at the indentation ``newline``
+        opens; the generation and families are written one indentation deeper."""
+        (tag, e, note, deg_b, birational, map_degree, degree, ambient, speciality, singular,
+         g, families) = self
+        inner, item = newline + "  ", newline + "    "
+        families = ("[" + item + ("," + item).join([f._json(item) for f in families]) + inner
+                    + "]" if families else "[]")
+        return _template(ScrollModel, newline) % (
+            _str_json(tag), e, "null" if note is None else _str_json(note), deg_b,
+            "true" if birational else "false", "null" if map_degree is None else map_degree,
+            degree, ambient, speciality, _str_json(singular),
+            "null" if g is None else g._json(inner), families)
+
+
+#: The records that write their own JSON, by ``_json(newline)``.
+JSON_RECORDS = frozenset({Generation, UnisecantFamily, ScrollModel})
 
 
 # The curves and generations that do not depend on the row; immutable,

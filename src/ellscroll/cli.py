@@ -40,13 +40,18 @@ Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``mincurves s pair{..}``, ``ram s point``.  Flags: ``--group m,n``,
 ``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``.  Each shell
 argument is one word: a flag inside an argument is not split out of it.
+The switches ``--json`` and ``--verify`` take no value (``--json=false`` is
+a ParseError, not JSON), and a word that is not a ``str`` is a ParseError.
 ``table`` takes N <= 10000 and ``nagata`` an e <= 10000 (``SIZE_CAP``): the
 work grows linearly in either, and a larger one is a semantic error.
 
 Exit codes: 0 success, 1 engine error, 2 parse/semantic error.  In JSON mode
 errors are also emitted on standard output as ``{"error": code, ...}``.
-``--json`` prints ``json.dumps(payload, indent=2)`` byte for byte, built
-without the pure-Python encoder that ``json.dumps`` takes when it indents.
+``--json`` prints ``json.dumps`` of the payload's dict form with
+``indent=2``, byte for byte, built without the pure-Python encoder that
+``json.dumps`` takes when it indents.  ``table`` and ``classify`` hand over
+their ``classify`` records, not dicts, and each record renders from the
+template of its fields (see ``classify``).
 """
 
 from __future__ import annotations
@@ -388,8 +393,9 @@ class Classify(_Command):
         if self.system.m != 1:
             raise SemanticError("classify needs a fiber-degree-1 system (1X0+...)")
 
-    def run(self, options: Options) -> dict:
-        return classify_mod.classify_scroll(self.surface, self.system.b).to_dict()
+    def run(self, options: Options) -> dict | classify_mod.ScrollModel:
+        record = classify_mod.classify_scroll(self.surface, self.system.b)
+        return record if options.json else record.to_dict()
 
 
 class Elm(_Command):
@@ -445,7 +451,7 @@ class Table(_Command):
     def run(self, options: Options) -> list | str:
         rows = classify_mod.emit_table(self.n, options.group)
         if options.json:
-            return [row.to_dict() for row in rows]
+            return rows
         return classify_mod.render_table(self.n, rows)
 
 
@@ -583,6 +589,8 @@ def _parse_flags(words: list[str]) -> tuple[list[str], Options]:
             continue
         name, eq, value = word.partition("=")
         if name in SWITCHES:
+            if eq:
+                raise ParseError(f"flag {name} takes no value", column=0)
             settings[SWITCHES[name]] = True
             continue
         if name not in VALUE_FLAGS:
@@ -603,14 +611,20 @@ def parse(line: str | Sequence[str]) -> Command:
     """Parse one full command line (flags may appear anywhere).
 
     ``line`` is either text, split into words as a shell would, or the list
-    of words itself; each word that starts with ``--`` is a flag.
+    of words itself; each word that starts with ``--`` is a flag.  A word
+    that is not a ``str`` is refused before any flag is read.
     """
     if isinstance(line, str):
         try:
-            line = shlex.split(line)
+            words = shlex.split(line)
         except ValueError as exc:
             raise ParseError(f"unbalanced quoting: {exc}", column=0) from exc
-    body, options = _parse_flags(list(line))
+    else:
+        words = list(line)
+        for word in words:
+            if not isinstance(word, str):
+                raise ParseError(f"word {word!r} is not a str", column=0)
+    body, options = _parse_flags(words)
     parser = _Parser(" ".join(body[1:]), options.group)
     cls = COMMANDS.get(body[0]) if body else None
     if cls is None:
@@ -636,8 +650,10 @@ def _render_text(payload: dict | str) -> str:
 
 def _render_json(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for dicts keyed by str, lists, str, int,
-    True, False and None, each of exactly that type; anything else is a TypeError.
-    A list or dict writes its leaves in place, with no call per leaf."""
+    True, False and None, each of exactly that type, where a record of
+    ``classify.JSON_RECORDS`` stands for its ``to_dict()``; anything else is a
+    TypeError.  A list or dict writes its leaves in place, with no call per
+    leaf, and a record writes itself."""
     cls = value.__class__
     if cls is str:
         return encode_basestring_ascii(value)
@@ -670,6 +686,8 @@ def _render_json(value, newline: str = "\n") -> str:
             else:
                 text = _render_json(v, inner)
             items.append(f"{encode_basestring_ascii(k)}: {text}")
+    elif cls in classify_mod.JSON_RECORDS:
+        return value._json(newline)
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     brackets = "[]" if cls is list else "{}"
@@ -688,12 +706,11 @@ def run(cmd: Command) -> tuple[int, str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    json_mode = any(a == "--json" or a.startswith("--json=") for a in args)
     try:
         status, out = run(parse(args))
     except EngineError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
-        if json_mode:
+        if any(isinstance(a, str) and (a == "--json" or a.startswith("--json=")) for a in args):
             print(json.dumps({"error": err.code, "message": str(err)}))
         return 2 if isinstance(err, (ParseError, SemanticError)) else 1
     if out:

@@ -9,7 +9,8 @@ or the code of the error each raised.  JSON tells ``true`` from ``1``, so the
 digest also pins the type of every count.
 
 Tier-1 checks Torus(4,4); ``ELLSCROLL_FUZZ=1`` adds Torus(2,6) and
-Weierstrass(23,-1,0).
+Weierstrass(23,-1,0).  On the Torus(4,4) cases the CLI's ``--json`` text of
+each record is checked against ``json.dumps`` of its dict.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 
 from ellscroll import linsys
 from ellscroll.classify import classify_scroll
+from ellscroll.cli import _render_json
 from ellscroll.errors import EngineError
 from ellscroll.groups import TorusGroup, WeierstrassGroup
 from ellscroll.picard import DivisorClass
@@ -64,13 +66,17 @@ def outcome(op, *args):
         return err.code
 
 
+def classes(group):
+    return [DivisorClass(d, g) for d in range(-3, 12) for g in group.elements()]
+
+
 def sweep(group):
     """The sweep's digest, the model tags met, and the smooth split layouts met."""
     digest = hashlib.sha256()
     tags, layouts = set(), set()
-    classes = [DivisorClass(d, g) for d in range(-3, 12) for g in group.elements()]
+    grid = classes(group)
     for s in surfaces(group):
-        for b in classes:
+        for b in grid:
             row = outcome(classify_scroll, s, b)
             if isinstance(row, dict):
                 tags.add(row["model_tag"])
@@ -98,3 +104,18 @@ def test_classification_matches_its_digest():
 @pytest.mark.parametrize("group", [TorusGroup(2, 6), WeierstrassGroup(23, -1, 0)], ids=str)
 def test_classification_matches_its_digest_sweep(group):
     check(group)
+
+
+def test_records_render_as_json_dumps_of_their_dicts():
+    # The CLI's --json text of each record of the Torus(4,4) sweep.
+    group = TorusGroup(4, 4)
+    grid = classes(group)
+    records = set()
+    for s in surfaces(group):
+        for b in grid:
+            try:
+                records.add(classify_scroll(s, b))
+            except EngineError:
+                pass
+    for record in records:
+        assert _render_json(record) == json.dumps(record.to_dict(), indent=2)

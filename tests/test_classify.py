@@ -343,8 +343,8 @@ def test_table_general_structure():
 
 
 def test_row_dicts_hold_every_field_in_field_order():
-    # The records' dicts are written out by hand; the named tuples' own
-    # ``_asdict`` is the definition they must keep.
+    # The named tuples' own ``_asdict`` is the definition the records'
+    # dicts must keep.
     rows = [row for n in range(3, 13) for row in emit_table(n)]
     assert {row.generation is None for row in rows} == {True, False}
     for row in rows:

@@ -8,6 +8,7 @@ import random
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,9 @@ from ellscroll.cli import (
     run,
 )
 from ellscroll.elmtrans import Generic, OnX0, OnX1, Pair
-from ellscroll.classify import minimality_check
+from ellscroll.classify import (
+    JSON_RECORDS, Generation, ScrollModel, UnisecantFamily, emit_table, minimality_check,
+)
 from ellscroll.errors import GroupTooLarge, ParseError, SemanticError
 from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, class_of
@@ -467,9 +470,17 @@ def test_readme_cli_lines_exit_as_documented(line, capsys):
     marked = re.search(r"# exit (\d)", line)
     assert main(words[1:]) == (int(marked.group(1)) if marked else 0)
     if not marked:
-        # With --json, the same line renders as the indented json.dumps.
+        # With --json, the same line renders as the indented json.dumps of
+        # the payload's dict form.
         cmd = parse(words[1:] + ["--json"])
-        assert run(cmd) == (0, json.dumps(cmd.variant.run(cmd.options), indent=2))
+        assert run(cmd) == (0, json.dumps(dict_form(cmd.variant.run(cmd.options)), indent=2))
+
+
+def dict_form(payload):
+    """The payload with each record, alone or in a list, as its ``to_dict()``."""
+    if isinstance(payload, list):
+        return [dict_form(v) for v in payload]
+    return payload.to_dict() if payload.__class__ in JSON_RECORDS else payload
 
 
 # -- command registry, argv words, small groups --------------------------------
@@ -494,6 +505,37 @@ def test_flag_inside_an_argument_is_not_a_flag(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("ParseError: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--json=false", "--json=", "--verify=0", "--verify=1"])
+def test_a_switch_given_a_value_is_a_parse_error(flag, capsys):
+    message = f"flag {flag.partition('=')[0]} takes no value"
+    with pytest.raises(ParseError, match=message):
+        parse(["table", "3", flag])
+    assert main(["table", "3", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ParseError: {message}\n"
+    if flag.startswith("--json"):
+        assert json.loads(captured.out) == {"error": "ParseError", "message": message}
+    else:
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["table", 3], "3"), (["table", None], "None"), (["table", b"3"], "b'3'"),
+    ([b"table", "3"], "b'table'"), (["--bogus", 3.0], "3.0"), (["table", 3, "--json"], "3"),
+])
+def test_a_word_that_is_not_a_str_is_a_parse_error(argv, word, capsys):
+    message = f"word {word} is not a str"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ParseError: {message}\n"
+    if "--json" in argv:
+        assert json.loads(captured.out) == {"error": "ParseError", "message": message}
+    else:
+        assert captured.out == ""
 
 
 def test_nagata_verify_reports_trajectory(capsys):
@@ -833,10 +875,66 @@ class Text(str):
     pass
 
 
+class Pairing(NamedTuple):
+    left: int
+    right: int
+
+
+class Row(ScrollModel):
+    pass
+
+
 @pytest.mark.parametrize(
-    "value", [1.0, (1, 2), Text("x"), [True, 1.0], {"a": 0.0}, {1: None}],
-    ids=["float", "tuple", "str-subclass", "float-after-true", "float-in-dict", "int-key"],
+    "value",
+    [1.0, (1, 2), Text("x"), [True, 1.0], {"a": 0.0}, {1: None}, Pairing(1, 2),
+     [Row(*emit_table(3)[0])]],
+    ids=["float", "tuple", "str-subclass", "float-after-true", "float-in-dict", "int-key",
+         "named-tuple", "record-subclass"],
 )
 def test_json_rendering_refuses_other_types(value):
     with pytest.raises(TypeError):
         _render_json(value)
+
+
+# -- the records' own JSON -----------------------------------------------------
+
+
+def check_table_json(sizes, group=None):
+    for N in sizes:
+        rows = emit_table(N, group)
+        assert _render_json(rows) == json.dumps([r.to_dict() for r in rows], indent=2), N
+
+
+def test_table_json_renders_as_json_dumps_of_the_row_dicts():
+    check_table_json(range(3, 41))
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="N = 3..60 on three models; set ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize(
+    "group", [TorusGroup(12, 12), WeierstrassGroup(23, -1, 0), TorusGroup(2, 6)], ids=str
+)
+def test_table_json_renders_as_json_dumps_of_the_row_dicts_sweep(group):
+    check_table_json(range(3, 61), group)
+
+
+def nested(value, form, depth):
+    """(value, form) each wrapped ``depth`` deep, every way, in a list or a dict."""
+    if not depth:
+        yield value, form
+        return
+    for inner, inner_form in nested(value, form, depth - 1):
+        yield [inner, 1], [inner_form, 1]
+        yield {"k": inner, "z": None}, {"k": inner_form, "z": None}
+
+
+def test_records_render_as_json_dumps_of_their_dicts_at_every_depth():
+    rows = {row for N in range(3, 13) for row in emit_table(N)}
+    records = {*rows, *(r.generation for r in rows if r.generation)}
+    records |= {f for r in rows for f in r.families}
+    # An empty family, strings to escape, and every optional field set.
+    records |= {UnisecantFamily(None), UnisecantFamily("X0", note='a "b" \\ é\n'),
+                UnisecantFamily("X0+af", 1, 2, 3, 4, "%s"), Generation(1, 2, "%%", 0)}
+    for record in records:
+        for depth in range(4):
+            for value, form in nested(record, record.to_dict(), depth):
+                assert _render_json(value) == json.dumps(form, indent=2)
