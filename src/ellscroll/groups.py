@@ -13,11 +13,17 @@ All values are immutable and all operations are pure functions, so they can
 be shared freely between threads.  Every enumeration is returned in a fixed
 lexicographic order to keep set-valued results deterministic.
 
-This module is the only one that knows that order.  ``elements()`` returns
-the whole enumeration as a tuple that is built once per group and cached.
-``nth(k)`` returns its k-th element: the torus computes it from ``k`` alone,
-so callers that need a few elements, or one drawn at random, never
-enumerate the group; a Weierstrass model indexes its cached tuple.
+A model is one object per field tuple: building, copying or unpickling it
+returns the live model, and a weak reference holds it, so a model that no
+caller holds is collected.  Groups are compared with ``is``, so elements of
+two models do not combine: that raises ``MixedGroups``.
+
+This module is the only one that knows the order of an enumeration.
+``elements()`` returns the whole enumeration as a tuple built once and held
+on its model, as is a Weierstrass model's 2-torsion.  ``nth(k)`` returns its
+k-th element: the torus computes it from ``k`` alone, so callers that need a
+few elements, or one drawn at random, never enumerate the group; a
+Weierstrass model indexes its enumeration.
 
 Halvings never enumerate.  The torus halves each coordinate.  A Weierstrass
 model whose cubic has three roots e1, e2, e3 in F_p (2-torsion of order 4)
@@ -29,21 +35,20 @@ Either way halvings answer for any prime up to ``PRIME_CAP``.  The order, the
 elements and ``nth`` of a Weierstrass model still enumerate it and need
 p < 5000.
 
-A binary operation first tests whether its two operands hold the same group
-object, and calls ``check_same_group`` only when they do not: equal groups
-built apart still combine, since the CLI builds a fresh model for each line
-and the cached Weierstrass points hold the first equal model that built
-them, and unequal groups raise ``MixedGroups``.  The models, ``element`` and
-``point`` refuse a field that is not an ``int`` with ``InvalidArgument``;
-``GroupElement(...)`` checks nothing.  The kernels build their result with it
-directly, and refuse with ``InvalidArgument`` a scalar that is not an ``int``
-and, once reading its group or coords has failed, an operand that is not an
-element; the operators of ``GroupElement`` only call them.
+The models, ``element``, ``point`` and ``nth`` refuse a field or number that
+is not an ``int`` with ``InvalidArgument``; ``GroupElement(...)`` checks
+nothing.  The kernels build their result with it directly, and refuse with
+``InvalidArgument`` a scalar that is not an ``int`` and, once reading its
+group or coords has failed, an operand that is not an element; the operators
+of ``GroupElement`` only call them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from .errors import GroupTooLarge, InvalidArgument, InvalidPointSpec, MixedGroups
 from .values import Value
@@ -79,9 +84,7 @@ class GroupElement(Value):
             return True
         if other.__class__ is not GroupElement:
             return NotImplemented
-        return self.coords == other.coords and (
-            self.group is other.group or self.group == other.group
-        )
+        return self.coords == other.coords and self.group is other.group
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return self.group.add(self, other)
@@ -124,16 +127,38 @@ def _refuse_operands(g: object, h: object) -> None:
 
 def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
     """Refuse to combine values from two different group models."""
-    if a is not b and a != b:
+    if a is not b:
         raise MixedGroups(f"elements of {a} and {b} cannot be combined")
 
 
-class TorusGroup(Value):
+_INSTALL = Lock()
+
+
+class _Interned(type):
+    """The metaclass of the group models: a call returns the live model of
+    its fields.  Only ``int`` fields look it up, so that ``True`` does not
+    find the model of ``1``.  A miss, or a call with keywords, builds the
+    model with every check, then installs it unless another thread did."""
+
+    def __init__(cls, *args) -> None:
+        super().__init__(*args)
+        cls._models = WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        model = None if kwargs or {*map(type, args)} != {int} else cls._models.get(args)
+        if model is None:
+            model = super().__call__(*args, **kwargs)
+            with _INSTALL:
+                model = cls._models.setdefault(cls._key(model), model)
+        return model
+
+
+class TorusGroup(Value, metaclass=_Interned):
     """The group Z/m x Z/n with componentwise addition."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ("m", "n", "_elements", "__weakref__")
     _field_classes = dict.fromkeys(
-        __slots__, (int, InvalidArgument, "torus moduli ({m!r}, {n!r}) are not ints")
+        ("m", "n"), (int, InvalidArgument, "torus moduli ({m!r}, {n!r}) are not ints")
     )
 
     ZERO_COORDS = (0, 0)
@@ -184,16 +209,12 @@ class TorusGroup(Value):
         return GroupElement(self, (k * i % self.m, k * j % self.n))
 
     def elements(self) -> tuple[GroupElement, ...]:
-        if self.order() > ENUMERATION_CAP:
-            raise GroupTooLarge(
-                f"group order {self.order()} exceeds cap {ENUMERATION_CAP}"
-            )
-        return _torus_elements(self)
+        return _held(self, "_elements", _torus_elements)
 
     def nth(self, k: int) -> GroupElement:
         """The k-th element of ``elements()``, without enumerating."""
-        if not 0 <= k < self.m * self.n:
-            raise IndexError(f"{self} has no element number {k}")
+        if k.__class__ is not int or not 0 <= k < self.m * self.n:
+            raise _no_element(self, k)
         return GroupElement(self, divmod(k, self.n))
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
@@ -208,11 +229,29 @@ class TorusGroup(Value):
         return f"Torus({self.m},{self.n})"
 
 
-@lru_cache(maxsize=None)
 def _torus_elements(group: TorusGroup) -> tuple[GroupElement, ...]:
+    if group.order() > ENUMERATION_CAP:
+        raise GroupTooLarge(f"group order {group.order()} exceeds cap {ENUMERATION_CAP}")
     return tuple(
         GroupElement(group, (i, j)) for i in range(group.m) for j in range(group.n)
     )
+
+
+def _held(group: CurveGroup, slot: str, build: Callable) -> tuple[GroupElement, ...]:
+    """``group``'s slot, set to ``build(group)`` on the first read."""
+    try:
+        return getattr(group, slot)
+    except AttributeError:
+        value = build(group)
+        object.__setattr__(group, slot, value)  # past the frozen ``__setattr__``
+        return value
+
+
+def _no_element(group: CurveGroup, k: object) -> Exception:
+    """The refusal of ``group.nth(k)``."""
+    if k.__class__ is not int:
+        return InvalidArgument(f"element number {k!r} is not an int")
+    return IndexError(f"{group} has no element number {k}")
 
 
 def _half_residues(a: int, m: int) -> list[int]:
@@ -225,20 +264,15 @@ def _half_residues(a: int, m: int) -> list[int]:
     return [a // 2, a // 2 + m // 2]
 
 
-class WeierstrassGroup(Value):
+class WeierstrassGroup(Value, metaclass=_Interned):
     """Rational points of y^2 = x^3 + ax + b over F_p, p an odd prime."""
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ("p", "a", "b", "_elements", "_torsion", "__weakref__")
     _field_classes = dict.fromkeys(
-        __slots__, (int, InvalidArgument, "curve fields ({p!r}, {a!r}, {b!r}) are not ints")
+        ("p", "a", "b"), (int, InvalidArgument, "curve fields ({p!r}, {a!r}, {b!r}) are not ints")
     )
 
     ZERO_COORDS = None
-
-    # The hash of ``Value``, without its ``attrgetter``: each draw of a
-    # Weierstrass walk looks its points up by the group.
-    def __hash__(self) -> int:
-        return hash((self.p, self.a, self.b))
 
     def _check(self) -> None:
         p, a, b = self.p, self.a, self.b
@@ -317,16 +351,16 @@ class WeierstrassGroup(Value):
         return acc
 
     def order(self) -> int:
-        return len(_weierstrass_points(self))
+        return len(_held(self, "_elements", _weierstrass_points))
 
     def elements(self) -> tuple[GroupElement, ...]:
-        return _weierstrass_points(self)
+        return _held(self, "_elements", _weierstrass_points)
 
     def nth(self, k: int) -> GroupElement:
         """The k-th element of ``elements()``."""
-        points = _weierstrass_points(self)
-        if not 0 <= k < len(points):
-            raise IndexError(f"{self} has no element number {k}")
+        points = _held(self, "_elements", _weierstrass_points)
+        if k.__class__ is not int or not 0 <= k < len(points):
+            raise _no_element(self, k)
         return points[k]
 
     def halvings(self, s: GroupElement) -> frozenset[GroupElement]:
@@ -342,7 +376,7 @@ class WeierstrassGroup(Value):
         if s.__class__ is not GroupElement:
             raise InvalidPointSpec(f"{s!r} is not a group element")
         check_same_group(s.group, self)
-        torsion = _two_torsion(self)
+        torsion = _held(self, "_torsion", _two_torsion)
         if len(torsion) < 4:
             return _quartic_halvings(self, s)
         if s.coords is None:
@@ -368,7 +402,6 @@ class WeierstrassGroup(Value):
         return f"Weierstrass({self.p},{self.a},{self.b})"
 
 
-@lru_cache(maxsize=None)
 def _weierstrass_points(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
     p = group.p
     if 2 * p + 1 > ENUMERATION_CAP:
@@ -385,7 +418,6 @@ def _weierstrass_points(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
     return tuple(points)
 
 
-@lru_cache(maxsize=None)
 def _two_torsion(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
     """O and the points (x, 0), x a root of x^3 + ax + b."""
     p, a, b = group.p, group.a, group.b
@@ -399,7 +431,7 @@ def _two_torsion(group: WeierstrassGroup) -> tuple[GroupElement, ...]:
 def _quartic_halvings(group: WeierstrassGroup, s: GroupElement) -> frozenset[GroupElement]:
     """``group.halvings(s)`` from the roots of the halving quartic, on any curve."""
     if s.coords is None:
-        return frozenset(_two_torsion(group))
+        return frozenset(_held(group, "_torsion", _two_torsion))
     p, a, b = group.p, group.a, group.b
     xs, ys = s.coords
     out = []
@@ -424,7 +456,6 @@ def _quartic_halvings(group: WeierstrassGroup, s: GroupElement) -> frozenset[Gro
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)  # the CLI builds a model for every line
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3,474,749,660,383."""
     for q in _MR_BASES:

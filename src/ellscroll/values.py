@@ -1,4 +1,5 @@
-"""Immutable engine values.  A ``Value`` names its fields in ``__slots__`` and
+"""Immutable engine values.  A ``Value`` names its fields in ``__slots__`` (a
+slot named ``_...``, such as a cache or ``__weakref__``, is not a field) and
 has the equality, hash, ``repr``, frozenness and pickling of a frozen dataclass.
 Next to ``__slots__`` a class may declare ``_field_classes``, which gives a checked
 field the class (or tuple of classes) it must have, the error for any other and
@@ -21,7 +22,8 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        names = tuple(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ()))
+        slots = (n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ()))
+        names = tuple(n for n in slots if n[0] != "_")
         cls._fields = names
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
         get = attrgetter(*names) if names else lambda value: ()

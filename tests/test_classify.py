@@ -490,14 +490,21 @@ def test_verify_plan_refuses_what_is_not_a_plan():
 
 
 def test_search_builds_its_default_group_only_when_given_none(monkeypatch):
-    built, W, torus = [], WeierstrassGroup(23, -1, 0), TorusGroup(4, 4)
-    check = TorusGroup._check
-    monkeypatch.setattr(TorusGroup, "_check", lambda self: built.append(self) or check(self))
+    # A call that finds the live model runs no check, so the calls of the
+    # models' constructor are counted.
+    built, W = [], WeierstrassGroup(23, -1, 0)
+    build = type(TorusGroup).__call__
+
+    def counted(cls, *args, **kwargs):
+        built.append((cls, args, kwargs))
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(type(TorusGroup), "__call__", counted)
     assert minimality_check("dec", 1, 2, W) == 1
     assert built == []
     # With no group, one Torus(4,4) is built, and the search answers on it.
     assert minimality_check("dec", 1) == 1
-    assert built == [torus]
+    assert built == [(TorusGroup, (4, 4), {})]
 
 
 def test_minimality_unreachable_within_budget():
@@ -828,6 +835,41 @@ def segre_degree(generation):
     return beta * d_left + alpha * d_right - u
 
 
+def directrices(row, group):
+    """A surface of ``row``'s family and invariants, its hyperplane class
+    H = X0 + b*f, and the classes of the two directrix curves that the row's
+    generation joins: X0 and X1 ~ X0 - e_class*f on a split surface; X0 and
+    a curve of the row's X0+af family of least deg a on Indec0; two minimum
+    curves D_q ~ X0 + (q - p0)*f on e = -1."""
+    zero = group.zero()
+
+    def curve(a):
+        return SurfaceDivisorClass(1, a)
+
+    if row.model_tag.startswith("Ind0"):
+        s = Indec0(group)
+        least = next(f.min_deg_a for f in row.families if f.system == "X0+af")
+        pair = curve(cls(0, zero)), curve(cls(least, zero))
+    elif row.model_tag.startswith("IndM1"):
+        s = IndecMinus1(zero)
+        pair = curve(cls(0, group.nth(1))), curve(cls(0, group.nth(2)))
+    else:
+        s = Decomposable(DivisorClass(-row.e, zero))
+        pair = curve(cls(0, zero)), curve(-s.e_class)
+    return s, curve(cls(row.deg_b, zero)), pair
+
+
+def check_directrix_degrees(row, group):
+    """H.C for each directrix C is its degree in P^N, times the rulings
+    through a point of its image (beta on the left, alpha on the right of an
+    alpha:beta correspondence), times the degree of the map."""
+    s, H, (left, right) = directrices(row, group)
+    d_left, d_right, correspondence, _ = row.generation
+    alpha, beta = map(int, correspondence.split(":"))
+    assert intersect(s, H, left) == row.map_degree * beta * d_left, row
+    assert intersect(s, H, right) == row.map_degree * alpha * d_right, row
+
+
 def check_tables_by_enumeration(top, group):
     rows = enumerated_rows(top, group)
     tables = [emit_table(N, group) for N in range(3, top + 1)]
@@ -836,9 +878,13 @@ def check_tables_by_enumeration(top, group):
     generated = [
         r for found in (*rows.values(), *tables) for r in found if r.generation is not None
     ]
-    assert generated
+    assert {r.model_tag for r in generated} == {
+        "DoubleQuadric", "DecScrollTwoLines", "DecScrollDirectrixLine", "DecScrollSmooth",
+        "Ind0Quartic", "Ind0Smooth", "IndM1Smooth",
+    }
     for r in generated:
         assert r.scroll_degree == segre_degree(r.generation), r
+        check_directrix_degrees(r, group)
 
 
 def test_tables_match_their_enumeration():

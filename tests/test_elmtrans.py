@@ -33,7 +33,7 @@ from ellscroll.errors import (
     MixedGroups,
     SemanticError,
 )
-from ellscroll.groups import GroupElement, TorusGroup, WeierstrassGroup, default_group
+from ellscroll.groups import TorusGroup, WeierstrassGroup, default_group
 from ellscroll.picard import DivisorClass, point_class
 from ellscroll.surface import (
     Decomposable,
@@ -564,20 +564,13 @@ def _outcome(call, *args):
 def _reference_walk(s0, templates, seed, seen, steps):
     """The steps of ``walk``, each template resolved by ``_reference_resolve``
     and appended to ``steps``, so that after a refusal their number is the
-    refused step's index.  Adds each (family, word) it resolves to ``seen``,
-    and "word after twin" once a word step follows a point of an equal group
-    model built apart."""
-    rng, model, after_twin = random.Random(seed), s0, False
+    refused step's index.  Adds each (family, word) it resolves to ``seen``."""
+    rng, model = random.Random(seed), s0
     for template in templates:
         if isinstance(template, str):
             seen.add((model.family(), template))
-        else:
-            point = template.q if isinstance(template, Pair) else template.P
-            after_twin |= point.group is not s0.group and point.group == s0.group
         steps.append(elm(model, _reference_resolve(template, model, rng)))
         model = steps[-1].model
-        if after_twin and isinstance(template, str):
-            seen.add("word after twin")
     return tuple(steps)
 
 
@@ -593,25 +586,15 @@ def _stream_starts(group):
 FOREIGN_GROUP = TorusGroup(3, 5)
 
 
-def _built_apart(group):
-    """A group model equal to ``group`` but not the same object."""
-    if isinstance(group, TorusGroup):
-        return TorusGroup(group.m, group.n)
-    return WeierstrassGroup(group.p, group.a, group.b)
-
-
 def _template_stream(group, rng, length):
     """Words, with one step in five a concrete point of any kind: most on
-    ``group``, some on an equal model built apart and a few foreign."""
-    twin = _built_apart(group)
+    ``group`` and a few foreign."""
     out = []
     for _ in range(length):
         u = rng.random()
         if u < 0.2:
-            # ``elements()`` is cached by equality: a twin's points are
-            # rebuilt on it to be its own.
-            source = group if u < 0.13 else twin if u < 0.185 else FOREIGN_GROUP
-            p, q = (GroupElement(source, rng.choice(source.elements()).coords) for _ in "pq")
+            source = group if u < 0.185 else FOREIGN_GROUP
+            p, q = (rng.choice(source.elements()) for _ in "pq")
             out.append(rng.choice((Generic(p), OnX0(p), OnX1(p), Pair(p, q))))
         else:
             out.append(rng.choice(WALK_TEMPLATES))
@@ -644,9 +627,8 @@ def _assert_template_streams_match(group, seeds):
 @pytest.mark.parametrize("group", STREAM_GROUPS, ids=str)
 def test_every_template_word_draws_as_choice_and_randrange(group):
     seen = _assert_template_streams_match(group, range(30))
-    assert seen == {(f, word) for f in ("dec", "ind0", "indm1") for word in WALK_TEMPLATES} | {
-        "word after twin", "foreign refused"
-    }
+    words = {(f, word) for f in ("dec", "ind0", "indm1") for word in WALK_TEMPLATES}
+    assert seen == words | {"foreign refused"}
     for model in _stream_starts(group):
         for word in WALK_TEMPLATES:
             for seed in range(4):

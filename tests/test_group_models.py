@@ -3,12 +3,17 @@ systems and the scroll classification.
 
 A curve isomorphism carries every surface and system to an isomorphic one,
 so ``analyze`` and ``classify_scroll`` must give the same record, or refuse
-with the same error code, on both sides.  Two curve isomorphisms are checked:
+with the same error code, on both sides.  Three curve isomorphisms are
+checked:
 
 - Torus(2,12) onto Weierstrass(23,-1,0), through (i, j) -> i*Q + j*P, where
   P has order 12 and Q is a 2-torsion point outside <P>;
 - translation by x on Torus(12,12), which maps a class (d, a) to
-  (d, a + d*x) and the e = -1 surface over p0 to the one over p0 + x.
+  (d, a + d*x) and the e = -1 surface over p0 to the one over p0 + x;
+- negation, [-1], an automorphism of every curve, on Torus(12,12),
+  Torus(2,6) and Weierstrass(23,-1,0).  It also carries each point where
+  ``elm`` acts to its negative, a pair to the pair of its negatives, so
+  ``elm`` must fire the same rule and give a model isomorphic to the image.
 
 So are the two isomorphisms of surface models that are not equalities, on
 Torus(12,12) (``isomorphism.isomorphic``):
@@ -31,10 +36,12 @@ import random
 
 import pytest
 from isomorphism import isomorphic
+from test_elmtrans import _points
 from test_linsys import all_cases
 
 from ellscroll import linsys
 from ellscroll.classify import classify_scroll
+from ellscroll.elmtrans import POINT_KINDS, Pair, elm
 from ellscroll.errors import EngineError
 from ellscroll.groups import TorusGroup, WeierstrassGroup
 from ellscroll.picard import DivisorClass
@@ -64,21 +71,24 @@ def torus_to_curve():
 ISO = torus_to_curve()
 
 
+def carry_class(c, point, x):
+    """The class (d, point(a) + d*x) that the curve map makes of (d, a)."""
+    return DivisorClass(c.degree, point(c.abel) + c.degree * x)
+
+
+def carry_surface(s, point, x):
+    """The surface that the curve map P -> point(P) + x makes of ``s``."""
+    if isinstance(s, Decomposable):
+        return Decomposable(carry_class(s.e_class, point, x))
+    if isinstance(s, Indec0):
+        return Indec0(x.group)
+    return IndecMinus1(point(s.p0) + x)
+
+
 def carry(s, H, point, x):
     """The surface and system that the curve map P -> point(P) + x makes of
-    (s, H), with ``point`` a group isomorphism: a class (d, a) goes to
-    (d, point(a) + d*x)."""
-
-    def image(c):
-        return DivisorClass(c.degree, point(c.abel) + c.degree * x)
-
-    if isinstance(s, Decomposable):
-        s = Decomposable(image(s.e_class))
-    elif isinstance(s, Indec0):
-        s = Indec0(x.group)
-    else:
-        s = IndecMinus1(point(s.p0) + x)
-    return s, SurfaceDivisorClass(H.m, image(H.b))
+    (s, H), with ``point`` a group isomorphism."""
+    return carry_surface(s, point, x), SurfaceDivisorClass(H.m, carry_class(H.b, point, x))
 
 
 def outcome(op, s, H):
@@ -113,20 +123,33 @@ def image_mismatches(cases):
 
 # -- Torus(2,12) against Weierstrass(23,-1,0) ---------------------------------
 
+def families(group):
+    """The surfaces of each family on ``group``: split ones with e = 0..3."""
+    return (
+        [Decomposable(DivisorClass(-e, g)) for e in range(4) for g in group.elements()],
+        [Indec0(group)],
+        [IndecMinus1(g) for g in group.elements()],
+    )
+
+
+def surfaces(group):
+    return [s for family in families(group) for s in family]
+
+
+def systems(group):
+    return [
+        SurfaceDivisorClass(m, DivisorClass(d, g))
+        for m in (1, 2, 3)
+        for d in range(-4, 7)
+        for g in group.elements()
+    ]
+
+
 #: The surfaces of each family; a sample draws the family first, so the one
 #: Indec0 surface is drawn as often as a whole family.
-FAMILIES = (
-    [Decomposable(DivisorClass(-e, g)) for e in range(4) for g in T.elements()],
-    [Indec0(T)],
-    [IndecMinus1(g) for g in T.elements()],
-)
-SURFACES = [s for family in FAMILIES for s in family]
-SYSTEMS = [
-    SurfaceDivisorClass(m, DivisorClass(d, g))
-    for m in (1, 2, 3)
-    for d in range(-4, 7)
-    for g in T.elements()
-]
+FAMILIES = families(T)
+SURFACES = surfaces(T)
+SYSTEMS = systems(T)
 
 
 def iso_pairs(cases):
@@ -237,3 +260,92 @@ def test_isomorphic_models_answer_alike_sweep():
         twist_cases(itertools.product(TWISTED_BASES, elements))
     )
     assert_models_answer_as_their_isomorphic_images(swap_cases(elements))
+
+
+# -- negation, [-1], on every group model ----------------------------------------
+
+#: Torus(12,12) takes the desk-scale sweep ``CASES``, which meets every torsion
+#: side condition; the smaller groups take every surface of ``families`` with
+#: every system of ``systems``.
+NEGATED = [T12, TorusGroup(2, 6), W]
+
+
+def negate(g):
+    return -g
+
+
+def negation_cases(group):
+    if group is T12:
+        return CASES
+    return list(itertools.product(surfaces(group), systems(group)))
+
+
+def negated_point(x):
+    """The point that [-1] makes of ``x``: a pair goes to the pair of the
+    negatives, which ``Pair`` may order the other way round."""
+    if isinstance(x, Pair):
+        return Pair(-x.q, -x.r)
+    return type(x)(-x.P)
+
+
+def elm_outcome(s, x):
+    try:
+        result = elm(s, x)
+    except EngineError as err:
+        return err.code, None
+    return result.rule, result.model
+
+
+def elm_mismatches(group, cases):
+    """The (s, x) cases where ``elm`` on the negated surface and point fires
+    another rule, or gives a model that is not isomorphic to the negative of
+    its model, and the number of cases."""
+    zero, doubles = group.zero(), {t + t for t in group.elements()}
+    bad, compared = [], 0
+    for s, x in cases:
+        compared += 1
+        rule, model = elm_outcome(s, x)
+        rule_image, model_image = elm_outcome(carry_surface(s, negate, zero), negated_point(x))
+        if rule != rule_image or (model is not None) != (model_image is not None):
+            bad.append((s, x, rule, rule_image))
+        elif model is not None and not isomorphic(
+            carry_surface(model, negate, zero), model_image, doubles
+        ):
+            bad.append((s, x, model, model_image))
+    return bad, compared
+
+
+def elm_cases(group):
+    """Every point of every surface of ``families``, one at a time."""
+    return ((s, x) for s in surfaces(group) for x in _points(s))
+
+
+def sampled_point(s, rng):
+    """A point of ``s`` of a drawn kind, over drawn elements."""
+    elements = s.group.elements()
+    kind = rng.choice(POINT_KINDS[type(s)])
+    return kind(*(rng.choice(elements) for _ in kind._fields))
+
+
+@pytest.mark.parametrize("group", NEGATED, ids=str)
+def test_answers_are_invariant_under_negation_on_a_sample(group):
+    rng = random.Random(f"negation {group}")
+    zero = group.zero()
+    cases = negation_cases(group)
+    bad, compared = mismatches((*rng.choice(cases), negate, zero) for _ in range(1000))
+    assert bad == [] and compared > 1000
+    models = surfaces(group)
+    drawn = (rng.choice(models) for _ in range(1000))
+    bad, compared = elm_mismatches(group, ((s, sampled_point(s, rng)) for s in drawn))
+    assert bad == [] and compared == 1000
+
+
+@pytest.mark.skipif(not FUZZ_FRESH, reason="the whole sweep runs with ELLSCROLL_FUZZ=1")
+@pytest.mark.parametrize("group", NEGATED, ids=str)
+def test_answers_are_invariant_under_negation_sweep(group):
+    zero = group.zero()
+    cases = negation_cases(group)
+    bad, compared = mismatches((s, H, negate, zero) for s, H in cases)
+    assert bad == [] and compared > len(cases)
+    bad, compared = elm_mismatches(group, elm_cases(group))
+    assert bad == [] and compared > len(surfaces(group))

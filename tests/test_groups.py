@@ -1,8 +1,16 @@
 """Group-model tests: laws, enumeration order, halvings, and the cap."""
 
+import copy
+import gc
 import math
 import os
+import pickle
 import random
+import re
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,14 +27,12 @@ from ellscroll.groups import (
     _is_prime,
     _quartic_halvings,
     _sqrt,
-    _torus_elements,
     _two_torsion,
-    _weierstrass_points,
     check_same_group,
     default_group,
 )
 from ellscroll.picard import DivisorClass
-from ellscroll.surface import Decomposable, IndecMinus1
+from ellscroll.surface import Decomposable, Indec0, IndecMinus1
 
 G = default_group()
 W = WeierstrassGroup(13, 2, 3)
@@ -108,12 +114,13 @@ def test_elements_is_one_cached_tuple(group):
 
 
 def test_torus_element_does_not_enumerate():
-    # One element, or a sum, costs O(1) even on a torus within the cap.
-    before = _torus_elements.cache_info().currsize
+    # One element, or a sum, costs O(1) even on a torus within the cap; the
+    # enumeration is held in a slot on its model once built.
     g = TorusGroup(100, 99)
     assert g.element(5 + 100, 7 - 99) == g.nth(5 * 99 + 7)
     assert g.element(1, 2) + g.element(3, 4) == g.element(4, 6)
-    assert _torus_elements.cache_info().currsize == before
+    assert not hasattr(g, "_elements")
+    assert g.elements() is g._elements
 
 
 def test_large_torus_answers_by_index():
@@ -167,7 +174,7 @@ def test_operands_that_are_not_elements_or_ints_are_refused(group):
 
 def test_element_equality_and_hash_follow_coords_and_group():
     a, b = TorusGroup(4, 4).element(1, 2), TorusGroup(4, 4).element(1, 2)
-    assert a.group is not b.group and a == b and hash(a) == hash(b)
+    assert a.group is b.group and a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     other = TorusGroup(4, 5).element(1, 2)
     assert other.coords == a.coords and other != a
@@ -286,6 +293,17 @@ def test_group_fields_refuse_a_value_of_another_class_sweep(name, bad):
     for i in range(len(fields)):
         with pytest.raises(InvalidArgument, match="not ints"):
             call(*fields[:i], bad, *fields[i + 1:])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "3"], ids=repr)
+@pytest.mark.parametrize("group", [G, WeierstrassGroup(23, -1, 0)], ids=str)
+def test_nth_refuses_a_number_that_is_not_an_int(group, bad):
+    # Unrefused, Torus(12,12).nth(1.5) was the element of coords (0.0, 1.5),
+    # and the other values raised a bare TypeError.
+    message = f"element number {bad!r} is not an int"
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$") as info:
+        group.nth(bad)
+    assert info.value.code == "InvalidArgument"
 
 
 def test_weierstrass_halvings_consistent():
@@ -454,8 +472,8 @@ def test_weierstrass_descent_sweep_every_full_two_torsion_curve_below_200():
         for a, b in full_two_torsion_curves(p):
             group = WeierstrassGroup(p, a, b)
             assert len(group.halvings(group.zero())) == 4, group
-            # The enumeration without its cache, which would keep every curve.
-            for s in _weierstrass_points.__wrapped__(group):
+            # The enumeration is held on the model, so it goes with the model.
+            for s in group.elements():
                 assert group.halvings(s) == _quartic_halvings(group, s), (group, s)
 
 
@@ -566,15 +584,6 @@ def reference_sub(g, h):
     return reference_add(g, reference_neg(h))
 
 
-def rebuilt(group, g):
-    """``g`` as an element of ``group``, an equal model built apart."""
-    if g.coords is None:
-        return group.zero()
-    if group.__class__ is TorusGroup:
-        return group.element(*g.coords)
-    return group.point(*g.coords)
-
-
 def same(result, expected):
     return (
         result.__class__ is GroupElement
@@ -587,19 +596,16 @@ KERNEL_GROUPS = [TorusGroup(2, 6), TorusGroup(12, 12), WeierstrassGroup(23, -1, 
 
 
 def check_kernel(group, pairs):
-    twin = group.__class__(*(getattr(group, f) for f in group._fields))
-    assert twin == group and twin is not group
     points = group.elements()
     for g in points:
-        assert same(-g, reference_neg(g)) and (-g).group == group
+        assert same(-g, reference_neg(g)) and (-g).group is group
         if group.__class__ is TorusGroup:
             for k in range(-3, 4):
                 assert same(k * g, group.element(k * g.coords[0], k * g.coords[1]))
     for i, j in pairs:
         g, h = points[i], points[j]
-        for right in (h, rebuilt(twin, h)):
-            assert same(g + right, reference_add(g, h)), (g, right)
-            assert same(g - right, reference_sub(g, h)), (g, right)
+        assert same(g + h, reference_add(g, h)), (g, h)
+        assert same(g - h, reference_sub(g, h)), (g, h)
 
 
 @pytest.mark.parametrize("group", KERNEL_GROUPS, ids=str)
@@ -618,31 +624,6 @@ def test_group_kernel_matches_the_reference_on_a_sample(group):
 def test_group_kernel_matches_the_reference_sweep(group):
     n = group.order()
     check_kernel(group, [(i, j) for i in range(n) for j in range(n)])
-
-
-def test_equal_groups_built_apart_still_combine():
-    T1, T2 = TorusGroup(4, 4), TorusGroup(4, 4)
-    a, b = T1.element(1, 2), T2.element(3, 1)
-    assert a + b == T1.element(0, 3) and b + a == T2.element(0, 3)
-    assert a - b == T1.element(2, 1) and b - a == T2.element(2, 3)
-    assert -a == T2.element(3, 2) and (-a).group is T1
-    assert elm(Decomposable(DivisorClass(-1, a)), OnX0(b)).model == Decomposable(
-        DivisorClass(-2, T1.element(2, 1))
-    )
-    # The cached points hold the first equal model that built them, not a
-    # model built later; points made by ``point`` hold their own model.
-    W1 = WeierstrassGroup(23, -1, 0)
-    W1.elements()
-    W2 = WeierstrassGroup(23, -1, 0)
-    cached, own = W2.nth(3), W2.point(*W2.nth(5).coords)
-    assert cached.group is not W2 and own.group is W2
-    for g, h in ((cached, own), (own, cached), (W2.zero(), cached), (cached, W2.zero())):
-        assert g + h == reference_add(g, h) and g - h == reference_sub(g, h)
-        assert -g == reference_neg(g)
-    assert own - own == W1.zero() and cached - W2.point(*cached.coords) == W1.zero()
-    assert elm(IndecMinus1(own), Pair(cached, own)).model == elm(
-        IndecMinus1(W1.nth(5)), Pair(W1.nth(3), W1.nth(5))
-    ).model
 
 
 def test_unequal_groups_raise_mixed_groups():
@@ -666,3 +647,115 @@ def test_unequal_groups_raise_mixed_groups():
     for call in calls:
         with pytest.raises(MixedGroups):
             call()
+
+
+# -- one object per field tuple --------------------------------------------------
+
+MODEL_FIELDS = [(TorusGroup, (4, 4)), (WeierstrassGroup, (23, -1, 0))]
+
+
+@pytest.mark.parametrize("cls, fields", MODEL_FIELDS, ids=["torus", "weierstrass"])
+def test_a_model_built_twice_is_one_object(cls, fields, monkeypatch):
+    model = cls(*fields)
+    checked = []
+    check = cls._check
+    monkeypatch.setattr(cls, "_check", lambda self: checked.append(self) or check(self))
+    # A positional call that finds the model runs no check; one with keywords
+    # builds, checks, then finds it.
+    assert cls(*fields) is model and checked == []
+    assert cls(**dict(zip(cls._fields, fields))) is model
+    assert cls(fields[0], **dict(zip(cls._fields[1:], fields[1:]))) is model
+    assert model.elements()[1].group is model and cls(*fields).elements() is model.elements()
+
+
+def test_a_field_of_another_class_does_not_find_the_equal_model():
+    # True == 1 and hash(True) == hash(1), but only int fields look a model
+    # up; a field that cannot be hashed is refused as any other.
+    held = TorusGroup(1, 4), WeierstrassGroup(23, -1, 0)
+    calls = [
+        (lambda: TorusGroup([1], 4), "torus moduli ([1], 4) are not ints"),
+        (lambda: TorusGroup(True, 4), "torus moduli (True, 4) are not ints"),
+        (lambda: TorusGroup(1, 4.0), "torus moduli (1, 4.0) are not ints"),
+        (lambda: TorusGroup(m=True, n=4), "torus moduli (True, 4) are not ints"),
+        (lambda: WeierstrassGroup(23, -1, False), "curve fields (23, -1, False) are not ints"),
+        (lambda: WeierstrassGroup(23.0, -1, 0), "curve fields (23.0, -1, 0) are not ints"),
+    ]
+    for call, message in calls:
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            call()
+    assert held == (TorusGroup(1, 4), WeierstrassGroup(23, -1, 0))
+
+
+COPIERS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+@pytest.mark.parametrize("cls, fields", MODEL_FIELDS, ids=["torus", "weierstrass"])
+def test_copies_and_unpickled_values_lie_on_the_one_model(cls, fields, copier):
+    model = cls(*fields)
+    assert copier(model) is model
+    g = model.nth(5)
+    assert copier(g) == g and copier(g).group is model
+    for s in (Indec0(model), IndecMinus1(g), Decomposable(DivisorClass(-1, g))):
+        assert copier(s) == s and copier(s).group is model
+    assert copier([model, g])[1].group is model
+
+
+def test_a_model_no_caller_holds_is_collected():
+    refs = []
+    for model in (TorusGroup(7, 13), WeierstrassGroup(31, 1, 3)):
+        assert model.elements()[0].group is model
+        refs.append(weakref.ref(model))
+    del model
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # Built again, it is a new object with the same fields.
+    assert TorusGroup(7, 13).order() == 91
+
+
+def test_threads_that_build_one_new_model_get_one_object(monkeypatch):
+    # More threads than cores, switching often, each building the model
+    # while the others do: a model installed twice would hand two out.
+    check = TorusGroup._check
+    monkeypatch.setattr(TorusGroup, "_check", lambda self: time.sleep(0.01) or check(self))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fields in ((8, 977), (9, 977), (10, 977)):
+            barrier, built = threading.Barrier(8, timeout=10), []
+
+            def build():
+                barrier.wait()
+                built.append(TorusGroup(*fields))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(built) == 8 and all(model is built[0] for model in built)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_groups_are_compared_by_identity_only():
+    class Equal:
+        def __eq__(self, other):
+            return True
+
+        __hash__ = object.__hash__
+
+    T = TorusGroup(4, 4)
+    check_same_group(T, TorusGroup(4, 4))
+    with pytest.raises(MixedGroups):
+        check_same_group(T, Equal())
+    assert T.zero() != GroupElement(Equal(), (0, 0))
+    # No module-level cache keyed by a model: the enumerations live on the
+    # models, and only the default model is held, by a cache of no key.
+    assert [n for n, v in vars(groups).items() if hasattr(v, "cache_info")] == ["default_group"]
