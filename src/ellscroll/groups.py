@@ -14,9 +14,11 @@ be shared freely between threads.  Every enumeration is returned in a fixed
 lexicographic order to keep set-valued results deterministic.
 
 A model is one object per field tuple: building, copying or unpickling it
-returns the live model, and a weak reference holds it, so a model that no
-caller holds is collected.  Groups are compared with ``is``, so elements of
-two models do not combine: that raises ``MixedGroups``.
+returns the live model.  Each class holds the ``RECENT_MODELS`` models last
+asked for, and only a weak reference to the others, so a model that no
+caller holds is collected, with its enumeration, once its class has handed
+out that many other models.  Groups are compared with ``is``, so elements
+of two models do not combine: that raises ``MixedGroups``.
 
 This module is the only one that knows the order of an enumeration.
 ``elements()`` returns the whole enumeration as a tuple built once and held
@@ -45,6 +47,7 @@ of ``GroupElement`` only call them.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from functools import lru_cache
 from threading import Lock
@@ -133,16 +136,23 @@ def check_same_group(a: CurveGroup, b: CurveGroup) -> None:
 
 _INSTALL = Lock()
 
+#: How many of the models last asked for each class holds strongly, so that
+#: a caller that drops its model between calls (the CLI builds one per line)
+#: finds it again, checked and enumerated, even after a collection.
+RECENT_MODELS = 64
+
 
 class _Interned(type):
     """The metaclass of the group models: a call returns the live model of
     its fields.  Only ``int`` fields look it up, so that ``True`` does not
     find the model of ``1``.  A miss, or a call with keywords, builds the
-    model with every check, then installs it unless another thread did."""
+    model with every check, then installs it unless another thread did.
+    Every call also puts its model in ``_recent``."""
 
     def __init__(cls, *args) -> None:
         super().__init__(*args)
         cls._models = WeakValueDictionary()
+        cls._recent = deque(maxlen=RECENT_MODELS)
 
     def __call__(cls, *args, **kwargs):
         model = None if kwargs or {*map(type, args)} != {int} else cls._models.get(args)
@@ -150,6 +160,7 @@ class _Interned(type):
             model = super().__call__(*args, **kwargs)
             with _INSTALL:
                 model = cls._models.setdefault(cls._key(model), model)
+        cls._recent.append(model)
         return model
 
 

@@ -20,6 +20,7 @@ from ellscroll.elmtrans import OnX0, Pair, elm
 from ellscroll.errors import GroupTooLarge, InvalidArgument, InvalidPointSpec, MixedGroups
 from ellscroll.groups import (
     PRIME_CAP,
+    RECENT_MODELS,
     GroupElement,
     TorusGroup,
     WeierstrassGroup,
@@ -706,12 +707,18 @@ def test_copies_and_unpickled_values_lie_on_the_one_model(cls, fields, copier):
     assert copier([model, g])[1].group is model
 
 
-def test_a_model_no_caller_holds_is_collected():
+def test_a_model_no_caller_holds_is_collected_once_others_are_asked_for():
     refs = []
     for model in (TorusGroup(7, 13), WeierstrassGroup(31, 1, 3)):
         assert model.elements()[0].group is model
         refs.append(weakref.ref(model))
     del model
+    gc.collect()
+    # Among the models last asked for, it is found again, enumerated.
+    assert TorusGroup(7, 13) is refs[0]() and WeierstrassGroup(31, 1, 3) is refs[1]()
+    assert refs[0]()._elements and refs[1]()._elements
+    for _ in range(RECENT_MODELS):
+        TorusGroup(1, 1), WeierstrassGroup(23, -1, 0)
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     # Built again, it is a new object with the same fields.
