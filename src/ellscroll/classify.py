@@ -344,7 +344,11 @@ def render_table(N: int, rows: list[ScrollModel]) -> str:
 class NagataPlan(Value):
     """A sequence of transformations building a target from the product surface."""
 
-    __slots__ = ("target", "target_e", "steps", "length")  # target: a word of FAMILIES
+    __slots__ = ("target", "target_e", "steps")  # target: a word of FAMILIES
+
+    @property
+    def length(self) -> int:
+        return len(self.steps)
 
     def to_dict(self) -> dict:
         return {
@@ -406,7 +410,7 @@ def nagata_plan(
         steps = (Generic(p1),)
     else:
         steps = tuple(OnX0(group.nth(k % order)) for k in range(1, e + 1))
-    return NagataPlan(target, e, steps, len(steps))
+    return NagataPlan(target, e, steps)
 
 
 def verify_plan(plan: NagataPlan, group: CurveGroup | None = None) -> bool:

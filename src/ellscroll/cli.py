@@ -12,11 +12,12 @@ term first, then the point summing the class once (``-O+P(1,0)``,
 ``parse(cmd.format()) == cmd``.
 
 Each command is one class in the registry ``COMMANDS``, keyed by its command
-word.  It is a ``values.Value`` whose fields are what the command parses; its
-``grammar`` lists the ``_Parser`` production that reads each field, in order;
-its ``_check`` makes the semantic checks that involve several fields; and
-its ``run(options)`` builds the payload.  ``parse``, ``run`` and the shared
-``format`` work from these alone, so adding a command touches one class.
+word, the class name in lower case.  It is a ``values.Value`` whose fields
+are what the command parses; its ``grammar`` lists the ``_Parser``
+production that reads each field, in order; its ``_check`` makes the
+semantic checks that involve several fields; and its ``run(options)`` builds
+the payload.  ``parse``, ``run`` and the shared ``format`` work from these
+alone, so adding a command touches one class.
 
 Grammar (after flag words are stripped)::
 
@@ -38,10 +39,14 @@ and the empty text is EOF.  Columns are found again only for an error.
 Commands: ``analyze s system``, ``classify s system`` (fiber degree 1),
 ``elm s pointspec``, ``walk s step...``, ``table N``, ``nagata target [e]``,
 ``mincurves s pair{..}``, ``ram s point``.  Flags: ``--group m,n``,
-``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``.  Each shell
-argument is one word: a flag inside an argument is not split out of it.
-The switches ``--json`` and ``--verify`` take no value (``--json=false`` is
-a ParseError, not JSON), and a word that is not a ``str`` is a ParseError.
+``--curve p,a,b``, ``--json``, ``--seed N``, ``--verify``, each in ``FLAGS``
+with the ``Options`` field it sets.  A value is the next word or follows
+``=``: comma-separated INTs with an optional leading ``-``, one per field of
+the group model, or one seed.  A switch takes no value (``--json=false`` is a
+ParseError, not JSON), and a second flag for one field (``--curve`` after
+``--group``) is a ParseError.  ``format`` writes each flag whose field is not
+its default.  Each shell argument is one word: a flag inside an argument is
+not split out of it, and a word that is not a ``str`` is a ParseError.
 ``table`` takes N <= 10000 and ``nagata`` an e <= 10000 (``SIZE_CAP``): the
 work grows linearly in either, and a larger one is a semantic error.
 
@@ -360,21 +365,19 @@ def _family_dict(model: SurfaceModel) -> dict:
 
 
 class _Command(Value):
-    """A command: an immutable value with ``word``, ``grammar`` and ``run``."""
+    """A command value with ``grammar`` and ``run``, whose word is its class name."""
 
     __slots__ = ()
-    word: ClassVar[str]
     grammar: ClassVar[tuple[Callable[[_Parser], object], ...]]
 
     def format(self) -> str:
         words = map(format_field, self._key(self))
-        return " ".join(w for w in (self.word, *words) if w)
+        return " ".join(w for w in (self.__class__.__name__.lower(), *words) if w)
 
 
 class Analyze(_Command):
     __slots__ = ("surface", "system")
 
-    word = "analyze"
     grammar = (_Parser.surface, _Parser.system)
 
     def run(self, options: Options) -> dict:
@@ -386,7 +389,6 @@ class Analyze(_Command):
 class Classify(_Command):
     __slots__ = ("surface", "system")
 
-    word = "classify"
     grammar = (_Parser.surface, _Parser.system)
 
     def _check(self) -> None:
@@ -401,7 +403,6 @@ class Classify(_Command):
 class Elm(_Command):
     __slots__ = ("surface", "spec")
 
-    word = "elm"
     grammar = (_Parser.surface, _Parser.pointspec)
 
     def _check(self) -> None:
@@ -422,7 +423,6 @@ class Elm(_Command):
 class Walk(_Command):
     __slots__ = ("surface", "steps")  # steps: templates (str) and/or concrete PointSpecs
 
-    word = "walk"
     grammar = (_Parser.surface, _Parser.steps)
 
     def run(self, options: Options) -> dict:
@@ -439,7 +439,6 @@ class Table(_Command):
     __slots__ = ("n",)
     _field_classes = {"n": (int, InvalidArgument, "N {n!r} is not an int")}
 
-    word = "table"
     grammar = (_Parser.expect_int,)
 
     def _check(self) -> None:
@@ -461,7 +460,6 @@ class Nagata(_Command):
                       "e": ((int, type(None)), InvalidArgument, "e {e!r} is not an int")}
     _defaults = {"e": None}
 
-    word = "nagata"
     grammar = (_Parser.family, _Parser.optional_int)
 
     def _check(self) -> None:
@@ -491,7 +489,6 @@ class Nagata(_Command):
 class MinCurves(_Command):
     __slots__ = ("surface", "pair")
 
-    word = "mincurves"
     grammar = (_Parser.surface, _Parser.pointspec)
 
     def _check(self) -> None:
@@ -521,7 +518,6 @@ def _ram_surface(parser: _Parser) -> IndecMinus1:
 class Ram(_Command):
     __slots__ = ("surface", "t")
 
-    word = "ram"
     grammar = (_ram_surface, _Parser.point)
 
     def run(self, options: Options) -> dict:
@@ -531,52 +527,33 @@ class Ram(_Command):
 
 #: The command classes by command word: the only list of command words.
 COMMANDS: dict[str, type[_Command]] = {
-    cls.word: cls
+    cls.__name__.lower(): cls
     for cls in (Analyze, Classify, Elm, Walk, Table, Nagata, MinCurves, Ram)
 }
+
+#: Each flag, in the order ``Command.format`` writes them: the ``Options``
+#: field it sets and the class it reads (a switch, ``bool``, reads nothing).
+FLAGS = {"--group": ("group", TorusGroup), "--curve": ("group", WeierstrassGroup),
+         "--json": ("json", bool), "--seed": ("seed", int), "--verify": ("verify", bool)}
+_FLAG_INT = re.compile(r"-?[0-9]+")  # an INT, with an optional "-"
 
 
 class Command(Value):
     __slots__ = ("variant", "options")
 
     def format(self) -> str:
-        out = self.variant.format()
-        opt = self.options
-        g = opt.group
-        if isinstance(g, TorusGroup):
-            if g != default_group():
-                out += f" --group {g.m},{g.n}"
-        else:
-            out += f" --curve {g.p},{g.a},{g.b}"
-        if opt.json:
-            out += " --json"
-        if opt.seed:
-            out += f" --seed {opt.seed}"
-        if opt.verify:
-            out += " --verify"
-        return out
+        """The variant's text, then each flag whose field is not its default."""
+        words = [self.variant.format()]
+        for flag, (field, cls) in FLAGS.items():
+            value = getattr(self.options, field)
+            if value.__class__ is cls and value != Options._defaults[field]:
+                ints = value._key(value) if cls in GROUP_MODELS else (value,)
+                words.append(flag if cls is bool else f"{flag} {','.join(map(str, ints))}")
+        return " ".join(words)
 
 
 # ---------------------------------------------------------------------------
 # Entry points
-
-
-def _torus(value: str) -> TorusGroup:
-    m, n = (int(v) for v in value.split(","))
-    return TorusGroup(m, n)
-
-
-def _curve(value: str) -> WeierstrassGroup:
-    p, a, b = (int(v) for v in value.split(","))
-    return WeierstrassGroup(p, a, b)
-
-
-#: Flags that take a value: the ``Options`` field each sets, and its reader.
-VALUE_FLAGS = {
-    "--group": ("group", _torus), "--curve": ("group", _curve), "--seed": ("seed", int)
-}
-#: Flags that turn an ``Options`` field on.
-SWITCHES = {"--json": "json", "--verify": "verify"}
 
 
 def _parse_flags(words: list[str]) -> tuple[list[str], Options]:
@@ -588,21 +565,31 @@ def _parse_flags(words: list[str]) -> tuple[list[str], Options]:
             body.append(word)
             continue
         name, eq, value = word.partition("=")
-        if name in SWITCHES:
+        if name not in FLAGS:
+            raise ParseError(f"unknown flag {name}", column=0)
+        field, cls = FLAGS[name]
+        if field in settings:
+            raise ParseError(f"flag {name} sets the {field} option again", column=0)
+        if cls is bool:
             if eq:
                 raise ParseError(f"flag {name} takes no value", column=0)
-            settings[SWITCHES[name]] = True
+            settings[field] = True
             continue
-        if name not in VALUE_FLAGS:
-            raise ParseError(f"unknown flag {name}", column=0)
         if not eq:
             value = next(rest, None)
             if value is None:
                 raise ParseError(f"flag {name} needs a value", column=0)
-        key, read = VALUE_FLAGS[name]
+        ints = value.split(",") if cls in GROUP_MODELS else [value]
+        for text in ints:
+            if not _FLAG_INT.fullmatch(text):  # int()'s words, hashed by the cli digest
+                problem = f"invalid literal for int() with base 10: {text!r}"
+                raise ParseError(f"bad value for {name}: {problem}", column=0)
+        if cls in GROUP_MODELS and len(ints) != len(cls._fields):
+            count = f"{len(cls._fields)} comma-separated integers"
+            raise ParseError(f"flag {name} takes {count}", column=0)
         try:
-            settings[key] = read(value)
-        except ValueError as exc:
+            settings[field] = cls(*map(int, ints))
+        except ValueError as exc:  # a refused model, or an integer over the limit
             raise ParseError(f"bad value for {name}: {exc}", column=0) from exc
     return body, Options(**settings)
 

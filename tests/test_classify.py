@@ -381,6 +381,20 @@ def test_plan_lengths_match_remark():
     assert nagata_plan("indm1").length == 3
 
 
+def test_plan_length_is_read_from_its_steps():
+    # A plan holds no length of its own, so it cannot state one that its
+    # steps do not have.
+    for target, e in [("dec", 0), ("dec", 1), ("dec", 5), ("ind0", None), ("indm1", None)]:
+        plan = nagata_plan(target, e)
+        assert plan.length == len(plan.steps) == plan.to_dict()["length"]
+    steps = (elmtrans.Generic(G.nth(1)),) * 2
+    assert classify.NagataPlan("ind0", 0, steps).length == 2
+    with pytest.raises(TypeError):
+        classify.NagataPlan("ind0", 0, steps, 7)
+    with pytest.raises(AttributeError):
+        nagata_plan("ind0").length = 7
+
+
 def test_plan_invalid_targets():
     with pytest.raises(UnreachableTarget):
         nagata_plan("dec")

@@ -1,6 +1,7 @@
 """CLI tests: parsing, formatting round-trips, exit codes, golden JSON."""
 
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -27,6 +28,7 @@ from ellscroll.cli import (
     Ram,
     Table,
     Walk,
+    _Command,
     _Parser,
     _render_json,
     _texts,
@@ -536,6 +538,93 @@ def test_a_word_that_is_not_a_str_is_a_parse_error(argv, word, capsys):
         assert json.loads(captured.out) == {"error": "ParseError", "message": message}
     else:
         assert captured.out == ""
+
+
+def not_an_int(flag, text):
+    """The message for a flag value ``text`` that is not an integer."""
+    return f"bad value for {flag}: invalid literal for int() with base 10: {text!r}"
+
+
+#: Flag values that are not the DSL's integers with an optional "-", or not
+#: as many as the flag reads, and the message of each.  Python's int() reads
+#: each of the first five.  A text that int() refuses keeps int()'s message.
+BAD_FLAG_VALUES = [
+    (["--seed", "\u0663"], not_an_int("--seed", "\u0663")),
+    (["--group", "\uff14,\uff14"], not_an_int("--group", "\uff14")),
+    (["--seed", "1_0"], not_an_int("--seed", "1_0")),
+    (["--group", " 4, 4"], not_an_int("--group", " 4")),
+    (["--seed", "+1"], not_an_int("--seed", "+1")),
+    (["--seed", "x"], not_an_int("--seed", "x")),
+    (["--seed="], not_an_int("--seed", "")),
+    (["--seed", "1,2"], not_an_int("--seed", "1,2")),
+    (["--curve", "23,--1,0"], not_an_int("--curve", "--1")),
+    (["--group", "4"], "flag --group takes 2 comma-separated integers"),
+    (["--group", "4,4,4"], "flag --group takes 2 comma-separated integers"),
+    (["--curve=23,-1"], "flag --curve takes 3 comma-separated integers"),
+]
+
+
+@pytest.mark.parametrize("flag, message", BAD_FLAG_VALUES)
+def test_a_flag_value_other_than_its_integers_is_a_parse_error(flag, message, capsys):
+    argv = ["table", "3", *flag]
+    with pytest.raises(ParseError) as info:
+        parse(argv)
+    assert str(info.value) == message and info.value.column == 0
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"ParseError: {message}\n")
+
+
+#: Lines that set one option twice, the flag that sets it again, and the option.
+REPEATED_FLAGS = [
+    (["table", "5", "--group", "4,4", "--curve", "23,-1,0"], "--curve", "group"),
+    (["table", "5", "--curve", "23,-1,0", "--group", "4,4"], "--group", "group"),
+    (["table", "5", "--group", "4,4", "--group=4,4"], "--group", "group"),
+    (["walk", "ind0", "random", "--seed", "1", "--seed", "2"], "--seed", "seed"),
+    (["nagata", "ind0", "--verify", "--verify"], "--verify", "verify"),
+    (["table", "3", "--json", "--json"], "--json", "json"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, field", REPEATED_FLAGS)
+def test_a_second_flag_for_one_option_is_a_parse_error(argv, flag, field, capsys):
+    message = f"flag {flag} sets the {field} option again"
+    with pytest.raises(ParseError) as info:
+        parse(argv)
+    assert str(info.value) == message and info.value.column == 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ParseError: {message}\n"
+    if "--json" in argv:
+        assert json.loads(captured.out) == {"error": "ParseError", "message": message}
+    else:
+        assert captured.out == ""
+
+
+#: Each group an option may hold and the flag text that names it.
+GROUP_TEXTS = {
+    default_group(): "", TorusGroup(6, 6): " --group 6,6",
+    WeierstrassGroup(23, -1, 0): " --curve 23,-1,0",
+}
+
+
+@pytest.mark.parametrize(
+    "group, as_json, seed, verify",
+    itertools.product(GROUP_TEXTS, (False, True), (0, 7, -3), (False, True)),
+)
+def test_format_writes_each_flag_off_its_default_in_order(group, as_json, seed, verify):
+    cmd = Command(Nagata("ind0"), Options(group=group, json=as_json, seed=seed, verify=verify))
+    expected = (
+        "nagata ind0" + GROUP_TEXTS[group] + " --json" * as_json
+        + (f" --seed {seed}" if seed else "") + " --verify" * verify
+    )
+    assert cmd.format() == expected
+    assert parse(expected) == cmd
+
+
+def test_command_words_are_the_class_names_in_lower_case():
+    classes = (Analyze, Classify, Elm, Walk, Table, Nagata, MinCurves, Ram)
+    assert COMMANDS == {cls.__name__.lower(): cls for cls in classes}
+    assert set(_Command.__subclasses__()) == set(classes)
 
 
 def test_nagata_verify_reports_trajectory(capsys):

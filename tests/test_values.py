@@ -62,7 +62,7 @@ FIELDS = {
     Pair: ("q", "r"),
     ElmResult: ("model", "y0_note", "rule"),
     WalkResult: ("trajectory", "steps"),
-    NagataPlan: ("target", "target_e", "steps", "length"),
+    NagataPlan: ("target", "target_e", "steps"),
     cli.Options: ("group", "json", "seed", "verify"),
     cli.Analyze: ("surface", "system"),
     cli.Classify: ("surface", "system"),
@@ -192,9 +192,7 @@ def values(draw):
         WalkResult: lambda: WalkResult(
             (model, draw(models(group))), (ElmResult(model, "X0prime", ALL_RULES[0]),)
         ),
-        NagataPlan: lambda: NagataPlan(
-            "dec", draw(st.integers(0, 2)), (OnX0(draw(point)),), draw(st.integers(0, 2))
-        ),
+        NagataPlan: lambda: NagataPlan("dec", draw(st.integers(0, 2)), (OnX0(draw(point)),)),
         cli.Options: lambda: options,
         cli.Analyze: lambda: cli.Analyze(model, system),
         cli.Classify: lambda: cli.Classify(model, SurfaceDivisorClass(1, system.b)),
